@@ -38,6 +38,7 @@ from .statesum import (
     ModelMismatchError,
     colored_jones_framed,
     colored_jones_unframed,
+    state_count,
 )
 
 
@@ -80,7 +81,6 @@ class RunConfig:
     graph_out: str | None = None
     verify: str | None = None
     json_out: bool = False
-    threads: int = 1
     seed: int = 2024
 
 
@@ -305,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a verification suite",
     )
     ap.add_argument("--json", action="store_true", help="JSON output")
-    ap.add_argument("--threads", type=int, default=1, help="evaluation threads")
     ap.add_argument("--seed", type=int, default=2024, help="verification seed")
     return ap
 
@@ -323,8 +322,12 @@ def run(cfg: RunConfig) -> int:
         return 2
     d = build(b)
     if cfg.graph_out:
-        with open(cfg.graph_out, "w", encoding="utf-8") as fh:
-            fh.write(d.graph_description() + "\n")
+        try:
+            with open(cfg.graph_out, "w", encoding="utf-8") as fh:
+                fh.write(d.graph_description() + "\n")
+        except OSError as exc:
+            print(f"error: cannot write --graph-out: {exc}", file=sys.stderr)
+            return 2
     if cfg.dump_diagram:
         print(d.dump_table())
         return 0
@@ -342,13 +345,12 @@ def run(cfg: RunConfig) -> int:
                 )
         return 0
     try:
-        framed = colored_jones_framed(b, cfg.n, cfg.model, cfg.threads)
+        framed = colored_jones_framed(b, cfg.n, cfg.model)
     except ModelMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     unframed = framed * LaurentQ.t_quarter(b.writhe * (cfg.n * cfg.n + 2 * cfg.n))
     if cfg.json_out:
-        states = enumerate_states(d, cfg.n, convention, anchor=0, fold_free=False)
         doc = {
             "braid": b.text(),
             "strands": b.strands,
@@ -358,7 +360,7 @@ def run(cfg: RunConfig) -> int:
             "unframed": {"terms": _poly_terms(unframed)},
             "writhe": b.writhe,
             "components": b.component_count(),
-            "state_count": len(states),
+            "state_count": state_count(d, cfg.n, convention),
         }
         print(json.dumps(doc))
     else:
@@ -381,7 +383,6 @@ def main(argv: list[str] | None = None) -> int:
         graph_out=args.graph_out,
         verify=args.verify,
         json_out=args.json,
-        threads=max(1, args.threads),
         seed=args.seed,
     )
     return run(cfg)

@@ -147,7 +147,10 @@ class Diagram:
             coeff = row[pivot]
             # Relations are node-set sums of a graph incidence system, so
             # every surviving coefficient is a unit.
-            assert abs(coeff) == 1
+            if abs(coeff) != 1:
+                raise ArithmeticError(
+                    f"cycle relation pivot {pivot} has non-unit coefficient {coeff}"
+                )
             expr = {c: -k * coeff for c, k in row.items() if c != pivot}
             solved.append((pivot, expr))
             for other in rows[i + 1 :]:

@@ -106,6 +106,9 @@ class LaurentQ:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        # A constant equals its integer, so it must hash like it.
+        if self._terms.keys() <= {0}:
+            return hash(self._terms.get(0, 0))
         return hash(frozenset(self._terms.items()))
 
     def __add__(self, other: "LaurentQ | int") -> "LaurentQ":

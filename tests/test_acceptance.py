@@ -13,11 +13,14 @@ from braidjones.braid import BraidWord, parse
 from braidjones.cli import PRESETS, _suite_identity, _suite_oracle, _suite_props, _suite_skein
 from braidjones.diagram import build
 from braidjones.qalgebra import ONE, LaurentQ
-from braidjones.states import PLUS, enumerate_states
+from braidjones.states import MINUS, PLUS, enumerate_states
 from braidjones.statesum import (
     colored_jones_framed,
     colored_jones_unframed,
     parity_halfinteger_check,
+    state_count,
+    state_sum,
+    transfer_sum,
 )
 
 
@@ -159,3 +162,27 @@ def test_criterion_9_exponent_parity():
         "PASS criterion 9: exponent parity law on the corpus "
         f"({classified['integer']} integer, {classified['half-integer']} half-integer)"
     )
+
+
+def test_criterion_10_sweep_matches_state_sums():
+    for b in CORPUS:
+        d = build(b)
+        for n in (1, 2, 3):
+            reference = state_sum(d, n, MINUS)
+            assert state_sum(d, n, PLUS) == reference
+            assert transfer_sum(d, n, MINUS) == reference
+            assert transfer_sum(d, n, PLUS) == reference
+    print(
+        f"PASS criterion 10: both sweeps equal both state sums on {len(CORPUS)} "
+        "braids at n=1..3"
+    )
+
+
+def test_criterion_11_sweep_state_counts():
+    for b in CORPUS:
+        d = build(b)
+        for n in (1, 2):
+            for convention in (MINUS, PLUS):
+                states = enumerate_states(d, n, convention, anchor=0, fold_free=False)
+                assert state_count(d, n, convention) == len(states)
+    print("PASS criterion 11: sweep state counts equal enumeration, both conventions")

@@ -90,20 +90,21 @@ def test_graph_out(capsys, tmp_path):
     assert "edge red 0 ->" in text
 
 
+def test_graph_out_missing_directory(capsys, tmp_path):
+    target = tmp_path / "missing" / "graph.txt"
+    code, out, err = run_cli(
+        capsys, "--preset", "trefoil", "--graph-out", str(target)
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
 def test_verify_suite(capsys):
     code, out, _ = run_cli(capsys, "--verify", "identity", "--seed", "7")
     assert code == 0
     lines = out.strip().splitlines()
     assert lines and all(line.startswith("PASS ") for line in lines)
     assert "PASS pochhammer-sum" in lines
-
-
-def test_threads_flag(capsys):
-    _, serial, _ = run_cli(capsys, "--preset", "figure-eight", "--n", "2")
-    _, parallel, _ = run_cli(
-        capsys, "--preset", "figure-eight", "--n", "2", "--threads", "4"
-    )
-    assert serial == parallel
 
 
 def test_usage_errors(capsys):

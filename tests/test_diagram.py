@@ -5,6 +5,8 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from braidjones.braid import BraidWord, parse
 from braidjones.diagram import OVER, UNDER, build
 
@@ -268,6 +270,13 @@ def test_eliminated_jumps():
                 jumps[c] = sum(k * jumps[cc] for cc, k in expr.items())
         for rel in d.cycle_relations():
             assert sum(k * jumps[c] for c, k in rel.items()) == 0
+
+
+def test_eliminated_jumps_rejects_non_unit_pivot():
+    d = build(parse("1 -2 1", 3))
+    d.cycle_relations = lambda: [{}, {0: -1, 1: 2}]
+    with pytest.raises(ArithmeticError):
+        d.eliminated_jumps()
 
 
 def test_free_positions_and_bases():

@@ -61,6 +61,14 @@ def test_int_mixing():
     assert LaurentQ.from_int(3) == 3
 
 
+def test_hash_agrees_with_int_equality():
+    for c in (-3, 0, 5):
+        assert LaurentQ.from_int(c) == c
+        assert hash(LaurentQ.from_int(c)) == hash(c)
+        assert len({LaurentQ.from_int(c), c}) == 1
+    assert len({LaurentQ.t_quarter(4), LaurentQ({4: 1})}) == 1
+
+
 def test_substitute_inverse():
     rng = random.Random(103)
     for _ in range(50):

@@ -189,11 +189,71 @@ def test_exponent_parity():
             parity_halfinteger_check(b, n)
 
 
-def test_threads_match_serial():
-    b = parse("-1 2 -1 2")
-    for n in (1, 2):
-        serial = colored_jones_framed(b, n, "both", threads=1)
-        assert colored_jones_framed(b, n, "both", threads=4) == serial
+def test_long_braid_framed_skein():
+    # 1,100 letters: deeper than the interpreter's recursion limit
+    skein = LaurentQ.t_quarter(-2) - LaurentQ.t_quarter(2)
+    plus = colored_jones_framed(BraidWord(2, (1,) * 1100), 1)
+    minus = colored_jones_framed(BraidWord(2, (1,) * 1098), 1, "rmatrix")
+    zero = colored_jones_framed(BraidWord(2, (1,) * 1099), 1, "gl")
+    lhs = LaurentQ.t_quarter(-1) * plus - LaurentQ.t_quarter(1) * minus
+    assert lhs == skein * zero
+
+
+def _split(rng: random.Random, b: BraidWord) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    cut = rng.randint(0, len(b.letters))
+    return b.letters[:cut], b.letters[cut:]
+
+
+def test_conjugation_invariance():
+    rng = random.Random(17)
+    for _ in range(10):
+        b = rand_braid(rng, max_len=5)
+        before, after = _split(rng, b)
+        rotated = BraidWord(b.strands, after + before)
+        for n in (1, 2):
+            assert colored_jones_framed(rotated, n) == colored_jones_framed(b, n)
+
+
+def test_braid_relation():
+    rng = random.Random(18)
+    for _ in range(8):
+        b = rand_braid(rng, max_len=4)
+        b = BraidWord(max(b.strands, 3), b.letters)
+        i = rng.randint(1, b.strands - 2)
+        eps = rng.choice([1, -1])
+        before, after = _split(rng, b)
+        lhs = BraidWord(b.strands, before + (eps * i, eps * (i + 1), eps * i) + after)
+        rhs = BraidWord(
+            b.strands, before + (eps * (i + 1), eps * i, eps * (i + 1)) + after
+        )
+        for n in (1, 2):
+            assert colored_jones_framed(lhs, n) == colored_jones_framed(rhs, n)
+
+
+def test_far_commutation():
+    rng = random.Random(19)
+    for _ in range(8):
+        b = rand_braid(rng, max_strands=5, max_len=4)
+        b = BraidWord(max(b.strands, 4), b.letters)
+        i = rng.randint(1, b.strands - 3)
+        j = rng.randint(i + 2, b.strands - 1)
+        x, y = rng.choice([1, -1]) * i, rng.choice([1, -1]) * j
+        before, after = _split(rng, b)
+        lhs = BraidWord(b.strands, before + (x, y) + after)
+        rhs = BraidWord(b.strands, before + (y, x) + after)
+        for n in (1, 2):
+            assert colored_jones_framed(lhs, n) == colored_jones_framed(rhs, n)
+
+
+def test_free_cancellation():
+    rng = random.Random(20)
+    for _ in range(10):
+        b = rand_braid(rng, max_len=5)
+        k = rng.choice([1, -1]) * rng.randint(1, b.strands - 1)
+        before, after = _split(rng, b)
+        padded = BraidWord(b.strands, before + (k, -k) + after)
+        for n in (1, 2):
+            assert colored_jones_framed(padded, n) == colored_jones_framed(b, n)
 
 
 def test_input_validation():
