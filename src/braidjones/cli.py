@@ -36,8 +36,10 @@ from .states import MINUS, PLUS, Potential, enumerate_states
 from .statesum import (
     Model,
     ModelMismatchError,
+    check_work,
     colored_jones_framed,
     colored_jones_unframed,
+    framed_value,
     state_count,
 )
 
@@ -331,6 +333,11 @@ def run(cfg: RunConfig) -> int:
     if cfg.dump_diagram:
         print(d.dump_table())
         return 0
+    try:
+        check_work(b.strands, cfg.n)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     convention = MINUS if cfg.model == "rmatrix" else PLUS
     if cfg.states is not None:
         states = enumerate_states(d, cfg.n, convention, anchor=0, fold_free=False)
@@ -345,7 +352,7 @@ def run(cfg: RunConfig) -> int:
                 )
         return 0
     try:
-        framed = colored_jones_framed(b, cfg.n, cfg.model)
+        framed = framed_value(d, cfg.n, cfg.model)
     except ModelMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

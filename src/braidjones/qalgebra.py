@@ -17,6 +17,11 @@ together with their sign-dependent variants
 and the quantum binomial (a choose b) = {a}_b / {b}_b, computed by exact
 division.  The signed variants are implemented independently of the plain
 ones so the conversion identities can be tested rather than assumed.
+
+pack and unpack carry a polynomial whose exponents all agree mod 4 (one
+slot per whole power of t) as a single integer by Kronecker substitution,
+t -> 2**K: the product of two packed values is their integer product, and
+unpacking is exact while every coefficient lies in (-2**(K-1), 2**(K-1)).
 """
 
 from __future__ import annotations
@@ -88,6 +93,10 @@ class LaurentQ:
 
     def coefficient(self, quarter: int) -> int:
         return self._terms.get(quarter, 0)
+
+    def l1_norm(self) -> int:
+        """Sum of the absolute values of the coefficients."""
+        return sum(abs(c) for c in self._terms.values())
 
     def support(self) -> Iterable[int]:
         return self._terms.keys()
@@ -231,6 +240,49 @@ class LaurentQ:
 
 ZERO = LaurentQ.zero()
 ONE = LaurentQ.one()
+
+
+def pack(poly: LaurentQ, k: int) -> tuple[int, int]:
+    """Kronecker-pack poly into (lo, N) with N = sum c * 2**(k*(q-lo)/4).
+
+    lo is the lowest quarter exponent (0 for the zero polynomial).  Raises
+    ArithmeticError unless every exponent is congruent to lo mod 4 and
+    every |coefficient| is below 2**(k-1), so unpack(lo, N, k) == poly.
+    """
+    terms = poly.terms()
+    if not terms:
+        return 0, 0
+    lo = terms[0][0]
+    half = 1 << (k - 1)
+    packed = 0
+    for q, c in terms:
+        if (q - lo) & 3:
+            raise ArithmeticError(f"exponents of {poly} are not congruent mod 4")
+        if not -half < c < half:
+            raise ArithmeticError(f"coefficient {c} does not fit {k}-bit slots")
+        packed += c << (k * ((q - lo) >> 2))
+    return lo, packed
+
+
+def unpack(lo: int, packed: int, k: int) -> LaurentQ:
+    """Decode (lo, N) from pack, reading each k-bit slot as a signed
+    coefficient and borrowing from the slot above."""
+    mask = (1 << k) - 1
+    half = 1 << (k - 1)
+    terms: dict[int, int] = {}
+    q = lo
+    while packed:
+        c = packed & mask
+        packed >>= k
+        if c >= half:
+            c -= 1 << k
+            packed += 1
+        if c:
+            terms[q] = c
+        q += 4
+    res = LaurentQ.__new__(LaurentQ)
+    res._terms = terms
+    return res
 
 
 def v_power(a: int) -> LaurentQ:

@@ -92,21 +92,21 @@ def derive_colors(d: Diagram, p: Potential) -> StateColors:
 
 def _checkpoints(
     d: Diagram, base_order: dict[int, int], jump_order: dict[int, int]
-) -> dict[int, list[tuple[int, list[tuple[int, int]]]]]:
+) -> dict[int, list[tuple[int, int, int, int]]]:
     """Group arc-color checks by the DFS level that completes them.
 
-    A checkpoint is (component, prefix) where prefix lists the signed
-    jumps accumulated before the arc; it fires once its base and every
-    prefix jump are assigned.
+    A checkpoint (component, arc, crossing, sign) says that the part arc
+    has the color of the arc before it on the component plus sign times
+    the crossing's jump; it fires once the base and every jump before the
+    arc are assigned, so never before the checkpoint of the arc before it.
     """
-    ready: dict[int, list[tuple[int, list[tuple[int, int]]]]] = {}
+    ready: dict[int, list[tuple[int, int, int, int]]] = {}
     for l, steps in enumerate(d.steps):
-        prefix: list[tuple[int, int]] = []
+        level = base_order[l]
         for k in range(1, len(steps)):
             c, role = steps[k - 1]
-            prefix = prefix + [(c, _step_sign(role, PLUS))]
-            level = max(base_order[l], max(jump_order[cc] for cc, _ in prefix))
-            ready.setdefault(level, []).append((l, list(prefix)))
+            level = max(level, jump_order[c])
+            ready.setdefault(level, []).append((l, k, c, _step_sign(role, PLUS)))
     return ready
 
 
@@ -119,7 +119,8 @@ def enumerate_states(
 ) -> list[tuple[Potential, StateColors]]:
     """All n-contributing states with the first component anchored.
 
-    Depth-first search assigns base colors in component order and then
+    A depth-first search, iterative so that long words cannot exhaust the
+    interpreter's stack, assigns base colors in component order and then
     jumps in braid order; a dependent jump (pivot of a cycle relation)
     is computed from earlier jumps when its index comes up.  Every part
     arc's color is checked as soon as the variables it depends on are
@@ -166,46 +167,50 @@ def enumerate_states(
     bases = [0] * mu
     bases[0] = anchor
     jumps = [0] * d.crossing_count
+    # arc_color[l][k]: color of component l's k-th part arc, valid from
+    # the level its checkpoint fires at on the current search path.
+    arc_color = [[0] * len(steps) for steps in d.steps]
     out: list[tuple[Potential, StateColors]] = []
 
     def color_ok(level: int) -> bool:
-        for l, prefix in ready.get(level, ()):
-            color = bases[l] + flip * sum(s * jumps[c] for c, s in prefix)
+        for l, k, c, s in ready.get(level, ()):
+            below = arc_color[l][k - 1] if k > 1 else bases[l]
+            color = below + flip * s * jumps[c]
             if not 0 <= color <= n:
                 return False
+            arc_color[l][k] = color
         return True
 
-    def dfs(depth: int) -> None:
-        if depth == len(levels):
+    def choices(depth: int) -> Iterator[int]:
+        kind, which = levels[depth]
+        expr = dependent.get(which) if kind == "jump" else None
+        if expr is None:
+            return iter(range(n + 1))
+        v = sum(k * jumps[c] for c, k in expr.items())
+        return iter((v,) if 0 <= v <= n else ())
+
+    if not levels:
+        p = Potential(tuple(jumps), tuple(bases), convention)
+        return [(p, derive_colors(d, p))]
+    # The stack holds the untried values of every level assigned so far.
+    stack = [choices(0)]
+    while stack:
+        depth = len(stack) - 1
+        kind, which = levels[depth]
+        target = bases if kind == "base" else jumps
+        v = next(stack[-1], None)
+        if v is None:
+            target[which] = 0
+            stack.pop()
+            continue
+        target[which] = v
+        if not color_ok(depth + 1):
+            continue
+        if depth + 1 < len(levels):
+            stack.append(choices(depth + 1))
+        else:
             p = Potential(tuple(jumps), tuple(bases), convention)
             out.append((p, derive_colors(d, p)))
-            return
-        kind, which = levels[depth]
-        if kind == "base":
-            for v in range(n + 1):
-                bases[which] = v
-                if color_ok(depth + 1):
-                    dfs(depth + 1)
-            bases[which] = 0
-            return
-        expr = dependent.get(which)
-        if expr is not None:
-            v = sum(k * jumps[c] for c, k in expr.items())
-            if not 0 <= v <= n:
-                return
-            jumps[which] = v
-            if color_ok(depth + 1):
-                dfs(depth + 1)
-            jumps[which] = 0
-            return
-        for v in range(n + 1):
-            jumps[which] = v
-            if color_ok(depth + 1):
-                dfs(depth + 1)
-        jumps[which] = 0
-
-    if color_ok(0):
-        dfs(0)
     return out
 
 

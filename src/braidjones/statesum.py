@@ -9,6 +9,18 @@ state sum is a partial quantum trace.  Values come from one sweep over
 the braid letters, bottom to top, shared by both models: the models
 differ only in a per-crossing vertex table and a closure weight.
 
+Every weight is t**(c/4) times a Laurent polynomial in t, so the sweep
+carries each layer value Kronecker-packed as one integer with a K-bit
+slot per power of t: a product is one integer product and a sum one
+shift and add.  The layer is keyed by the lowest exponent mod 4 as well,
+so values whose slots are offset by a fraction of a power never meet.
+K is proved large enough rather than guessed: every coefficient is
+bounded by the layer's summed L1 norm, which one crossing multiplies by
+at most the largest summed L1 norm of its weights, and the layer is
+decoded and K sized afresh every REPACK_LETTERS letters so that K does
+not grow with the word.  Requests whose first layer and vertex table
+would exceed WORK_LIMIT are refused before anything is built.
+
 R-matrix model, (-) convention.  With i, j the colors entering a
 crossing on the left and right, r its jump, and v = t**(1/2), the
 crossing leaves (j+r, i-r) when positive and (j-r, i+r) when negative,
@@ -51,11 +63,13 @@ from .diagram import Diagram, build
 from .qalgebra import (
     ONE,
     LaurentQ,
+    pack,
     pochhammer,
     pochhammer_signed,
     qbinom,
     qbinom_signed,
     qint,
+    unpack,
 )
 from .states import MINUS, PLUS, Potential, StateColors, enumerate_states, flow_bijection
 
@@ -152,6 +166,7 @@ def gl_writhe_prefactor_quarter(d: Diagram, n: int, folded: int) -> int:
 def state_sum(d: Diagram, n: int, convention: int) -> LaurentQ:
     """The model's state sum by enumerating and weighing every
     contributing state: the reference for the sweep."""
+    check_work(d.strands, n)
     folded_comps = _folded_components(d)
     skip = frozenset(d.components[l][0] for l in folded_comps)
     weigh = rmatrix_contribution if convention == MINUS else gl_contribution
@@ -167,7 +182,7 @@ def state_sum(d: Diagram, n: int, convention: int) -> LaurentQ:
 
 # A vertex table maps (n, sign, left color in, right color in) to every
 # (left color out, right color out, weight) the crossing allows.
-Step = tuple[int, int, object]
+Step = tuple[int, int, LaurentQ]
 Table = Callable[[int, int, int, int], tuple[Step, ...]]
 
 
@@ -202,26 +217,65 @@ def _gl_step(n: int, sign: int, a: int, b: int) -> tuple[Step, ...]:
 def _unit_step(
     table: Table, n: int, sign: int, a: int, b: int
 ) -> tuple[Step, ...]:
-    return tuple((left, right, 1) for left, right, _ in table(n, sign, a, b))
+    return tuple((left, right, ONE) for left, right, _ in table(n, sign, a, b))
 
 
 _TABLES: dict[int, Table] = {MINUS: _rmatrix_step, PLUS: _gl_step}
+# Built once, so that _growth's cache sees the same unit table every call.
+_UNIT_TABLES: dict[int, Table] = {
+    c: partial(_unit_step, table) for c, table in _TABLES.items()
+}
+
+# Largest (n+1)**(strands+1) -- first-layer start vectors times vertex-table
+# entries -- that a sweep or state sum accepts; bigger requests are refused
+# before anything is allocated.  Two strands fit up to n = 26, three up to
+# n = 10, four up to n = 6, and thirteen at n = 1.
+WORK_LIMIT = 20_000
+
+# Letters swept between two re-packs of the layer (see _sweep).
+REPACK_LETTERS = 32
 
 
-def _closing_spans(
+def check_work(strands: int, n: int) -> None:
+    """Raise ValueError when a request at color n on this many strands
+    exceeds WORK_LIMIT."""
+    work = 1
+    for _ in range(strands + 1):
+        work *= n + 1
+        if work > WORK_LIMIT:
+            raise ValueError(
+                f"color n={n} on {strands} strands is too large: "
+                f"(n+1)**(strands+1) exceeds the work limit {WORK_LIMIT}"
+            )
+
+
+@lru_cache(maxsize=None)
+def _growth(table: Table, n: int, sign: int) -> int:
+    """The most one crossing can multiply a layer's summed L1 norm by: the
+    largest summed L1 norm of its weights over the entering colors."""
+    return max(
+        sum(w.l1_norm() for _, _, w in table(n, sign, a, b))
+        for a in range(n + 1)
+        for b in range(n + 1)
+    )
+
+
+def _closing_checks(
     letters: tuple[int, ...], strands: int
 ) -> list[tuple[tuple[int, int], ...]]:
-    """For each letter, the position spans whose color sums must already
-    match the start vector once the letter is swept.
+    """For each letter, the position spans whose color sums must be checked
+    against the start vector once the letter is swept.
 
     The letters still to come only move colors within a connected block
     of the positions they touch, and leave every other position alone;
     an entry whose block sums (or untouched colors) differ from its start
-    can never close up.
+    can never close up.  Blocks only split as the sweep goes on, and a
+    letter conserves the sum of the block holding its two positions, so
+    only the blocks a letter splits off need a check: none unless it is
+    the last letter on its generator.
     """
-    out = []
-    gens: set[int] = set()
-    for k in reversed(letters):
+
+    def blocks(gens: set[int]) -> list[tuple[int, int]]:
         spans = []
         p = 0
         while p < strands:
@@ -230,44 +284,100 @@ def _closing_spans(
                 q += 1
             spans.append((p, q))
             p = q
-        out.append(tuple(spans))
+        return spans
+
+    out = []
+    gens: set[int] = set()
+    after = blocks(gens)
+    for k in reversed(letters):
         gens.add(abs(k))
+        before = blocks(gens)
+        out.append(tuple(span for span in after if span not in before))
+        after = before
     out.reverse()
     return out
 
 
-def _sweep(d: Diagram, n: int, table: Table) -> dict[tuple[int, ...], object]:
+Packed = tuple[int, int]
+Key = tuple[tuple[int, ...], tuple[int, ...], int]
+
+
+def _sweep(d: Diagram, n: int, table: Table) -> dict[tuple[int, ...], LaurentQ]:
     """Sum the weights of every contributing state, one letter at a time.
 
-    A layer maps (start color vector, current color vector) to the summed
-    weight of the partial states below it, with position 0 anchored at
-    color 0.  Returns the closed entries: start vector -> summed weight
-    of the states whose colors return to it.
+    A layer maps (start color vector, current color vector, lowest
+    exponent mod 4) to the summed weight of the partial states below it,
+    with position 0 anchored at color 0.  Every weight is t**(c/4) times
+    a Laurent polynomial in t, so a value is carried Kronecker-packed as
+    (lo, N) with one K-bit slot per power of t (qalgebra.pack); the
+    residue in the key keeps values whose slots are offset by a fraction
+    of a power from being added together.  A product is (lo + wlo, N * W)
+    and a sum shifts the value with the higher lo up to the other.
+
+    Exactness: every coefficient is bounded by the layer's summed L1 norm,
+    which one letter multiplies by at most _growth.  Every REPACK_LETTERS
+    letters the layer is decoded, its actual summed L1 norm S taken, and
+    K sized as one bit over S times the growth of the letters ahead.
+
+    Returns the closed entries: start vector -> summed weight of the
+    states whose colors return to it.
     """
     s = d.strands
-    layer: dict[tuple[tuple[int, ...], tuple[int, ...]], object] = {}
+    check_work(s, n)
+    layer: dict[Key, Packed] = {}
     for rest in product(range(n + 1), repeat=s - 1):
         start = (0,) + rest
-        layer[start, start] = 1
+        layer[start, start, 0] = (0, 1)
+    k = 2
     letters = d.braid.letters
-    for k, spans in zip(letters, _closing_spans(letters, s)):
-        g = abs(k)
-        sign = 1 if k > 0 else -1
-        nxt: dict[tuple[tuple[int, ...], tuple[int, ...]], object] = {}
-        for (start, cur), value in layer.items():
-            head, tail = cur[: g - 1], cur[g + 1 :]
-            for left, right, weight in table(n, sign, cur[g - 1], cur[g]):
-                new = head + (left, right) + tail
-                if any(
-                    sum(new[lo:hi]) != sum(start[lo:hi]) for lo, hi in spans
-                ):
-                    continue
-                key = (start, new)
-                term = value * weight
-                old = nxt.get(key)
-                nxt[key] = term if old is None else old + term
-        layer = nxt
-    return {start: value for (start, cur), value in layer.items() if start == cur}
+    checks = _closing_checks(letters, s)
+    for at in range(0, len(letters), REPACK_LETTERS):
+        chunk = letters[at : at + REPACK_LETTERS]
+        values = {key: unpack(lo, v, k) for key, (lo, v) in layer.items()}
+        bound = sum(value.l1_norm() for value in values.values())
+        for letter in chunk:
+            bound *= _growth(table, n, 1 if letter > 0 else -1)
+        k = bound.bit_length() + 1
+        layer = {key: pack(value, k) for key, value in values.items() if value}
+        weights: dict[tuple[int, int, int], tuple[tuple[int, int, int, int], ...]] = {}
+        for letter, check in zip(chunk, checks[at:]):
+            g = letter if letter > 0 else -letter
+            sign = 1 if letter > 0 else -1
+            nxt: dict[Key, Packed] = {}
+            for (start, cur, _), (lo, v) in layer.items():
+                a, b = cur[g - 1], cur[g]
+                steps = weights.get((sign, a, b))
+                if steps is None:
+                    steps = weights[sign, a, b] = tuple(
+                        (left, right) + pack(w, k)
+                        for left, right, w in table(n, sign, a, b)
+                    )
+                head, tail = cur[: g - 1], cur[g + 1 :]
+                for left, right, wlo, w in steps:
+                    new = head + (left, right) + tail
+                    if check and any(
+                        sum(new[p:q]) != sum(start[p:q]) for p, q in check
+                    ):
+                        continue
+                    qlo = lo + wlo
+                    key = (start, new, qlo & 3)
+                    term = v * w
+                    old = nxt.get(key)
+                    if old is None:
+                        nxt[key] = (qlo, term)
+                        continue
+                    olo, acc = old
+                    if olo <= qlo:
+                        nxt[key] = (olo, acc + (term << (k * (qlo - olo) >> 2)))
+                    else:
+                        nxt[key] = (qlo, term + (acc << (k * (olo - qlo) >> 2)))
+            layer = nxt
+    closed: dict[tuple[int, ...], LaurentQ] = {}
+    for (start, cur, _), (lo, v) in layer.items():
+        if start == cur:
+            value = unpack(lo, v, k)
+            closed[start] = closed[start] + value if start in closed else value
+    return closed
 
 
 def transfer_sum(d: Diagram, n: int, convention: int) -> LaurentQ:
@@ -287,8 +397,8 @@ def transfer_sum(d: Diagram, n: int, convention: int) -> LaurentQ:
 def state_count(d: Diagram, n: int, convention: int) -> int:
     """Number of n-contributing states in the convention, anchored at 0 and
     free strands included: the sweep with unit weights."""
-    unit = partial(_unit_step, _TABLES[convention])
-    return sum(_sweep(d, n, unit).values())
+    closed = _sweep(d, n, _UNIT_TABLES[convention])
+    return sum(value.coefficient(0) for value in closed.values())
 
 
 def _mismatch_report(d: Diagram, n: int) -> str:
@@ -315,9 +425,13 @@ def _mismatch_report(d: Diagram, n: int) -> str:
 
 def colored_jones_framed(b: BraidWord, n: int, model: Model = "both") -> LaurentQ:
     """The framed invariant of the braid closure at color n."""
+    return framed_value(build(b), n, model)
+
+
+def framed_value(d: Diagram, n: int, model: Model = "both") -> LaurentQ:
+    """colored_jones_framed on an already built closure diagram."""
     if n < 1:
         raise ValueError("color n must be >= 1")
-    d = build(b)
     if model == "rmatrix":
         return transfer_sum(d, n, MINUS)
     if model == "gl":
@@ -328,7 +442,7 @@ def colored_jones_framed(b: BraidWord, n: int, model: Model = "both") -> Laurent
     plus = transfer_sum(d, n, PLUS)
     if minus != plus:
         raise ModelMismatchError(
-            f"models disagree on braid '{b.text()}' at n={n}: "
+            f"models disagree on braid '{d.braid.text()}' at n={n}: "
             f"r-matrix {minus} vs arc-transition {plus}\n"
             + _mismatch_report(d, n)
         )

@@ -1,8 +1,16 @@
 """Command-line behavior: flags, output formats, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
+
+import braidjones
+from braidjones import colored_jones_framed, parse
 
 from braidjones.cli import PRESETS, main, weaving_word
 from braidjones.qalgebra import LaurentQ
@@ -150,3 +158,34 @@ def test_presets_all_resolve(capsys):
         code, out, _ = run_cli(capsys, "--preset", name, "--states", "count")
         assert code == 0
         assert int(out.strip()) >= 1
+
+
+def test_long_word_states_count(capsys):
+    word = " ".join(["1 -1"] * 550)
+    code, out, _ = run_cli(
+        capsys, "--braid", word, "--strands", "2", "--n", "1", "--states", "count"
+    )
+    assert (code, out) == (0, "2\n")
+
+
+def test_oversized_color_refused(capsys):
+    for extra in ((), ("--states", "count")):
+        began = time.perf_counter()
+        code, out, err = run_cli(capsys, "--braid", "1 1 1", "--n", "1000000", *extra)
+        assert time.perf_counter() - began < 1
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "too large" in err
+
+
+def test_python_dash_m():
+    src = str(Path(braidjones.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "braidjones", "--preset", "trefoil"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 0
+    assert done.stdout == f"{colored_jones_framed(parse('1 1 1'), 1)}\n"

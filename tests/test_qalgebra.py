@@ -12,8 +12,10 @@ from braidjones.qalgebra import (
     pochhammer_signed,
     qbinom,
     qbinom_signed,
+    pack,
     qbrace,
     qint,
+    unpack,
     v_power,
 )
 
@@ -200,3 +202,47 @@ def test_symbol_validation():
         pochhammer_signed(2, 1, 0)
     with pytest.raises(ValueError):
         qbinom_signed(2, 1, 2)
+
+
+def test_pack_round_trip():
+    rng = random.Random(103)
+    for k in (2, 3, 8, 33, 70):
+        edge = (1 << (k - 1)) - 1
+        for _ in range(60):
+            residue = rng.randrange(4)
+            terms = {
+                residue + 4 * rng.randint(-6, 6): rng.choice(
+                    [edge, -edge, rng.randint(-edge, edge)]
+                )
+                for _ in range(rng.randint(0, 8))
+            }
+            poly = LaurentQ(terms)
+            lo, packed = pack(poly, k)
+            assert unpack(lo, packed, k) == poly
+        assert pack(LaurentQ.zero(), k) == (0, 0)
+        assert unpack(0, 0, k) == LaurentQ.zero()
+
+
+def test_packed_product_is_polynomial_product():
+    rng = random.Random(104)
+    k = 40
+    for _ in range(50):
+        a = LaurentQ({1 + 4 * rng.randint(-5, 5): rng.randint(-9, 9) for _ in range(5)})
+        b = LaurentQ({2 + 4 * rng.randint(-5, 5): rng.randint(-9, 9) for _ in range(5)})
+        (alo, an), (blo, bn) = pack(a, k), pack(b, k)
+        assert unpack(alo + blo, an * bn, k) == a * b
+
+
+def test_pack_refuses_what_it_cannot_decode():
+    with pytest.raises(ArithmeticError):
+        pack(LaurentQ({0: 1, 2: 1}), 8)
+    with pytest.raises(ArithmeticError):
+        pack(LaurentQ({1: 1, 4: -1}), 8)
+    with pytest.raises(ArithmeticError):
+        pack(LaurentQ({0: 1 << 7}), 8)
+    assert pack(LaurentQ({-3: 5, 5: -2}), 8) == (-3, 5 - (2 << 16))
+
+
+def test_l1_norm():
+    assert LaurentQ({-4: 3, 0: -2, 9: 1}).l1_norm() == 6
+    assert LaurentQ.zero().l1_norm() == 0

@@ -2,6 +2,7 @@
 totals must satisfy: framing, reflection, skein, exponent parity."""
 
 import random
+import time
 
 import pytest
 
@@ -10,12 +11,17 @@ from braidjones.diagram import build
 from braidjones.qalgebra import ONE, LaurentQ, qint
 from braidjones.states import MINUS, PLUS, enumerate_states, flow_bijection
 from braidjones.statesum import (
+    REPACK_LETTERS,
+    _sweep,
     colored_jones_framed,
     colored_jones_unframed,
     gl_contribution,
     gl_writhe_prefactor_quarter,
     parity_halfinteger_check,
     rmatrix_contribution,
+    state_count,
+    state_sum,
+    transfer_sum,
 )
 
 
@@ -261,3 +267,59 @@ def test_input_validation():
         colored_jones_framed(parse("1"), 0)
     with pytest.raises(ValueError):
         colored_jones_framed(parse("1"), 1, "quantum")
+
+
+def test_packed_sweep_across_repacks():
+    # Both tables against the R-matrix state sum, which is cheap here; the
+    # arc-transition one has 47,300 states at n = 2 and is checked at n = 1.
+    b = BraidWord(3, (1, -1) * 40 + (-1, 2) * 3)
+    assert len(b.letters) > 2 * REPACK_LETTERS
+    d = build(b)
+    for n in (1, 2):
+        reference = state_sum(d, n, MINUS)
+        assert transfer_sum(d, n, MINUS) == reference
+        assert transfer_sum(d, n, PLUS) == reference
+        assert state_count(d, n, MINUS) == len(enumerate_states(d, n, MINUS))
+    assert transfer_sum(d, 1, PLUS) == state_sum(d, 1, PLUS)
+    assert state_count(d, 1, PLUS) == len(enumerate_states(d, 1, PLUS))
+
+
+def _mixing_table(n, sign, a, b):
+    # Conserves colors, but reaches the same output with weights whose
+    # exponents differ by a quarter.
+    return ((a, b, LaurentQ.t_quarter(1)), (b, a, ONE))
+
+
+def test_sweep_keeps_residues_apart():
+    closed = _sweep(build(BraidWord(2, (1, 1))), 1, _mixing_table)
+    assert closed == {
+        (0, 0): LaurentQ({2: 1, 1: 2, 0: 1}),
+        (0, 1): LaurentQ({2: 1, 0: 1}),
+    }
+
+
+def test_words_without_letters():
+    for n in (1, 2, 3):
+        d = build(BraidWord(1, ()))
+        for convention in (MINUS, PLUS):
+            assert transfer_sum(d, n, convention) == ONE
+            assert state_count(d, n, convention) == 1
+        d = build(BraidWord(3, ()))
+        for convention in (MINUS, PLUS):
+            assert transfer_sum(d, n, convention) == qint(n + 1) ** 2
+            assert state_count(d, n, convention) == (n + 1) ** 2
+
+
+def test_long_word_state_sum_matches_sweep():
+    # 1,100 crossings: the enumeration must not recurse once per crossing
+    d = build(BraidWord(2, (1, -1) * 550))
+    assert state_sum(d, 1, PLUS) == transfer_sum(d, 1, PLUS)
+
+
+def test_oversized_request_refused_fast():
+    began = time.perf_counter()
+    with pytest.raises(ValueError, match="too large"):
+        colored_jones_framed(parse("1 2 3", 4), 400)
+    with pytest.raises(ValueError, match="too large"):
+        state_sum(build(parse("1 1 1")), 1000000, MINUS)
+    assert time.perf_counter() - began < 1
