@@ -119,3 +119,22 @@ def parse(text: str, strands: int | None = None) -> BraidWord:
             raise ValueError("empty braid word needs an explicit strand count")
         strands = max(abs(k) for k in letters) + 1
     return BraidWord(strands, tuple(letters))
+
+
+# Named links for the command line and the oracle suite: word and strand count.
+PRESETS: dict[str, tuple[str, int]] = {
+    "unknot": ("", 1),
+    "unknot-kink-plus": ("1", 2),
+    "unknot-kink-minus": ("-1", 2),
+    "unlink2": ("", 2),
+    "hopf-plus": ("1 1", 2),
+    "hopf-minus": ("-1 -1", 2),
+    "trefoil": ("1 1 1", 2),
+    "trefoil-mirror": ("-1 -1 -1", 2),
+    "figure-eight": ("-1 2 -1 2", 3),
+    "weaving-3-2": ("-1 2 -1 2", 3),
+    "weaving-3-3": ("-1 2 -1 2 -1 2", 3),
+    "weaving-3-4": ("-1 2 -1 2 -1 2 -1 2", 3),
+    "weaving-3-5": ("-1 2 -1 2 -1 2 -1 2 -1 2", 3),
+    "sample-knot": ("-1 -1 -1 2 1 2 2 -1", 3),
+}

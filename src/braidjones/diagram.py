@@ -28,7 +28,8 @@ along the arc ending at v, which is the order the jump recursion needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterable
 
 from .braid import BraidWord
 
@@ -94,8 +95,6 @@ class Diagram:
     over_component: list[int]
     base_vertices: list[int | None]
     start_arcs: list[int]
-    free_positions: frozenset[int]
-    position_component: dict[int, int] = field(default_factory=dict)
 
     @property
     def strands(self) -> int:
@@ -163,6 +162,25 @@ class Diagram:
                         else:
                             other.pop(c, None)
         return solved
+
+    def solve_jumps(self, free: Iterable[int]) -> tuple[int, ...]:
+        """Jumps satisfying every cycle relation.
+
+        The values of free go, in braid order, to the crossings that are
+        not pivots of eliminated_jumps; each pivot is computed from the
+        jumps before it.  free is drawn from lazily, one value per
+        non-pivot crossing.
+        """
+        dependent = dict(self.eliminated_jumps())
+        values = iter(free)
+        jumps: list[int] = []
+        for c in range(self.crossing_count):
+            expr = dependent.get(c)
+            if expr is None:
+                jumps.append(next(values))
+            else:
+                jumps.append(sum(k * jumps[cc] for cc, k in expr.items()))
+        return tuple(jumps)
 
     def cyclic_labels(self) -> dict[int, tuple[int, int]]:
         """crossing -> (component, position along the component's sigma cycle).
@@ -256,11 +274,7 @@ def build(b: BraidWord) -> Diagram:
         consumer[cr.in_left] = (cr.index, "L")
         consumer[cr.in_right] = (cr.index, "R")
 
-    used = {abs(k) - 1 for k in b.letters} | {abs(k) for k in b.letters}
-    free_positions = frozenset(p for p in range(s) if p not in used)
-
     components = b.components()
-    position_component = {p: l for l, cyc in enumerate(components) for p in cyc}
 
     def walk(start: int) -> tuple[list[tuple[int, str]], list[int]]:
         steps: list[tuple[int, str]] = []
@@ -343,6 +357,4 @@ def build(b: BraidWord) -> Diagram:
         over_component=over_component,
         base_vertices=base_vertices,
         start_arcs=start_arcs,
-        free_positions=free_positions,
-        position_component=position_component,
     )

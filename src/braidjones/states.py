@@ -15,6 +15,7 @@ closure arc of strand position 0 carries the fixed anchor color.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterator
 
 from .diagram import Diagram, UNDER
@@ -90,22 +91,23 @@ def derive_colors(d: Diagram, p: Potential) -> StateColors:
     return StateColors(arc_colors, i, tilde, closure)
 
 
-def _checkpoints(
-    d: Diagram, base_order: dict[int, int], jump_order: dict[int, int]
-) -> dict[int, list[tuple[int, int, int, int]]]:
+def _checkpoints(d: Diagram) -> dict[int, list[tuple[int, int, int, int]]]:
     """Group arc-color checks by the DFS level that completes them.
 
-    A checkpoint (component, arc, crossing, sign) says that the part arc
-    has the color of the arc before it on the component plus sign times
-    the crossing's jump; it fires once the base and every jump before the
-    arc are assigned, so never before the checkpoint of the arc before it.
+    Component l's base is set at level l (the anchor at level 0) and
+    crossing c's jump at level component_count + c.  A checkpoint
+    (component, arc, crossing, sign) says that the part arc has the color
+    of the arc before it on the component plus sign times the crossing's
+    jump; it fires once the base and every jump before the arc are
+    assigned, so never before the checkpoint of the arc before it.
     """
+    mu = d.component_count
     ready: dict[int, list[tuple[int, int, int, int]]] = {}
     for l, steps in enumerate(d.steps):
-        level = base_order[l]
+        level = l
         for k in range(1, len(steps)):
             c, role = steps[k - 1]
-            level = max(level, jump_order[c])
+            level = max(level, mu + c)
             ready.setdefault(level, []).append((l, k, c, _step_sign(role, PLUS)))
     return ready
 
@@ -115,7 +117,6 @@ def enumerate_states(
     n: int,
     convention: int,
     anchor: int = 0,
-    fold_free: bool = False,
 ) -> list[tuple[Potential, StateColors]]:
     """All n-contributing states with the first component anchored.
 
@@ -125,44 +126,20 @@ def enumerate_states(
     is computed from earlier jumps when its index comes up.  Every part
     arc's color is checked as soon as the variables it depends on are
     set, pruning the subtree on a color outside [0, n].
-
-    With fold_free the crossing-free non-anchor components keep base 0
-    instead of being enumerated; the evaluators account for them in
-    closed form.
     """
     if convention not in (PLUS, MINUS):
         raise ValueError("convention must be +1 or -1")
     if not 0 <= anchor <= n:
         return []
     mu = d.component_count
-    folded = (
-        frozenset(
-            l
-            for l, cyc in enumerate(d.components)
-            if l > 0 and not d.steps[l] and cyc[0] in d.free_positions
-        )
-        if fold_free
-        else frozenset()
-    )
-    base_order = {0: 0}
-    levels: list[tuple[str, int]] = []
-    for l in range(1, mu):
-        if l in folded:
-            base_order[l] = 0
-        else:
-            base_order[l] = len(levels) + 1
-            levels.append(("base", l))
-    base_levels = len(levels)
+    levels = [("base", l) for l in range(1, mu)]
+    levels += [("jump", c) for c in range(d.crossing_count)]
     dependent = dict(d.eliminated_jumps())
-    jump_order: dict[int, int] = {}
-    for c in range(d.crossing_count):
-        jump_order[c] = base_levels + 1 + c
-        levels.append(("jump", c))
 
     # Convention only flips every checkpoint sign uniformly per role,
     # so store (+)-signs and apply the flip at evaluation time.
     flip = 1 if convention == PLUS else -1
-    ready = _checkpoints(d, base_order, jump_order)
+    ready = _checkpoints(d)
 
     bases = [0] * mu
     bases[0] = anchor
@@ -241,47 +218,13 @@ def enumerate_z_potentials(d: Diagram, bound: int) -> list[Potential]:
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
-    dependent = dict(d.eliminated_jumps())
-    free = [c for c in range(d.crossing_count) if c not in dependent]
-    mu = d.component_count
-    out: list[Potential] = []
     box = range(-bound, bound + 1)
-
-    def fill_jumps(assigned: dict[int, int]) -> tuple[int, ...] | None:
-        jumps = [0] * d.crossing_count
-        for c, v in assigned.items():
-            jumps[c] = v
-        for c in range(d.crossing_count):
-            expr = dependent.get(c)
-            if expr is None:
-                continue
-            v = sum(k * jumps[cc] for cc, k in expr.items())
-            if abs(v) > bound:
-                return None
-            jumps[c] = v
-        return tuple(jumps)
-
-    def rec_bases(l: int, bases: list[int]) -> Iterator[tuple[int, ...]]:
-        if l == mu:
-            yield tuple(bases)
-            return
-        for v in box:
-            bases[l] = v
-            yield from rec_bases(l + 1, bases)
-        bases[l] = 0
-
-    def rec_jumps(k: int, assigned: dict[int, int]) -> Iterator[tuple[int, ...]]:
-        if k == len(free):
-            jumps = fill_jumps(assigned)
-            if jumps is not None:
-                yield jumps
-            return
-        for v in box:
-            assigned[free[k]] = v
-            yield from rec_jumps(k + 1, assigned)
-        assigned.pop(free[k], None)
-
-    for jumps in rec_jumps(0, {}):
-        for bases in rec_bases(1, [0] * mu):
-            out.append(Potential(jumps, bases, PLUS))
+    free = d.crossing_count - len(d.eliminated_jumps())
+    out: list[Potential] = []
+    for values in product(box, repeat=free):
+        jumps = d.solve_jumps(values)
+        if any(abs(v) > bound for v in jumps):
+            continue
+        for rest in product(box, repeat=d.component_count - 1):
+            out.append(Potential(jumps, (0,) + rest, PLUS))
     return out

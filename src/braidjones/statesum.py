@@ -48,8 +48,7 @@ model="both" sweeps with both tables and insists the totals agree.  The
 enumeration state sums (state_sum) remain the independent reference:
 they list every contributing state and weigh it, at a cost exponential
 in the crossing count, and serve --states, the mismatch report and the
-tests.  There, strands without crossings are split unknot factors folded
-into a closed-form quantum integer [n+1] per strand.
+tests.
 """
 
 from __future__ import annotations
@@ -68,7 +67,6 @@ from .qalgebra import (
     pochhammer_signed,
     qbinom,
     qbinom_signed,
-    qint,
     unpack,
 )
 from .states import MINUS, PLUS, Potential, StateColors, enumerate_states, flow_bijection
@@ -108,13 +106,9 @@ def rmatrix_contribution(
     p: Potential,
     colors: StateColors,
     n: int,
-    skip_positions: frozenset[int] = frozenset(),
 ) -> LaurentQ:
     """Weight of one (-)-state, closure prefactor included."""
-    quarter = 0
-    for pos in range(1, d.strands):
-        if pos not in skip_positions:
-            quarter += 2 * (-n + 2 * colors.closure[pos])
+    quarter = sum(2 * (2 * b - n) for b in colors.closure[1:])
     value = LaurentQ.t_quarter(quarter)
     for c, cr in enumerate(d.crossings):
         value = value * _rmatrix_vertex(
@@ -132,7 +126,6 @@ def gl_contribution(
     p: Potential,
     colors: StateColors,
     n: int,
-    skip_positions: frozenset[int] = frozenset(),
 ) -> LaurentQ:
     """Weight of one (+)-state, excess and rotation included but not the
     global writhe prefactor."""
@@ -142,42 +135,26 @@ def gl_contribution(
         i, tld = colors.i[c], colors.tilde[c]
         exc += cr.sign * i * tld
         value = value * _gl_vertex(n, cr.sign, i, p.jumps[c], tld)
-    rot = sum(
-        colors.closure[pos]
-        for pos in range(1, d.strands)
-        if pos not in skip_positions
-    )
+    rot = sum(colors.closure[1:])
     return value * LaurentQ.t_quarter(-4 * (exc + rot))
 
 
-def _folded_components(d: Diagram) -> frozenset[int]:
-    return frozenset(
-        l
-        for l, cyc in enumerate(d.components)
-        if l > 0 and not d.steps[l] and cyc[0] in d.free_positions
-    )
-
-
-def gl_writhe_prefactor_quarter(d: Diagram, n: int, folded: int) -> int:
+def gl_writhe_prefactor_quarter(d: Diagram, n: int) -> int:
     """Exponent (in quarter units) of the global (+)-model prefactor."""
-    return -n * n * d.braid.writhe + 2 * n * (d.strands - 1 - folded)
+    return -n * n * d.braid.writhe + 2 * n * (d.strands - 1)
 
 
 def state_sum(d: Diagram, n: int, convention: int) -> LaurentQ:
     """The model's state sum by enumerating and weighing every
     contributing state: the reference for the sweep."""
     check_work(d.strands, n)
-    folded_comps = _folded_components(d)
-    skip = frozenset(d.components[l][0] for l in folded_comps)
     weigh = rmatrix_contribution if convention == MINUS else gl_contribution
     total = LaurentQ.zero()
-    for p, colors in enumerate_states(d, n, convention, anchor=0, fold_free=True):
-        total = total + weigh(d, p, colors, n, skip)
+    for p, colors in enumerate_states(d, n, convention):
+        total = total + weigh(d, p, colors, n)
     if convention == PLUS:
-        total = total * LaurentQ.t_quarter(
-            gl_writhe_prefactor_quarter(d, n, len(folded_comps))
-        )
-    return total * qint(n + 1) ** len(folded_comps)
+        total = total * LaurentQ.t_quarter(gl_writhe_prefactor_quarter(d, n))
+    return total
 
 
 # A vertex table maps (n, sign, left color in, right color in) to every
@@ -390,7 +367,7 @@ def transfer_sum(d: Diagram, n: int, convention: int) -> LaurentQ:
             quarter = -4 * sum(start[1:])
         total = total + LaurentQ.t_quarter(quarter) * value
     if convention == PLUS:
-        total = total * LaurentQ.t_quarter(gl_writhe_prefactor_quarter(d, n, 0))
+        total = total * LaurentQ.t_quarter(gl_writhe_prefactor_quarter(d, n))
     return total
 
 
@@ -403,16 +380,12 @@ def state_count(d: Diagram, n: int, convention: int) -> int:
 
 def _mismatch_report(d: Diagram, n: int) -> str:
     """Localize a model disagreement via the state correspondence."""
-    folded_comps = _folded_components(d)
-    skip = frozenset(d.components[l][0] for l in folded_comps)
-    prefactor = LaurentQ.t_quarter(
-        gl_writhe_prefactor_quarter(d, n, len(folded_comps))
-    )
+    prefactor = LaurentQ.t_quarter(gl_writhe_prefactor_quarter(d, n))
     lines = []
-    for p, colors in enumerate_states(d, n, PLUS, anchor=0, fold_free=True):
+    for p, colors in enumerate_states(d, n, PLUS):
         q, qcolors = flow_bijection(d, p, n)
-        lhs = prefactor * gl_contribution(d, p, colors, n, skip)
-        rhs = rmatrix_contribution(d, q, qcolors, n, skip)
+        lhs = prefactor * gl_contribution(d, p, colors, n)
+        rhs = rmatrix_contribution(d, q, qcolors, n)
         if lhs != rhs:
             lines.append(
                 f"  state bases={p.bases} jumps={p.jumps}: "

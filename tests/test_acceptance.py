@@ -10,7 +10,8 @@ import time
 from collections import Counter
 
 from braidjones.braid import BraidWord, parse
-from braidjones.cli import PRESETS, _suite_identity, _suite_oracle, _suite_props, _suite_skein
+from braidjones.cli import PRESETS
+from braidjones.verify import _suite_identity, _suite_oracle, _suite_props, _suite_skein
 from braidjones.diagram import build
 from braidjones.qalgebra import ONE, LaurentQ
 from braidjones.states import MINUS, PLUS, enumerate_states
@@ -27,7 +28,7 @@ from braidjones.statesum import (
 def _preset_braids() -> list[BraidWord]:
     braids = []
     for text, strands in PRESETS.values():
-        braids.append(parse(text, strands) if text else BraidWord(strands, ()))
+        braids.append(parse(text, strands))
     return braids
 
 
@@ -183,6 +184,6 @@ def test_criterion_11_sweep_state_counts():
         d = build(b)
         for n in (1, 2):
             for convention in (MINUS, PLUS):
-                states = enumerate_states(d, n, convention, anchor=0, fold_free=False)
+                states = enumerate_states(d, n, convention, anchor=0)
                 assert state_count(d, n, convention) == len(states)
     print("PASS criterion 11: sweep state counts equal enumeration, both conventions")

@@ -10,10 +10,13 @@ from pathlib import Path
 import pytest
 
 import braidjones
-from braidjones import colored_jones_framed, parse
+from braidjones import BraidWord, build, colored_jones_framed, parse
 
+from braidjones import statesum
 from braidjones.cli import PRESETS, main, weaving_word
 from braidjones.qalgebra import LaurentQ
+from braidjones.states import PLUS
+from braidjones.statesum import ModelMismatchError, framed_value
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -145,6 +148,32 @@ def test_model_mismatch_exit_code(capsys):
     assert code == 0
     code2, out2, _ = run_cli(capsys, "--preset", "trefoil", "--model", "gl")
     assert (code2, out2) == (code, out)
+
+
+def test_model_mismatch_report(monkeypatch, capsys):
+    # Corrupt the arc-transition weights at jump 1, bypassing the table
+    # cache so no other test sees them; the cross-check must trip and the
+    # report must name offending states, the crossing-free strand's
+    # nonzero bases among them.
+    vertex = statesum._gl_vertex
+
+    def corrupted(n, sign, i, j, tld):
+        value = vertex(n, sign, i, j, tld)
+        return value * 2 if j == 1 else value
+
+    monkeypatch.setattr(statesum, "_gl_vertex", corrupted)
+    monkeypatch.setitem(statesum._TABLES, PLUS, statesum._gl_step.__wrapped__)
+    with pytest.raises(ModelMismatchError) as exc:
+        framed_value(build(BraidWord(3, (1, 1))), 2, "both")
+    states = [
+        line for line in str(exc.value).splitlines() if "state bases=" in line
+    ]
+    assert 1 <= len(states) <= 3
+    assert any("bases=(0, 0, 1)" in line for line in states)
+    code, out, err = run_cli(capsys, "--braid", "1 1", "--strands", "3", "--n", "2")
+    assert code == 1 and out == ""
+    assert err.startswith("error: models disagree")
+    assert "state bases=" in err
 
 
 def test_weaving_word():

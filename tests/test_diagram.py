@@ -37,7 +37,6 @@ def test_empty_braid():
     assert d.crossing_count == 0
     assert d.component_count == 1
     assert d.steps == [[]]
-    assert d.free_positions == frozenset({0})
 
 
 def test_weaving_tau_closed_forms():
@@ -272,6 +271,21 @@ def test_eliminated_jumps():
             assert sum(k * jumps[c] for c, k in rel.items()) == 0
 
 
+def test_solve_jumps():
+    rng = random.Random(14)
+    for _ in range(50):
+        d = build(rand_braid(rng))
+        pivots = {p for p, _ in d.eliminated_jumps()}
+        free = [c for c in range(d.crossing_count) if c not in pivots]
+        values = [rng.randint(-5, 5) for _ in free]
+        drawn = iter(values + [99])
+        jumps = d.solve_jumps(drawn)
+        assert next(drawn) == 99  # one value drawn per free crossing
+        assert [jumps[c] for c in free] == values
+        for rel in d.cycle_relations():
+            assert sum(k * jumps[c] for c, k in rel.items()) == 0
+
+
 def test_eliminated_jumps_rejects_non_unit_pivot():
     d = build(parse("1 -2 1", 3))
     d.cycle_relations = lambda: [{}, {0: -1, 1: 2}]
@@ -281,7 +295,6 @@ def test_eliminated_jumps_rejects_non_unit_pivot():
 
 def test_free_positions_and_bases():
     d = build(BraidWord(4, (1,)))
-    assert d.free_positions == frozenset({2, 3})
     assert d.component_count == 3
     assert d.base_vertices[0] == 0
     assert d.base_vertices[1] is None and d.base_vertices[2] is None

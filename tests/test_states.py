@@ -221,15 +221,3 @@ def test_flow_bijection_counts():
                 image_keys.add((img.jumps, img.bases))
             assert len(image_keys) == len(plus)
             assert image_keys == minus_keys
-
-
-def test_fold_free_pins_isolated_strands():
-    b = BraidWord(4, (1,))
-    d = build(b)
-    folded = enumerate_states(d, 2, PLUS, fold_free=True)
-    full = enumerate_states(d, 2, PLUS)
-    assert {(p.jumps, p.bases) for p, _ in folded} == {
-        (p.jumps, p.bases)
-        for p, _ in full
-        if p.bases[1] == 0 and p.bases[2] == 0
-    }

@@ -93,7 +93,7 @@ def test_state_correspondence():
     for b in braids:
         d = build(b)
         for n in (1, 2):
-            prefactor = LaurentQ.t_quarter(gl_writhe_prefactor_quarter(d, n, 0))
+            prefactor = LaurentQ.t_quarter(gl_writhe_prefactor_quarter(d, n))
             for p, colors in enumerate_states(d, n, PLUS):
                 q, qcolors = flow_bijection(d, p, n)
                 lhs = prefactor * gl_contribution(d, p, colors, n)
@@ -129,7 +129,7 @@ def test_folding_matches_unfolded():
             for p, c in enumerate_states(d, n, PLUS):
                 brute_plus = brute_plus + gl_contribution(d, p, c, n)
             brute_plus = brute_plus * LaurentQ.t_quarter(
-                gl_writhe_prefactor_quarter(d, n, 0)
+                gl_writhe_prefactor_quarter(d, n)
             )
             assert brute_plus == colored_jones_framed(b, n, "gl")
 
