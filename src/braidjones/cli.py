@@ -31,6 +31,8 @@ def _resolve_braid(args: argparse.Namespace) -> BraidWord:
     picked = [x for x in (args.braid, args.preset, args.weaving) if x is not None]
     if len(picked) != 1:
         raise ValueError("choose exactly one of --braid, --preset, --weaving")
+    if args.strands is not None and args.braid is None:
+        raise ValueError("--strands applies only to --braid")
     if args.preset is not None:
         if args.preset not in PRESETS:
             raise ValueError(

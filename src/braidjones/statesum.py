@@ -21,6 +21,20 @@ decoded and K sized afresh every REPACK_LETTERS letters so that K does
 not grow with the word.  Requests whose first layer and vertex table
 would exceed WORK_LIMIT are refused before anything is built.
 
+Most partial states can never close up, and the sweep drops them as
+soon as that is certain.  The letters still to come move color only
+within the blocks of positions they connect, and the last letter on a
+generator g splits its block [p, q) into [p, g) and [g, q).  So that
+letter must leave position g-1 with the one color that makes the sum
+over [p, g) equal the start's; the block's total is conserved and
+already matches, so [g, q) then matches too.  The same test runs early,
+right after the last earlier letter on generators p, g-1, g or g+1,
+the only letters that change its inputs: an entry whose required color
+is not among the left outputs the vertex table allows from the colors
+at g-1 and g is dropped there.  Both are necessary conditions for
+closing, so no contributing state is lost and every value and count is
+unchanged.
+
 R-matrix model, (-) convention.  With i, j the colors entering a
 crossing on the left and right, r its jump, and v = t**(1/2), the
 crossing leaves (j+r, i-r) when positive and (j-r, i+r) when negative,
@@ -238,41 +252,36 @@ def _growth(table: Table, n: int, sign: int) -> int:
 
 
 def _closing_checks(
-    letters: tuple[int, ...], strands: int
-) -> list[tuple[tuple[int, int], ...]]:
-    """For each letter, the position spans whose color sums must be checked
-    against the start vector once the letter is swept.
+    letters: tuple[int, ...],
+) -> tuple[list[int | None], list[list[tuple[int, int, int]]]]:
+    """Where the sweep tests whether an entry can still close (see the
+    module docstring).
 
-    The letters still to come only move colors within a connected block
-    of the positions they touch, and leave every other position alone;
-    an entry whose block sums (or untouched colors) differ from its start
-    can never close up.  Blocks only split as the sweep goes on, and a
-    letter conserves the sum of the block holding its two positions, so
-    only the blocks a letter splits off need a check: none unless it is
-    the last letter on its generator.
+    Returns (splits, early).  splits[i] is the start p of the block
+    [p, q) that letter i, on generator g, splits when it is the last
+    letter on g, else None; the letter must then leave position g-1 with
+    need = sum(start[p:g]) - sum(cur[p:g-1]).  early[i] lists (p, g,
+    sign) for the split letters whose inputs -- cur[g-1], cur[g] and
+    sum(cur[p:g-1]) -- are final once i letters are swept: only letters
+    on generators p, g-1, g and g+1 change them.
     """
-
-    def blocks(gens: set[int]) -> list[tuple[int, int]]:
-        spans = []
-        p = 0
-        while p < strands:
-            q = p + 1
-            while q in gens:
-                q += 1
-            spans.append((p, q))
-            p = q
-        return spans
-
-    out = []
-    gens: set[int] = set()
-    after = blocks(gens)
-    for k in reversed(letters):
-        gens.add(abs(k))
-        before = blocks(gens)
-        out.append(tuple(span for span in after if span not in before))
-        after = before
-    out.reverse()
-    return out
+    splits: list[int | None] = [None] * len(letters)
+    early: list[list[tuple[int, int, int]]] = [[] for _ in range(len(letters) + 1)]
+    later: set[int] = set()
+    for i in reversed(range(len(letters))):
+        g = abs(letters[i])
+        if g not in later:
+            p = g - 1
+            while p in later:
+                p -= 1
+            splits[i] = p
+            watched = {p, g - 1, g, g + 1}
+            m = i
+            while m and abs(letters[m - 1]) not in watched:
+                m -= 1
+            early[m].append((p, g, 1 if letters[i] > 0 else -1))
+            later.add(g)
+    return splits, early
 
 
 Packed = tuple[int, int]
@@ -296,18 +305,42 @@ def _sweep(d: Diagram, n: int, table: Table) -> dict[tuple[int, ...], LaurentQ]:
     letters the layer is decoded, its actual summed L1 norm S taken, and
     K sized as one bit over S times the growth of the letters ahead.
 
+    Pruning (see _closing_checks): at the last letter on its generator
+    only the step whose left output equals need survives, and right after
+    the last letter that can change need, cur[g-1] or cur[g] (before any
+    letter if there is none) an entry is dropped when need is not a left
+    output the table allows from (cur[g-1], cur[g]).  Each test rejects
+    only entries that cannot close, so the result is exact.
+
     Returns the closed entries: start vector -> summed weight of the
     states whose colors return to it.
     """
     s = d.strands
     check_work(s, n)
+    letters = d.braid.letters
+    splits, early = _closing_checks(letters)
+    lefts: dict[tuple[int, int, int], frozenset[int]] = {}
+
+    def can_close(
+        start: tuple[int, ...], cur: tuple[int, ...], checks: list[tuple[int, int, int]]
+    ) -> bool:
+        for p, g, sign in checks:
+            a, b = cur[g - 1], cur[g]
+            allowed = lefts.get((sign, a, b))
+            if allowed is None:
+                allowed = lefts[sign, a, b] = frozenset(
+                    left for left, _, _ in table(n, sign, a, b)
+                )
+            if sum(start[p:g]) - sum(cur[p : g - 1]) not in allowed:
+                return False
+        return True
+
     layer: dict[Key, Packed] = {}
     for rest in product(range(n + 1), repeat=s - 1):
         start = (0,) + rest
-        layer[start, start, 0] = (0, 1)
+        if can_close(start, start, early[0]):
+            layer[start, start, 0] = (0, 1)
     k = 2
-    letters = d.braid.letters
-    checks = _closing_checks(letters, s)
     for at in range(0, len(letters), REPACK_LETTERS):
         chunk = letters[at : at + REPACK_LETTERS]
         values = {key: unpack(lo, v, k) for key, (lo, v) in layer.items()}
@@ -317,9 +350,11 @@ def _sweep(d: Diagram, n: int, table: Table) -> dict[tuple[int, ...], LaurentQ]:
         k = bound.bit_length() + 1
         layer = {key: pack(value, k) for key, value in values.items() if value}
         weights: dict[tuple[int, int, int], tuple[tuple[int, int, int, int], ...]] = {}
-        for letter, check in zip(chunk, checks[at:]):
+        for i, letter in enumerate(chunk, at):
             g = letter if letter > 0 else -letter
             sign = 1 if letter > 0 else -1
+            p = splits[i]
+            ahead = early[i + 1]
             nxt: dict[Key, Packed] = {}
             for (start, cur, _), (lo, v) in layer.items():
                 a, b = cur[g - 1], cur[g]
@@ -329,12 +364,13 @@ def _sweep(d: Diagram, n: int, table: Table) -> dict[tuple[int, ...], LaurentQ]:
                         (left, right) + pack(w, k)
                         for left, right, w in table(n, sign, a, b)
                     )
+                if p is not None:
+                    need = sum(start[p:g]) - sum(cur[p : g - 1])
+                    steps = [step for step in steps if step[0] == need]
                 head, tail = cur[: g - 1], cur[g + 1 :]
                 for left, right, wlo, w in steps:
                     new = head + (left, right) + tail
-                    if check and any(
-                        sum(new[p:q]) != sum(start[p:q]) for p, q in check
-                    ):
+                    if ahead and not can_close(start, new, ahead):
                         continue
                     qlo = lo + wlo
                     key = (start, new, qlo & 3)
@@ -359,6 +395,8 @@ def _sweep(d: Diagram, n: int, table: Table) -> dict[tuple[int, ...], LaurentQ]:
 
 def transfer_sum(d: Diagram, n: int, convention: int) -> LaurentQ:
     """The model's state sum by one sweep over the braid letters."""
+    if convention not in _TABLES:
+        raise ValueError("convention must be +1 or -1")
     total = LaurentQ.zero()
     for start, value in _sweep(d, n, _TABLES[convention]).items():
         if convention == MINUS:
@@ -374,6 +412,8 @@ def transfer_sum(d: Diagram, n: int, convention: int) -> LaurentQ:
 def state_count(d: Diagram, n: int, convention: int) -> int:
     """Number of n-contributing states in the convention, anchored at 0 and
     free strands included: the sweep with unit weights."""
+    if convention not in _UNIT_TABLES:
+        raise ValueError("convention must be +1 or -1")
     closed = _sweep(d, n, _UNIT_TABLES[convention])
     return sum(value.coefficient(0) for value in closed.values())
 

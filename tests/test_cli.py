@@ -126,6 +126,8 @@ def test_usage_errors(capsys):
         ("--braid", "1", "--n", "0"),
         (),
         ("--braid", ""),
+        ("--preset", "trefoil", "--strands", "5", "--n", "1"),
+        ("--weaving", "2", "--strands", "4"),
     ]
     for argv in cases:
         code, _, err = run_cli(capsys, *argv)

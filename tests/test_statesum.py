@@ -267,6 +267,10 @@ def test_input_validation():
         colored_jones_framed(parse("1"), 0)
     with pytest.raises(ValueError):
         colored_jones_framed(parse("1"), 1, "quantum")
+    d = build(parse("1"))
+    for sweep in (transfer_sum, state_count):
+        with pytest.raises(ValueError, match="convention must be"):
+            sweep(d, 1, 0)
 
 
 def test_packed_sweep_across_repacks():
@@ -282,6 +286,43 @@ def test_packed_sweep_across_repacks():
         assert state_count(d, n, MINUS) == len(enumerate_states(d, n, MINUS))
     assert transfer_sum(d, 1, PLUS) == state_sum(d, 1, PLUS)
     assert state_count(d, 1, PLUS) == len(enumerate_states(d, 1, PLUS))
+
+
+def _check_against_state_sums(b: BraidWord, colors) -> None:
+    d = build(b)
+    for n in colors:
+        for convention in (MINUS, PLUS):
+            assert transfer_sum(d, n, convention) == state_sum(d, n, convention)
+            assert state_count(d, n, convention) == len(
+                enumerate_states(d, n, convention)
+            )
+
+
+def test_sweep_pruning_on_random_braids():
+    rng = random.Random(5)
+    for _ in range(120):
+        s = rng.randint(3, 5)
+        letters = tuple(
+            rng.choice([1, -1]) * rng.randint(1, s - 1)
+            for _ in range(rng.randint(4, 8))
+        )
+        d = build(BraidWord(s, letters))
+        for n in (1, 2):
+            for convention in (MINUS, PLUS):
+                assert transfer_sum(d, n, convention) == state_sum(d, n, convention)
+
+
+def test_sweep_pruning_edge_words():
+    # The -1 changes sum(cur[1:2]), an input of the split of block [1, 4)
+    # at the 3: generator p = 1 must be watched too.
+    _check_against_state_sums(BraidWord(4, (1, -2, -2, -1, 3, 2)), (1, 2, 3))
+    # The early check of the split at the last 1 follows the third letter,
+    # in the chunk before the one that holds the split itself.
+    b = BraidWord(4, (1, -2, 1) + (3, -3) * 16 + (1, 2))
+    assert 3 <= REPACK_LETTERS <= len(b.letters) - 2
+    _check_against_state_sums(b, (1, 2))
+    # The first letter already splits: its check filters the first layer.
+    _check_against_state_sums(BraidWord(3, (1, 2, 2)), (1, 2, 3))
 
 
 def _mixing_table(n, sign, a, b):
