@@ -16,7 +16,7 @@ from .braid import PRESETS, BraidWord, parse
 from .diagram import build
 from .qalgebra import LaurentQ
 from .states import MINUS, PLUS, enumerate_states
-from .statesum import ModelMismatchError, check_work, framed_value, state_count
+from .statesum import ModelMismatchError, check_work, colored_jones_framed, state_count
 from .verify import run_verify
 
 
@@ -96,31 +96,28 @@ def run(args: argparse.Namespace) -> int:
         return run_verify(args.verify, args.seed)
     try:
         b = _resolve_braid(args)
+        if args.n < 1:
+            raise ValueError("--n must be >= 1")
+        if not args.dump_diagram:
+            check_work(b.strands, args.n)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.n < 1:
-        print("error: --n must be >= 1", file=sys.stderr)
-        return 2
-    d = build(b)
-    if args.graph_out:
-        try:
-            with open(args.graph_out, "w", encoding="utf-8") as fh:
-                fh.write(d.graph_description() + "\n")
-        except OSError as exc:
-            print(f"error: cannot write --graph-out: {exc}", file=sys.stderr)
-            return 2
-    if args.dump_diagram:
-        print(d.dump_table())
-        return 0
-    try:
-        check_work(b.strands, args.n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.graph_out or args.dump_diagram:
+        d = build(b)
+        if args.graph_out:
+            try:
+                with open(args.graph_out, "w", encoding="utf-8") as fh:
+                    fh.write(d.graph_description() + "\n")
+            except OSError as exc:
+                print(f"error: cannot write --graph-out: {exc}", file=sys.stderr)
+                return 2
+        if args.dump_diagram:
+            print(d.dump_table())
+            return 0
     convention = MINUS if args.model == "rmatrix" else PLUS
     if args.states is not None:
-        states = enumerate_states(d, args.n, convention)
+        states = enumerate_states(build(b), args.n, convention)
         if args.states == "count":
             print(len(states))
         else:
@@ -132,7 +129,7 @@ def run(args: argparse.Namespace) -> int:
                 )
         return 0
     try:
-        framed = framed_value(d, args.n, args.model)
+        framed = colored_jones_framed(b, args.n, args.model)
     except ModelMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -147,7 +144,7 @@ def run(args: argparse.Namespace) -> int:
             "unframed": {"terms": _poly_terms(unframed)},
             "writhe": b.writhe,
             "components": b.component_count(),
-            "state_count": state_count(d, args.n, convention),
+            "state_count": state_count(b, args.n, convention),
         }
         print(json.dumps(doc))
     else:

@@ -58,10 +58,6 @@ class Crossing:
         return self.out_right if self.sign > 0 else self.out_left
 
     @property
-    def under_in(self) -> int:
-        return self.in_right if self.sign > 0 else self.in_left
-
-    @property
     def under_out(self) -> int:
         return self.out_left if self.sign > 0 else self.out_right
 

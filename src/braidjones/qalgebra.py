@@ -27,7 +27,7 @@ unpacking is exact while every coefficient lies in (-2**(K-1), 2**(K-1)).
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterator
 
 
 class ExactDivisionError(ArithmeticError):
@@ -97,9 +97,6 @@ class LaurentQ:
     def l1_norm(self) -> int:
         """Sum of the absolute values of the coefficients."""
         return sum(abs(c) for c in self._terms.values())
-
-    def support(self) -> Iterable[int]:
-        return self._terms.keys()
 
     def __len__(self) -> int:
         return len(self._terms)

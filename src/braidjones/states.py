@@ -52,9 +52,6 @@ class StateColors:
     tilde: tuple[int, ...]
     closure: tuple[int, ...]
 
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(sorted(self.arc_colors.items()))
-
 
 def _step_sign(role: str, convention: int) -> int:
     # (+): over gains the jump, under loses it; (-) swaps the roles.

@@ -171,8 +171,8 @@ def test_criterion_10_sweep_matches_state_sums():
         for n in (1, 2, 3):
             reference = state_sum(d, n, MINUS)
             assert state_sum(d, n, PLUS) == reference
-            assert transfer_sum(d, n, MINUS) == reference
-            assert transfer_sum(d, n, PLUS) == reference
+            assert transfer_sum(b, n, MINUS) == reference
+            assert transfer_sum(b, n, PLUS) == reference
     print(
         f"PASS criterion 10: both sweeps equal both state sums on {len(CORPUS)} "
         "braids at n=1..3"
@@ -185,5 +185,5 @@ def test_criterion_11_sweep_state_counts():
         for n in (1, 2):
             for convention in (MINUS, PLUS):
                 states = enumerate_states(d, n, convention, anchor=0)
-                assert state_count(d, n, convention) == len(states)
+                assert state_count(b, n, convention) == len(states)
     print("PASS criterion 11: sweep state counts equal enumeration, both conventions")

@@ -10,13 +10,13 @@ from pathlib import Path
 import pytest
 
 import braidjones
-from braidjones import BraidWord, build, colored_jones_framed, parse
+from braidjones import BraidWord, colored_jones_framed, parse
 
-from braidjones import statesum
+from braidjones import cli, statesum
 from braidjones.cli import PRESETS, main, weaving_word
 from braidjones.qalgebra import LaurentQ
 from braidjones.states import PLUS
-from braidjones.statesum import ModelMismatchError, framed_value
+from braidjones.statesum import ModelMismatchError
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -152,11 +152,9 @@ def test_model_mismatch_exit_code(capsys):
     assert (code2, out2) == (code, out)
 
 
-def test_model_mismatch_report(monkeypatch, capsys):
-    # Corrupt the arc-transition weights at jump 1, bypassing the table
-    # cache so no other test sees them; the cross-check must trip and the
-    # report must name offending states, the crossing-free strand's
-    # nonzero bases among them.
+def _corrupt_jump_one(monkeypatch):
+    # Double the arc-transition weights at jump 1, bypassing the table
+    # cache so no other test sees them.
     vertex = statesum._gl_vertex
 
     def corrupted(n, sign, i, j, tld):
@@ -165,17 +163,57 @@ def test_model_mismatch_report(monkeypatch, capsys):
 
     monkeypatch.setattr(statesum, "_gl_vertex", corrupted)
     monkeypatch.setitem(statesum._TABLES, PLUS, statesum._gl_step.__wrapped__)
+
+
+def _forbid_diagrams(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the value path must not build or enumerate")
+
+    for module in (statesum, cli):
+        for name in ("build", "enumerate_states"):
+            monkeypatch.setattr(module, name, forbidden, raising=False)
+
+
+# The first entry jump 1 reaches: (a, b) = (0, 1) leaves (0, 1).
+BROKEN_ENTRY = "sign +1 entry (0, 1) -> (0, 1) breaks the correspondence"
+
+
+def test_model_mismatch_report(monkeypatch, capsys):
+    # The cross-check must trip and the report must name the corrupted
+    # vertex-table entry.
+    _corrupt_jump_one(monkeypatch)
     with pytest.raises(ModelMismatchError) as exc:
-        framed_value(build(BraidWord(3, (1, 1))), 2, "both")
-    states = [
-        line for line in str(exc.value).splitlines() if "state bases=" in line
-    ]
-    assert 1 <= len(states) <= 3
-    assert any("bases=(0, 0, 1)" in line for line in states)
+        colored_jones_framed(BraidWord(3, (1, 1)), 2, "both")
+    assert BROKEN_ENTRY in str(exc.value)
     code, out, err = run_cli(capsys, "--braid", "1 1", "--strands", "3", "--n", "2")
     assert code == 1 and out == ""
     assert err.startswith("error: models disagree")
-    assert "state bases=" in err
+    assert BROKEN_ENTRY in err
+
+
+def test_mismatch_report_on_long_word(monkeypatch):
+    # The report checks vertex-table entries, so its cost does not grow
+    # with the word; sigma_1^30 has 1,346,270 (+)-states at n = 1.
+    _corrupt_jump_one(monkeypatch)
+    _forbid_diagrams(monkeypatch)
+    began = time.perf_counter()
+    with pytest.raises(ModelMismatchError, match=r"\(0, 1\) -> \(0, 1\) breaks"):
+        colored_jones_framed(BraidWord(2, (1,) * 30), 1, "both")
+    assert time.perf_counter() - began < 1
+
+
+def test_value_path_builds_no_diagram(monkeypatch, capsys):
+    b = parse(*PRESETS["sample-knot"])
+    value = colored_jones_framed(b, 2, "both")
+    requests = [
+        ("--preset", "sample-knot", "--n", "2", *extra)
+        for extra in ((), ("--unframed",), ("--json",), ("--model", "rmatrix", "--json"))
+    ]
+    outputs = [run_cli(capsys, *argv) for argv in requests]
+    assert all(code == 0 for code, _, _ in outputs)
+    _forbid_diagrams(monkeypatch)
+    assert colored_jones_framed(b, 2, "both") == value
+    assert [run_cli(capsys, *argv) for argv in requests] == outputs
 
 
 def test_weaving_word():
@@ -200,9 +238,15 @@ def test_long_word_states_count(capsys):
 
 
 def test_oversized_color_refused(capsys):
-    for extra in ((), ("--states", "count")):
+    requests = [
+        ("--braid", "1 1 1", "--n", "1000000"),
+        ("--braid", "1 1 1", "--n", "1000000", "--states", "count"),
+        # 10**20 strands: refused before any diagram is built
+        ("--braid", "99999999999999999999"),
+    ]
+    for argv in requests:
         began = time.perf_counter()
-        code, out, err = run_cli(capsys, "--braid", "1 1 1", "--n", "1000000", *extra)
+        code, out, err = run_cli(capsys, *argv)
         assert time.perf_counter() - began < 1
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "too large" in err

@@ -8,13 +8,16 @@ import pytest
 
 from braidjones.braid import BraidWord, parse
 from braidjones.diagram import build
-from braidjones.qalgebra import ONE, LaurentQ, qint
+from braidjones.qalgebra import ONE, LaurentQ, qbinom, qint
 from braidjones.states import MINUS, PLUS, enumerate_states, flow_bijection
 from braidjones.statesum import (
     REPACK_LETTERS,
+    _gl_step,
+    _rmatrix_step,
     _sweep,
     colored_jones_framed,
     colored_jones_unframed,
+    correspondence_report,
     gl_contribution,
     gl_writhe_prefactor_quarter,
     parity_halfinteger_check,
@@ -93,12 +96,37 @@ def test_state_correspondence():
     for b in braids:
         d = build(b)
         for n in (1, 2):
-            prefactor = LaurentQ.t_quarter(gl_writhe_prefactor_quarter(d, n))
+            prefactor = LaurentQ.t_quarter(gl_writhe_prefactor_quarter(b, n))
             for p, colors in enumerate_states(d, n, PLUS):
                 q, qcolors = flow_bijection(d, p, n)
                 lhs = prefactor * gl_contribution(d, p, colors, n)
                 rhs = rmatrix_contribution(d, q, qcolors, n)
                 assert lhs == rhs
+
+
+def test_vertex_tables_correspond_entry_by_entry():
+    # The paper's theorem one crossing at a time: every arc-transition
+    # entry (a, b) -> (l, r) equals the R-matrix entry on complemented
+    # colors up to q-binomials and a monomial, with the same support.
+    for n in range(1, 9):
+        for s in (1, -1):
+            for a in range(n + 1):
+                for b in range(n + 1):
+                    gl = {(l, r): w for l, r, w in _gl_step(n, s, a, b)}
+                    rm = {
+                        (n - l, n - r): w
+                        for l, r, w in _rmatrix_step(n, s, n - a, n - b)
+                    }
+                    assert gl.keys() == rm.keys()
+                    for (l, r), w in gl.items():
+                        quarter = s * n * n + 2 * n * (l - a) - 2 * (l * r - a * b)
+                        assert w * qbinom(n, a) * qbinom(n, b) == (
+                            LaurentQ.t_quarter(quarter)
+                            * qbinom(n, l)
+                            * qbinom(n, r)
+                            * rm[l, r]
+                        )
+        assert "every entry corresponds" in correspondence_report(n, (1, -1))
 
 
 def test_all_zero_state_weight():
@@ -116,22 +144,12 @@ def test_all_zero_state_weight():
             assert gl_contribution(d, p, c, n) == ONE
 
 
-def test_folding_matches_unfolded():
+def test_split_diagram_state_sums_match_sweeps():
     for b in (BraidWord(4, (1,)), BraidWord(4, (2, 2)), BraidWord(3, ())):
         d = build(b)
         for n in (1, 2):
-            brute_minus = LaurentQ.zero()
-            for p, c in enumerate_states(d, n, MINUS):
-                brute_minus = brute_minus + rmatrix_contribution(d, p, c, n)
-            assert brute_minus == colored_jones_framed(b, n, "rmatrix")
-
-            brute_plus = LaurentQ.zero()
-            for p, c in enumerate_states(d, n, PLUS):
-                brute_plus = brute_plus + gl_contribution(d, p, c, n)
-            brute_plus = brute_plus * LaurentQ.t_quarter(
-                gl_writhe_prefactor_quarter(d, n)
-            )
-            assert brute_plus == colored_jones_framed(b, n, "gl")
+            assert state_sum(d, n, MINUS) == colored_jones_framed(b, n, "rmatrix")
+            assert state_sum(d, n, PLUS) == colored_jones_framed(b, n, "gl")
 
 
 def test_stabilization_framing():
@@ -267,10 +285,9 @@ def test_input_validation():
         colored_jones_framed(parse("1"), 0)
     with pytest.raises(ValueError):
         colored_jones_framed(parse("1"), 1, "quantum")
-    d = build(parse("1"))
     for sweep in (transfer_sum, state_count):
         with pytest.raises(ValueError, match="convention must be"):
-            sweep(d, 1, 0)
+            sweep(parse("1"), 1, 0)
 
 
 def test_packed_sweep_across_repacks():
@@ -281,19 +298,19 @@ def test_packed_sweep_across_repacks():
     d = build(b)
     for n in (1, 2):
         reference = state_sum(d, n, MINUS)
-        assert transfer_sum(d, n, MINUS) == reference
-        assert transfer_sum(d, n, PLUS) == reference
-        assert state_count(d, n, MINUS) == len(enumerate_states(d, n, MINUS))
-    assert transfer_sum(d, 1, PLUS) == state_sum(d, 1, PLUS)
-    assert state_count(d, 1, PLUS) == len(enumerate_states(d, 1, PLUS))
+        assert transfer_sum(b, n, MINUS) == reference
+        assert transfer_sum(b, n, PLUS) == reference
+        assert state_count(b, n, MINUS) == len(enumerate_states(d, n, MINUS))
+    assert transfer_sum(b, 1, PLUS) == state_sum(d, 1, PLUS)
+    assert state_count(b, 1, PLUS) == len(enumerate_states(d, 1, PLUS))
 
 
 def _check_against_state_sums(b: BraidWord, colors) -> None:
     d = build(b)
     for n in colors:
         for convention in (MINUS, PLUS):
-            assert transfer_sum(d, n, convention) == state_sum(d, n, convention)
-            assert state_count(d, n, convention) == len(
+            assert transfer_sum(b, n, convention) == state_sum(d, n, convention)
+            assert state_count(b, n, convention) == len(
                 enumerate_states(d, n, convention)
             )
 
@@ -306,10 +323,11 @@ def test_sweep_pruning_on_random_braids():
             rng.choice([1, -1]) * rng.randint(1, s - 1)
             for _ in range(rng.randint(4, 8))
         )
-        d = build(BraidWord(s, letters))
+        b = BraidWord(s, letters)
+        d = build(b)
         for n in (1, 2):
             for convention in (MINUS, PLUS):
-                assert transfer_sum(d, n, convention) == state_sum(d, n, convention)
+                assert transfer_sum(b, n, convention) == state_sum(d, n, convention)
 
 
 def test_sweep_pruning_edge_words():
@@ -332,7 +350,7 @@ def _mixing_table(n, sign, a, b):
 
 
 def test_sweep_keeps_residues_apart():
-    closed = _sweep(build(BraidWord(2, (1, 1))), 1, _mixing_table)
+    closed = _sweep(BraidWord(2, (1, 1)), 1, _mixing_table)
     assert closed == {
         (0, 0): LaurentQ({2: 1, 1: 2, 0: 1}),
         (0, 1): LaurentQ({2: 1, 0: 1}),
@@ -341,20 +359,17 @@ def test_sweep_keeps_residues_apart():
 
 def test_words_without_letters():
     for n in (1, 2, 3):
-        d = build(BraidWord(1, ()))
         for convention in (MINUS, PLUS):
-            assert transfer_sum(d, n, convention) == ONE
-            assert state_count(d, n, convention) == 1
-        d = build(BraidWord(3, ()))
-        for convention in (MINUS, PLUS):
-            assert transfer_sum(d, n, convention) == qint(n + 1) ** 2
-            assert state_count(d, n, convention) == (n + 1) ** 2
+            assert transfer_sum(BraidWord(1, ()), n, convention) == ONE
+            assert state_count(BraidWord(1, ()), n, convention) == 1
+            assert transfer_sum(BraidWord(3, ()), n, convention) == qint(n + 1) ** 2
+            assert state_count(BraidWord(3, ()), n, convention) == (n + 1) ** 2
 
 
 def test_long_word_state_sum_matches_sweep():
     # 1,100 crossings: the enumeration must not recurse once per crossing
-    d = build(BraidWord(2, (1, -1) * 550))
-    assert state_sum(d, 1, PLUS) == transfer_sum(d, 1, PLUS)
+    b = BraidWord(2, (1, -1) * 550)
+    assert state_sum(build(b), 1, PLUS) == transfer_sum(b, 1, PLUS)
 
 
 def test_oversized_request_refused_fast():
