@@ -16,7 +16,8 @@ from .braid import PRESETS, BraidWord, parse
 from .diagram import build
 from .qalgebra import LaurentQ
 from .states import MINUS, PLUS, enumerate_states
-from .statesum import ModelMismatchError, check_work, colored_jones_framed, state_count
+from .statesum import ModelMismatchError, check_work, colored_jones_framed
+from .statesum import state_count, unframing
 from .verify import run_verify
 
 
@@ -100,40 +101,39 @@ def run(args: argparse.Namespace) -> int:
             raise ValueError("--n must be >= 1")
         if not args.dump_diagram:
             check_work(b.strands, args.n)
+        if args.dump_diagram or args.graph_out or args.states == "dump":
+            d = build(b)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.graph_out or args.dump_diagram:
-        d = build(b)
-        if args.graph_out:
-            try:
-                with open(args.graph_out, "w", encoding="utf-8") as fh:
-                    fh.write(d.graph_description() + "\n")
-            except OSError as exc:
-                print(f"error: cannot write --graph-out: {exc}", file=sys.stderr)
-                return 2
-        if args.dump_diagram:
-            print(d.dump_table())
-            return 0
+    except OverflowError as exc:
+        print(f"error: request too large: {exc}", file=sys.stderr)
+        return 2
+    if args.graph_out:
+        try:
+            with open(args.graph_out, "w", encoding="utf-8") as fh:
+                fh.write(d.graph_description() + "\n")
+        except OSError as exc:
+            print(f"error: cannot write --graph-out: {exc}", file=sys.stderr)
+            return 2
+    if args.dump_diagram:
+        print(d.dump_table())
+        return 0
     convention = MINUS if args.model == "rmatrix" else PLUS
-    if args.states is not None:
-        states = enumerate_states(build(b), args.n, convention)
-        if args.states == "count":
-            print(len(states))
-        else:
-            for p, colors in sorted(
-                states, key=lambda sc: (sc[0].bases, sc[0].jumps)
-            ):
-                print(
-                    f"beta={list(p.bases)} j={list(p.jumps)} i={list(colors.i)}"
-                )
+    if args.states == "count":
+        print(state_count(b, args.n, convention))
+        return 0
+    if args.states == "dump":
+        states = enumerate_states(d, args.n, convention)
+        for p, colors in sorted(states, key=lambda sc: (sc[0].bases, sc[0].jumps)):
+            print(f"beta={list(p.bases)} j={list(p.jumps)} i={list(colors.i)}")
         return 0
     try:
         framed = colored_jones_framed(b, args.n, args.model)
     except ModelMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    unframed = framed * LaurentQ.t_quarter(b.writhe * (args.n * args.n + 2 * args.n))
+    unframed = framed * unframing(b, args.n)
     if args.json:
         doc = {
             "braid": b.text(),

@@ -62,19 +62,6 @@ class Crossing:
         return self.out_left if self.sign > 0 else self.out_right
 
 
-@dataclass(frozen=True)
-class ChordGraph:
-    """One based oriented circle per component plus one chord per crossing.
-
-    circles[l] is the step sequence of component l; chords[c] records
-    where crossing c's overpass and underpass sit (circle, position in
-    the step sequence) together with the crossing sign.
-    """
-
-    circles: list[list[tuple[int, str]]]
-    chords: list[dict[str, tuple[int, int] | int]]
-
-
 @dataclass
 class Diagram:
     """Combinatorial closure diagram of a braid word."""
@@ -103,10 +90,6 @@ class Diagram:
     @property
     def component_count(self) -> int:
         return len(self.components)
-
-    def closure_arc(self, position: int) -> int:
-        """Canonical id of the arc closing the braid at strand position p."""
-        return position
 
     def cycle_relations(self) -> list[dict[int, int]]:
         """One relation per component: sum of +-1-weighted mixed jumps = 0.
@@ -195,18 +178,6 @@ class Diagram:
                 v = self.sigma[v]
                 k += 1
         return labels
-
-    def chord_graph(self) -> ChordGraph:
-        chords: list[dict[str, tuple[int, int] | int]] = [
-            {} for _ in range(self.crossing_count)
-        ]
-        for comp, steps in enumerate(self.steps):
-            for pos, (c, role) in enumerate(steps):
-                key = "over" if role == OVER else "under"
-                chords[c][key] = (comp, pos)
-        for c, cr in enumerate(self.crossings):
-            chords[c]["sign"] = cr.sign
-        return ChordGraph([list(s) for s in self.steps], chords)
 
     def dump_table(self) -> str:
         lines = ["index  gen  sign  sigma  tau  jumps-into"]

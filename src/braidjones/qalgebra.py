@@ -282,11 +282,6 @@ def unpack(lo: int, packed: int, k: int) -> LaurentQ:
     return res
 
 
-def v_power(a: int) -> LaurentQ:
-    """v**a with v = t**(1/2)."""
-    return LaurentQ.t_quarter(2 * a)
-
-
 @lru_cache(maxsize=None)
 def qbrace(a: int) -> LaurentQ:
     """{a} = v**a - v**(-a)."""

@@ -84,7 +84,8 @@ def derive_colors(d: Diagram, p: Potential) -> StateColors:
             color += _step_sign(role, p.convention) * p.jumps[c]
     i = tuple(arc_colors[cr.under_out] for cr in d.crossings)
     tilde = tuple(arc_colors[cr.over_in] for cr in d.crossings)
-    closure = tuple(arc_colors[d.closure_arc(pos)] for pos in range(d.strands))
+    # The arc closing the braid at position p has the canonical id p.
+    closure = tuple(arc_colors[pos] for pos in range(d.strands))
     return StateColors(arc_colors, i, tilde, closure)
 
 

@@ -7,7 +7,8 @@ closure arc anchored to color 0.  Colors are conserved at every crossing
 depends only on a crossing's two entering colors and its jump, so each
 state sum is a partial quantum trace.  Values come from one sweep over
 the braid letters, bottom to top, shared by both models: the models
-differ only in a per-crossing vertex table and a closure weight.
+differ only in a per-crossing vertex table and the sign of one closure
+weight.
 
 Every weight is t**(c/4) times a Laurent polynomial in t, so the sweep
 carries each layer value Kronecker-packed as one integer with a K-bit
@@ -57,6 +58,13 @@ color tld = a and underpass exit color i = b-j; a negative one leaves
 
 times t**(-b) per non-anchor strand with closure color b, and a global
 prefactor t**(-(n^2/4)w + (n/2)(s-1)) with w the writhe.
+
+Both closure weights are one formula: moving each non-anchor strand's
+share t**(n/2) of that prefactor onto its t**(-b) gives t**(-(2b-n)/2),
+the R-matrix closure weight with its exponent negated.  The sweep seeds
+every start vector with t**(-eps sum (2b-n)/2) over its non-anchor
+colors b, with eps = -1 for the R-matrix model, +1 for the
+arc-transition model and 0 for counting, and only t**(-n^2 w/4) stays.
 
 The paper's theorem, that the two models are not essentially distinct,
 holds crossing by crossing.  With [n, x] the quantum binomial, every
@@ -167,7 +175,7 @@ def gl_contribution(
 
 
 def gl_writhe_prefactor_quarter(b: BraidWord, n: int) -> int:
-    """Exponent (in quarter units) of the global (+)-model prefactor."""
+    """Exponent (in quarter units) of state_sum's global (+)-prefactor."""
     return -n * n * b.writhe + 2 * n * (b.strands - 1)
 
 
@@ -301,12 +309,14 @@ Packed = tuple[int, int]
 Key = tuple[tuple[int, ...], tuple[int, ...], int]
 
 
-def _sweep(word: BraidWord, n: int, table: Table) -> dict[tuple[int, ...], LaurentQ]:
+def _sweep(word: BraidWord, n: int, table: Table, closure: int) -> LaurentQ:
     """Sum the weights of every contributing state, one letter at a time.
 
     A layer maps (start color vector, current color vector, lowest
     exponent mod 4) to the summed weight of the partial states below it,
-    with position 0 anchored at color 0.  Every weight is t**(c/4) times
+    with position 0 anchored at color 0.  Each start vector is seeded
+    with its closure weight t**(-closure * sum((2c - n)/2)) over the
+    non-anchor colors c.  Every weight is t**(c/4) times
     a Laurent polynomial in t, so a value is carried Kronecker-packed as
     (lo, N) with one K-bit slot per power of t (qalgebra.pack); the
     residue in the key keeps values whose slots are offset by a fraction
@@ -325,8 +335,8 @@ def _sweep(word: BraidWord, n: int, table: Table) -> dict[tuple[int, ...], Laure
     output the table allows from (cur[g-1], cur[g]).  Each test rejects
     only entries that cannot close, so the result is exact.
 
-    Returns the closed entries: start vector -> summed weight of the
-    states whose colors return to it.
+    Returns the summed weight of the states whose colors return to their
+    start vector.
     """
     s = word.strands
     check_work(s, n)
@@ -352,7 +362,8 @@ def _sweep(word: BraidWord, n: int, table: Table) -> dict[tuple[int, ...], Laure
     for rest in product(range(n + 1), repeat=s - 1):
         start = (0,) + rest
         if can_close(start, start, early[0]):
-            layer[start, start, 0] = (0, 1)
+            quarter = -closure * sum(2 * (2 * c - n) for c in rest)
+            layer[start, start, quarter & 3] = (quarter, 1)
     k = 2
     for at in range(0, len(letters), REPACK_LETTERS):
         chunk = letters[at : at + REPACK_LETTERS]
@@ -398,37 +409,30 @@ def _sweep(word: BraidWord, n: int, table: Table) -> dict[tuple[int, ...], Laure
                     else:
                         nxt[key] = (qlo, term + (acc << (k * (olo - qlo) >> 2)))
             layer = nxt
-    closed: dict[tuple[int, ...], LaurentQ] = {}
+    total = ZERO
     for (start, cur, _), (lo, v) in layer.items():
         if start == cur:
-            value = unpack(lo, v, k)
-            closed[start] = closed[start] + value if start in closed else value
-    return closed
+            total = total + unpack(lo, v, k)
+    return total
 
 
 def transfer_sum(b: BraidWord, n: int, convention: int) -> LaurentQ:
     """The model's state sum by one sweep over the braid letters."""
     if convention not in _TABLES:
         raise ValueError("convention must be +1 or -1")
-    total = LaurentQ.zero()
-    for start, value in _sweep(b, n, _TABLES[convention]).items():
-        if convention == MINUS:
-            quarter = sum(2 * (2 * c - n) for c in start[1:])
-        else:
-            quarter = -4 * sum(start[1:])
-        total = total + LaurentQ.t_quarter(quarter) * value
+    total = _sweep(b, n, _TABLES[convention], convention)
     if convention == PLUS:
-        total = total * LaurentQ.t_quarter(gl_writhe_prefactor_quarter(b, n))
+        total = total * LaurentQ.t_quarter(-n * n * b.writhe)
     return total
 
 
 def state_count(b: BraidWord, n: int, convention: int) -> int:
     """Number of n-contributing states in the convention, anchored at 0 and
-    free strands included: the sweep with unit weights."""
+    free strands included: the sweep with unit weights and no closure
+    weight."""
     if convention not in _UNIT_TABLES:
         raise ValueError("convention must be +1 or -1")
-    closed = _sweep(b, n, _UNIT_TABLES[convention])
-    return sum(value.coefficient(0) for value in closed.values())
+    return _sweep(b, n, _UNIT_TABLES[convention], 0).coefficient(0)
 
 
 def correspondence_report(n: int, signs: Iterable[int]) -> str:
@@ -474,21 +478,25 @@ def colored_jones_framed(b: BraidWord, n: int, model: Model = "both") -> Laurent
     return minus
 
 
+def unframing(b: BraidWord, n: int) -> LaurentQ:
+    """t**(w(n^2/4 + n/2)), which takes the framed invariant to the
+    framing-independent one."""
+    return LaurentQ.t_quarter(b.writhe * (n * n + 2 * n))
+
+
 def colored_jones_unframed(b: BraidWord, n: int, model: Model = "both") -> LaurentQ:
-    """Framing-independent normalization: framed value times
-    t**(w(n^2/4 + n/2))."""
-    framed = colored_jones_framed(b, n, model)
-    return framed * LaurentQ.t_quarter(b.writhe * (n * n + 2 * n))
+    """Framing-independent normalization: framed value times unframing."""
+    return colored_jones_framed(b, n, model) * unframing(b, n)
 
 
-def parity_halfinteger_check(b: BraidWord, n: int, model: Model = "rmatrix") -> str:
+def parity_halfinteger_check(b: BraidWord, n: int) -> str:
     """Classify the unframed value's exponents and assert the parity law.
 
     Exponents are all integral when n is even or the closure has an odd
     number of components, and all half-integral otherwise; a mix of the
     two classes signals a bug.
     """
-    value = colored_jones_unframed(b, n, model)
+    value = colored_jones_unframed(b, n, "rmatrix")
     mu = b.component_count()
     expected = "integer" if n % 2 == 0 or mu % 2 == 1 else "half-integer"
     if value.is_zero():

@@ -15,7 +15,8 @@ from braidjones import BraidWord, colored_jones_framed, parse
 from braidjones import cli, statesum
 from braidjones.cli import PRESETS, main, weaving_word
 from braidjones.qalgebra import LaurentQ
-from braidjones.states import PLUS
+from braidjones.diagram import build
+from braidjones.states import MINUS, PLUS, enumerate_states
 from braidjones.statesum import ModelMismatchError
 
 
@@ -207,7 +208,14 @@ def test_value_path_builds_no_diagram(monkeypatch, capsys):
     value = colored_jones_framed(b, 2, "both")
     requests = [
         ("--preset", "sample-knot", "--n", "2", *extra)
-        for extra in ((), ("--unframed",), ("--json",), ("--model", "rmatrix", "--json"))
+        for extra in (
+            (),
+            ("--unframed",),
+            ("--json",),
+            ("--model", "rmatrix", "--json"),
+            ("--states", "count"),
+            ("--model", "rmatrix", "--states", "count"),
+        )
     ]
     outputs = [run_cli(capsys, *argv) for argv in requests]
     assert all(code == 0 for code, _, _ in outputs)
@@ -229,6 +237,20 @@ def test_presets_all_resolve(capsys):
         assert int(out.strip()) >= 1
 
 
+def test_states_count_matches_enumeration(capsys):
+    # --states count comes from the sweep; the enumeration is the reference.
+    for name in PRESETS:
+        d = build(parse(*PRESETS[name]))
+        for n in (1, 2):
+            for model, convention in ((), PLUS), (("--model", "rmatrix"), MINUS):
+                argv = ("--preset", name, "--n", str(n), "--states", "count", *model)
+                code, out, _ = run_cli(capsys, *argv)
+                assert (code, out) == (
+                    0,
+                    f"{len(enumerate_states(d, n, convention))}\n",
+                )
+
+
 def test_long_word_states_count(capsys):
     word = " ".join(["1 -1"] * 550)
     code, out, _ = run_cli(
@@ -237,12 +259,16 @@ def test_long_word_states_count(capsys):
     assert (code, out) == (0, "2\n")
 
 
-def test_oversized_color_refused(capsys):
+def test_oversized_color_refused(capsys, tmp_path):
+    graph = str(tmp_path / "graph.txt")
     requests = [
         ("--braid", "1 1 1", "--n", "1000000"),
         ("--braid", "1 1 1", "--n", "1000000", "--states", "count"),
-        # 10**20 strands: refused before any diagram is built
+        # 10**20 strands or letters: refused before anything is allocated
         ("--braid", "99999999999999999999"),
+        ("--braid", "99999999999999999999", "--dump-diagram"),
+        ("--braid", "99999999999999999999", "--dump-diagram", "--graph-out", graph),
+        ("--weaving", "99999999999999999999"),
     ]
     for argv in requests:
         began = time.perf_counter()
@@ -250,6 +276,7 @@ def test_oversized_color_refused(capsys):
         assert time.perf_counter() - began < 1
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "too large" in err
+    assert not os.path.exists(graph)
 
 
 def test_python_dash_m():

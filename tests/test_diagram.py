@@ -109,17 +109,15 @@ def test_each_crossing_once_over_once_under():
 
 def test_chord_graph_two_bridge():
     d = build(parse("1 -2 1"))
-    cg = d.chord_graph()
-    assert len(cg.circles) == 2
-    assert len(cg.chords) == 3
+    assert len(d.steps) == 2
+    assert len(d.over_component) == len(d.under_component) == 3
     assert d.cycle_relations() == [{0: -1, 2: 1}, {0: 1, 2: -1}]
 
 
 def test_chord_graph_three_circles():
     d = build(weaving(3))
-    cg = d.chord_graph()
-    assert len(cg.circles) == 3
-    assert len(cg.chords) == 6
+    assert len(d.steps) == 3
+    assert len(d.over_component) == len(d.under_component) == 6
     rels = [rel for rel in d.cycle_relations() if rel]
     assert len(rels) == 3
     # independent rank is mu - 1 = 2
@@ -129,8 +127,8 @@ def test_chord_graph_three_circles():
         for b in range(a + 1, 3):
             count = sum(
                 1
-                for ch in cg.chords
-                if {ch["over"][0], ch["under"][0]} == {a, b}
+                for over, under in zip(d.over_component, d.under_component)
+                if {over, under} == {a, b}
             )
             assert count % 2 == 0
 
@@ -140,8 +138,7 @@ def test_chord_graph_round_trip():
     rng = random.Random(10)
     for _ in range(40):
         d = build(rand_braid(rng))
-        cg = d.chord_graph()
-        for steps in cg.circles:
+        for steps in d.steps:
             under_at = [i for i, (_, role) in enumerate(steps) if role == UNDER]
             m = len(steps)
             for k, i in enumerate(under_at):

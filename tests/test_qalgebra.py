@@ -16,7 +16,6 @@ from braidjones.qalgebra import (
     qbrace,
     qint,
     unpack,
-    v_power,
 )
 
 
@@ -130,7 +129,7 @@ def test_qbrace():
     assert qbrace(1) == LaurentQ.t_quarter(2) - LaurentQ.t_quarter(-2)
     for a in range(-6, 7):
         assert qbrace(-a) == -qbrace(a)
-        assert qbrace(a) == v_power(a) - v_power(-a)
+        assert qbrace(a) == LaurentQ.t_quarter(2 * a) - LaurentQ.t_quarter(-2 * a)
 
 
 def test_qint():
