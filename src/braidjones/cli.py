@@ -3,13 +3,15 @@
 Computes framed or unframed colored Jones polynomials of braid
 closures, counts or dumps contributing states, dumps diagram tables,
 and runs the built-in verification suites.  Exit status: 0 on success,
-1 when a verification or cross-model check fails, 2 on usage errors.
+1 when a verification or cross-model check fails or when the reader of
+standard output closes it early (no traceback), 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .braid import PRESETS, BraidWord, parse
@@ -153,7 +155,15 @@ def run(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    return run(build_parser().parse_args(argv))
+    try:
+        code = run(build_parser().parse_args(argv))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull so the flush at exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

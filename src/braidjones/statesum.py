@@ -2,13 +2,23 @@
 
 Both models sum a per-state product of local crossing weights over the
 contributing states of a braid closure diagram, with the first strand's
-closure arc anchored to color 0.  Colors are conserved at every crossing
-(the two outgoing colors sum to the two incoming ones) and each weight
-depends only on a crossing's two entering colors and its jump, so each
-state sum is a partial quantum trace.  Values come from one sweep over
-the braid letters, bottom to top, shared by both models: the models
+closure arc anchored to one color.  Colors are conserved at every
+crossing (the two outgoing colors sum to the two incoming ones) and each
+weight depends only on a crossing's two entering colors and its jump, so
+each state sum is a partial quantum trace.  Values come from one sweep
+over the braid letters, bottom to top, shared by both models: the models
 differ only in a per-crossing vertex table and the sign of one closure
 weight.
+
+The anchor color is free: cutting the closure open at the anchored
+strand leaves a (1,1)-tangle, a scalar by Schur's lemma, so every anchor
+gives the invariant.  The enumeration state sums and state_count anchor
+at 0.  The value sweeps anchor where they are narrowest, chosen from the
+word alone: the R-matrix sweep at 0 when the first letter on generator 1
+is positive or there is none and at n when it is negative, the
+arc-transition sweep at n minus that.  The anchored strand's first
+crossing then has jump 0 only, and the flow bijection c -> n - c makes
+the two sweeps mirror images of each other.
 
 Every weight is t**(c/4) times a Laurent polynomial in t, so the sweep
 carries each layer value Kronecker-packed as one integer with a K-bit
@@ -309,12 +319,18 @@ Packed = tuple[int, int]
 Key = tuple[tuple[int, ...], tuple[int, ...], int]
 
 
-def _sweep(word: BraidWord, n: int, table: Table, closure: int) -> LaurentQ:
+def _sweep(
+    word: BraidWord, n: int, table: Table, closure: int, anchor: int = 0
+) -> LaurentQ:
     """Sum the weights of every contributing state, one letter at a time.
 
     A layer maps (start color vector, current color vector, lowest
     exponent mod 4) to the summed weight of the partial states below it,
-    with position 0 anchored at color 0.  Each start vector is seeded
+    with position 0 anchored at color anchor.  Any anchor gives the same
+    value: cutting the closure open at position 0 leaves a (1,1)-tangle,
+    which acts on the irreducible color-n module as a scalar (Schur's
+    lemma), so every diagonal entry is the invariant.  Only the number of
+    partial states differs (see _anchor).  Each start vector is seeded
     with its closure weight t**(-closure * sum((2c - n)/2)) over the
     non-anchor colors c.  Every weight is t**(c/4) times
     a Laurent polynomial in t, so a value is carried Kronecker-packed as
@@ -360,7 +376,7 @@ def _sweep(word: BraidWord, n: int, table: Table, closure: int) -> LaurentQ:
 
     layer: dict[Key, Packed] = {}
     for rest in product(range(n + 1), repeat=s - 1):
-        start = (0,) + rest
+        start = (anchor,) + rest
         if can_close(start, start, early[0]):
             quarter = -closure * sum(2 * (2 * c - n) for c in rest)
             layer[start, start, quarter & 3] = (quarter, 1)
@@ -416,11 +432,27 @@ def _sweep(word: BraidWord, n: int, table: Table, closure: int) -> LaurentQ:
     return total
 
 
+def _anchor(b: BraidWord, n: int, convention: int) -> int:
+    """The start color of position 0 that makes the sweep narrowest.
+
+    A positive R-matrix crossing whose left entering color is 0, or a
+    negative one whose left entering color is n, allows jump 0 only;
+    complementing every color (c -> n - c, the flow bijection) carries
+    these bounds onto the arc-transition table.  The anchored strand
+    first crosses at the first letter on generator 1, which then makes
+    no branches.
+    """
+    first = next((k for k in b.letters if k in (1, -1)), 1)
+    anchor = 0 if first > 0 else n
+    return anchor if convention == MINUS else n - anchor
+
+
 def transfer_sum(b: BraidWord, n: int, convention: int) -> LaurentQ:
-    """The model's state sum by one sweep over the braid letters."""
+    """The model's state sum by one sweep over the braid letters, anchored
+    where the sweep is narrowest (see _anchor)."""
     if convention not in _TABLES:
         raise ValueError("convention must be +1 or -1")
-    total = _sweep(b, n, _TABLES[convention], convention)
+    total = _sweep(b, n, _TABLES[convention], convention, _anchor(b, n, convention))
     if convention == PLUS:
         total = total * LaurentQ.t_quarter(-n * n * b.writhe)
     return total

@@ -181,15 +181,18 @@ BROKEN_ENTRY = "sign +1 entry (0, 1) -> (0, 1) breaks the correspondence"
 
 def test_model_mismatch_report(monkeypatch, capsys):
     # The cross-check must trip and the report must name the corrupted
-    # vertex-table entry.
+    # vertex-table entry.  The words start with a positive and a negative
+    # letter on generator 1, so both anchors of the arc-transition sweep
+    # (n and 0) read the corrupted jump-1 weights.
     _corrupt_jump_one(monkeypatch)
-    with pytest.raises(ModelMismatchError) as exc:
-        colored_jones_framed(BraidWord(3, (1, 1)), 2, "both")
-    assert BROKEN_ENTRY in str(exc.value)
-    code, out, err = run_cli(capsys, "--braid", "1 1", "--strands", "3", "--n", "2")
-    assert code == 1 and out == ""
-    assert err.startswith("error: models disagree")
-    assert BROKEN_ENTRY in err
+    for word in ("1 1 1", "-1 2 -1 2"):
+        with pytest.raises(ModelMismatchError) as exc:
+            colored_jones_framed(parse(word, 3), 2, "both")
+        assert BROKEN_ENTRY in str(exc.value)
+        code, out, err = run_cli(capsys, "--braid", word, "--strands", "3", "--n", "2")
+        assert code == 1 and out == ""
+        assert err.startswith("error: models disagree")
+        assert BROKEN_ENTRY in err
 
 
 def test_mismatch_report_on_long_word(monkeypatch):
@@ -291,3 +294,25 @@ def test_python_dash_m():
     )
     assert done.returncode == 0
     assert done.stdout == f"{colored_jones_framed(parse('1 1 1'), 1)}\n"
+
+
+def test_closed_stdout_exits_without_traceback():
+    # A reader that closes early, as `braidjones ... | head -c 50` does:
+    # the read end is closed before the program writes anything.
+    src = str(Path(braidjones.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["--preset", "sample-knot", "--n", "2", "--json"]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "braidjones", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, "")

@@ -12,6 +12,7 @@ from braidjones.qalgebra import ONE, LaurentQ, qbinom, qint
 from braidjones.states import MINUS, PLUS, enumerate_states, flow_bijection
 from braidjones.statesum import (
     REPACK_LETTERS,
+    _UNIT_TABLES,
     _gl_step,
     _rmatrix_step,
     _sweep,
@@ -341,6 +342,30 @@ def test_sweep_pruning_edge_words():
     _check_against_state_sums(b, (1, 2))
     # The first letter already splits: its check filters the first layer.
     _check_against_state_sums(BraidWord(3, (1, 2, 2)), (1, 2, 3))
+
+
+def test_sweep_value_does_not_depend_on_anchor():
+    # Cutting the closure open anywhere gives a scalar (1,1)-tangle, so
+    # every anchor color gives the same value; the flow bijection c -> n - c
+    # matches the (-)-states at anchor a with the (+)-states at n - a.
+    rng = random.Random(8)
+    for _ in range(100):
+        s = rng.randint(2, 5)
+        letters = tuple(
+            rng.choice([1, -1]) * rng.randint(1, s - 1)
+            for _ in range(rng.randint(0, 8))
+        )
+        b = BraidWord(s, letters)
+        # at most 81 start vectors per anchor keeps the test under a second
+        for n in (n for n in (1, 2, 3) if (n + 1) ** s <= 81):
+            for convention, table in ((MINUS, _rmatrix_step), (PLUS, _gl_step)):
+                values = {_sweep(b, n, table, convention, a) for a in range(n + 1)}
+                assert len(values) == 1, (b, n, convention)
+            counts = [
+                [_sweep(b, n, _UNIT_TABLES[c], 0, a) for a in range(n + 1)]
+                for c in (MINUS, PLUS)
+            ]
+            assert counts[0] == counts[1][::-1], (b, n)
 
 
 def _mixing_table(n, sign, a, b):
