@@ -19,7 +19,7 @@ from .diagram import build
 from .qalgebra import LaurentQ
 from .states import MINUS, PLUS, enumerate_states
 from .statesum import ModelMismatchError, check_work, colored_jones_framed
-from .statesum import state_count, unframing
+from .statesum import WORK_LIMIT, state_count, unframing
 from .verify import run_verify
 
 
@@ -96,6 +96,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(args: argparse.Namespace) -> int:
     if args.verify is not None:
+        if any(x is not None for x in (args.braid, args.preset, args.weaving)):
+            print("error: --verify takes no braid", file=sys.stderr)
+            return 2
         return run_verify(args.verify, args.seed)
     try:
         b = _resolve_braid(args)
@@ -103,6 +106,10 @@ def run(args: argparse.Namespace) -> int:
             raise ValueError("--n must be >= 1")
         if not args.dump_diagram:
             check_work(b.strands, args.n)
+        elif b.strands > WORK_LIMIT:
+            raise OverflowError(
+                f"{b.strands} strands exceed the work limit {WORK_LIMIT}"
+            )
         if args.dump_diagram or args.graph_out or args.states == "dump":
             d = build(b)
     except ValueError as exc:

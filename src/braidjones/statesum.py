@@ -7,18 +7,15 @@ crossing (the two outgoing colors sum to the two incoming ones) and each
 weight depends only on a crossing's two entering colors and its jump, so
 each state sum is a partial quantum trace.  Values come from one sweep
 over the braid letters, bottom to top, shared by both models: the models
-differ only in a per-crossing vertex table and the sign of one closure
-weight.
+differ only in a per-crossing vertex table.
 
 The anchor color is free: cutting the closure open at the anchored
 strand leaves a (1,1)-tangle, a scalar by Schur's lemma, so every anchor
-gives the invariant.  The enumeration state sums and state_count anchor
-at 0.  The value sweeps anchor where they are narrowest, chosen from the
-word alone: the R-matrix sweep at 0 when the first letter on generator 1
-is positive or there is none and at n when it is negative, the
-arc-transition sweep at n minus that.  The anchored strand's first
-crossing then has jump 0 only, and the flow bijection c -> n - c makes
-the two sweeps mirror images of each other.
+gives the invariant.  The value sweeps anchor where they are narrowest,
+chosen from the word alone: at 0 when the first letter on generator 1
+is positive or there is none and at n when it is negative.  The anchored
+strand's first crossing then has jump 0 only.  The enumeration state
+sums anchor at 0 in their own convention, and state_count with them.
 
 Every weight is t**(c/4) times a Laurent polynomial in t, so the sweep
 carries each layer value Kronecker-packed as one integer with a K-bit
@@ -56,48 +53,51 @@ with weight
     negative:  v**(((n-2i-2r)(n-2j+2r) + r(r-1))/2)
                * (i+r choose r) * {n+r-j}_r
 
-times t**((-n+2b)/2) per non-anchor strand with closure color b.
+times the closure weight t**((2c-n)/2) per non-anchor strand with
+closure color c.
 
-Arc-transition model, (+) convention.  With a, b the entering colors and
-j the jump, a positive crossing leaves (b-j, a+j) with overpass entry
-color tld = a and underpass exit color i = b-j; a negative one leaves
-(b+j, a-j) with tld = b and i = a-j.  The weight is
+Arc-transition model, (+) convention.  Its own colors are the sweep's
+complemented, c -> n - c (the flow bijection), which carries its states
+onto the R-matrix model's; the sweep reads its table in the R-matrix
+frame.  With a, b its own entering colors and j the jump, a crossing of
+sign e leaves (b-j, a+j) with overpass entry color tld = a and underpass
+exit color i = b-j when positive, and (b+j, a-j) with tld = b and
+i = a-j when negative.  The weight is
 
-    t**(eps*n*i) * (i+j choose i)_{t^-eps} * {n - tld}_{j, t^eps}
-    * t**(-eps*i*tld)
+    t**(e*n*i) * (i+j choose i)_{t^-e} * {n - tld}_{j, t^e}
+    * t**(-e*i*tld) * t**(-e*n^2/4)
 
-times t**(-b) per non-anchor strand with closure color b, and a global
-prefactor t**(-(n^2/4)w + (n/2)(s-1)) with w the writhe.
-
-Both closure weights are one formula: moving each non-anchor strand's
-share t**(n/2) of that prefactor onto its t**(-b) gives t**(-(2b-n)/2),
-the R-matrix closure weight with its exponent negated.  The sweep seeds
-every start vector with t**(-eps sum (2b-n)/2) over its non-anchor
-colors b, with eps = -1 for the R-matrix model, +1 for the
-arc-transition model and 0 for counting, and only t**(-n^2 w/4) stays.
+where the last factor is one crossing's share of the global prefactor
+t**(-(n^2/4)w + (n/2)(s-1)), with w the writhe and s the strand count.
+The rest of that prefactor, t**(n/2) per non-anchor strand, times its
+closure weight t**(-c) on its own color c = n - c' is t**((2c'-n)/2):
+the R-matrix closure weight on the sweep's color c'.  So the sweep seeds
+both models' start vectors with that one closure weight (state_count
+seeds with none) and applies nothing after the last letter.
 
 The paper's theorem, that the two models are not essentially distinct,
 holds crossing by crossing.  With [n, x] the quantum binomial, every
-entry (a, b) -> (l, r) of the sign-s arc-transition table satisfies
+entry (a, b) -> (l, r) of either sign satisfies
 
-    gl(a, b -> l, r) [n, a] [n, b] = t**((s n^2 + 2n(l-a) - 2(lr-ab))/4)
-                                     [n, l] [n, r] rm(n-a, n-b -> n-l, n-r)
+    gl(a, b -> l, r) [n, a] [n, b] = t**((2n(a-l) - 2(lr-ab))/4)
+                                     [n, l] [n, r] rm(a, b -> l, r)
 
 with the same support in both tables.  Around a closed state the
-q-binomials (a basis rescaling per strand) and the monomials (color is
-conserved) cancel, and t**(s n^2/4) per crossing is the writhe prefactor.
+q-binomials (a basis rescaling per strand) and the monomials (the change
+of 2n sum(k c_k) - 2 sum_{i<k} c_i c_k over the color vector, since color
+is conserved) cancel.
 
 model="both" sweeps with both tables; when the totals disagree,
 correspondence_report names the first entry of the signs in the word that
 breaks the identity, at a cost that depends on n alone.  The enumeration
 state sums (state_sum) remain the independent reference: they weigh every
-contributing state, at a cost exponential in the crossing count, and
-serve --states and the tests.
+contributing state in each model's own convention, at a cost exponential
+in the crossing count, and serve --states and the tests.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import product
 from typing import Callable, Iterable, Literal
 
@@ -223,35 +223,34 @@ def _rmatrix_step(n: int, sign: int, i: int, j: int) -> tuple[Step, ...]:
 
 @lru_cache(maxsize=None)
 def _gl_step(n: int, sign: int, a: int, b: int) -> tuple[Step, ...]:
-    # tld enters on the overpass; the underpass strand leaves with i.
-    tld, under = (a, b) if sign > 0 else (b, a)
+    # Read in the R-matrix frame: the model's own colors are n minus the
+    # sweep's.  tld enters on the overpass; the underpass strand leaves
+    # with i.  Each crossing carries its share of the writhe prefactor.
+    tld, under = (n - a, n - b) if sign > 0 else (n - b, n - a)
     out = []
     for j in range(min(under, n - tld) + 1):
         i = under - j
         weight = _gl_vertex(n, sign, i, j, tld) * LaurentQ.t_quarter(
-            -4 * sign * i * tld
+            -sign * (4 * i * tld + n * n)
         )
-        out.append((i, tld + j, weight) if sign > 0 else (tld + j, i, weight))
+        left, right = (n - i, n - tld - j) if sign > 0 else (n - tld - j, n - i)
+        out.append((left, right, weight))
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _unit_step(
-    table: Table, n: int, sign: int, a: int, b: int
-) -> tuple[Step, ...]:
-    return tuple((left, right, ONE) for left, right, _ in table(n, sign, a, b))
+def _unit_step(n: int, sign: int, a: int, b: int) -> tuple[Step, ...]:
+    # The support both tables share, with unit weights: for counting.
+    return tuple((l, r, ONE) for l, r, _ in _rmatrix_step(n, sign, a, b))
 
 
 _TABLES: dict[int, Table] = {MINUS: _rmatrix_step, PLUS: _gl_step}
-# Built once, so that _growth's cache sees the same unit table every call.
-_UNIT_TABLES: dict[int, Table] = {
-    c: partial(_unit_step, table) for c, table in _TABLES.items()
-}
 
 # Largest (n+1)**(strands+1) -- first-layer start vectors times vertex-table
 # entries -- that a sweep or state sum accepts; bigger requests are refused
 # before anything is allocated.  Two strands fit up to n = 26, three up to
-# n = 10, four up to n = 6, and thirteen at n = 1.
+# n = 10, four up to n = 6, and thirteen at n = 1.  A diagram dump, whose
+# size grows with the strand count alone, accepts at most this many strands.
 WORK_LIMIT = 20_000
 
 # Letters swept between two re-packs of the layer (see _sweep).
@@ -320,7 +319,7 @@ Key = tuple[tuple[int, ...], tuple[int, ...], int]
 
 
 def _sweep(
-    word: BraidWord, n: int, table: Table, closure: int, anchor: int = 0
+    word: BraidWord, n: int, table: Table, closure: bool, anchor: int = 0
 ) -> LaurentQ:
     """Sum the weights of every contributing state, one letter at a time.
 
@@ -330,13 +329,13 @@ def _sweep(
     value: cutting the closure open at position 0 leaves a (1,1)-tangle,
     which acts on the irreducible color-n module as a scalar (Schur's
     lemma), so every diagonal entry is the invariant.  Only the number of
-    partial states differs (see _anchor).  Each start vector is seeded
-    with its closure weight t**(-closure * sum((2c - n)/2)) over the
-    non-anchor colors c.  Every weight is t**(c/4) times
-    a Laurent polynomial in t, so a value is carried Kronecker-packed as
-    (lo, N) with one K-bit slot per power of t (qalgebra.pack); the
-    residue in the key keeps values whose slots are offset by a fraction
-    of a power from being added together.  A product is (lo + wlo, N * W)
+    partial states differs (see _anchor).  With closure set, each start
+    vector is seeded with its closure weight t**(sum((2c - n)/2)) over the
+    non-anchor colors c, the same for both models; without it, with 1.
+    Every weight is t**(c/4) times a Laurent polynomial in t, so a value
+    is carried Kronecker-packed as (lo, N) with one K-bit slot per power
+    of t (qalgebra.pack); the residue in the key keeps values whose slots
+    are offset by a fraction of a power from being added together.  A product is (lo + wlo, N * W)
     and a sum shifts the value with the higher lo up to the other.
 
     Exactness: every coefficient is bounded by the layer's summed L1 norm,
@@ -378,7 +377,7 @@ def _sweep(
     for rest in product(range(n + 1), repeat=s - 1):
         start = (anchor,) + rest
         if can_close(start, start, early[0]):
-            quarter = -closure * sum(2 * (2 * c - n) for c in rest)
+            quarter = sum(2 * (2 * c - n) for c in rest) if closure else 0
             layer[start, start, quarter & 3] = (quarter, 1)
     k = 2
     for at in range(0, len(letters), REPACK_LETTERS):
@@ -432,19 +431,16 @@ def _sweep(
     return total
 
 
-def _anchor(b: BraidWord, n: int, convention: int) -> int:
+def _anchor(b: BraidWord, n: int) -> int:
     """The start color of position 0 that makes the sweep narrowest.
 
-    A positive R-matrix crossing whose left entering color is 0, or a
-    negative one whose left entering color is n, allows jump 0 only;
-    complementing every color (c -> n - c, the flow bijection) carries
-    these bounds onto the arc-transition table.  The anchored strand
-    first crosses at the first letter on generator 1, which then makes
-    no branches.
+    A positive crossing whose left entering color is 0, or a negative one
+    whose left entering color is n, allows jump 0 only, in both tables.
+    The anchored strand first crosses at the first letter on generator 1,
+    which then makes no branches.
     """
     first = next((k for k in b.letters if k in (1, -1)), 1)
-    anchor = 0 if first > 0 else n
-    return anchor if convention == MINUS else n - anchor
+    return 0 if first > 0 else n
 
 
 def transfer_sum(b: BraidWord, n: int, convention: int) -> LaurentQ:
@@ -452,19 +448,18 @@ def transfer_sum(b: BraidWord, n: int, convention: int) -> LaurentQ:
     where the sweep is narrowest (see _anchor)."""
     if convention not in _TABLES:
         raise ValueError("convention must be +1 or -1")
-    total = _sweep(b, n, _TABLES[convention], convention, _anchor(b, n, convention))
-    if convention == PLUS:
-        total = total * LaurentQ.t_quarter(-n * n * b.writhe)
-    return total
+    return _sweep(b, n, _TABLES[convention], True, _anchor(b, n))
 
 
 def state_count(b: BraidWord, n: int, convention: int) -> int:
-    """Number of n-contributing states in the convention, anchored at 0 and
-    free strands included: the sweep with unit weights and no closure
-    weight."""
-    if convention not in _UNIT_TABLES:
+    """Number of n-contributing states in the convention, anchored at 0 in
+    its own colors and free strands included: the sweep with unit weights
+    and no closure weight.  Both tables have the same support, and the
+    (+) convention's color 0 is the sweep's n."""
+    if convention not in _TABLES:
         raise ValueError("convention must be +1 or -1")
-    return _sweep(b, n, _UNIT_TABLES[convention], 0).coefficient(0)
+    anchor = 0 if convention == MINUS else n
+    return _sweep(b, n, _unit_step, False, anchor).coefficient(0)
 
 
 def correspondence_report(n: int, signs: Iterable[int]) -> str:
@@ -475,17 +470,16 @@ def correspondence_report(n: int, signs: Iterable[int]) -> str:
     binoms = lru_cache(maxsize=None)(lambda x, y: qbinom(n, x) * qbinom(n, y))
     for s, a, b in product(signs, range(n + 1), range(n + 1)):
         gl = {(l, r): w for l, r, w in _TABLES[PLUS](n, s, a, b)}
-        rm = {(n - l, n - r): w for l, r, w in _TABLES[MINUS](n, s, n - a, n - b)}
+        rm = {(l, r): w for l, r, w in _TABLES[MINUS](n, s, a, b)}
         for l, r in sorted(gl.keys() | rm.keys()):
             w, v = gl.get((l, r), ZERO), rm.get((l, r), ZERO)
-            quarter = s * n * n + 2 * n * (l - a) - 2 * (l * r - a * b)
+            quarter = 2 * n * (a - l) - 2 * (l * r - a * b)
             if w * binoms(a, b) != v * binoms(l, r) * LaurentQ.t_quarter(quarter):
                 return (
                     f"  sign {s:+d} entry ({a}, {b}) -> ({l}, {r}) breaks the "
-                    f"correspondence: arc-transition {w} vs r-matrix {v} "
-                    f"at ({n - a}, {n - b}) -> ({n - l}, {n - r})"
+                    f"correspondence: arc-transition {w} vs r-matrix {v}"
                 )
-    return "  every entry corresponds; suspect the closure weights or the sweep"
+    return "  every entry corresponds; suspect the sweep"
 
 
 def colored_jones_framed(b: BraidWord, n: int, model: Model = "both") -> LaurentQ:

@@ -129,6 +129,9 @@ def test_usage_errors(capsys):
         ("--braid", ""),
         ("--preset", "trefoil", "--strands", "5", "--n", "1"),
         ("--weaving", "2", "--strands", "4"),
+        ("--verify", "identity", "--preset", "trefoil"),
+        ("--verify", "identity", "--braid", "1 1 1"),
+        ("--verify", "identity", "--weaving", "2"),
     ]
     for argv in cases:
         code, _, err = run_cli(capsys, *argv)
@@ -175,15 +178,15 @@ def _forbid_diagrams(monkeypatch):
             monkeypatch.setattr(module, name, forbidden, raising=False)
 
 
-# The first entry jump 1 reaches: (a, b) = (0, 1) leaves (0, 1).
-BROKEN_ENTRY = "sign +1 entry (0, 1) -> (0, 1) breaks the correspondence"
+# The first entry jump 1 reaches: (a, b) = (1, 0) leaves (1, 0).
+BROKEN_ENTRY = "sign +1 entry (1, 0) -> (1, 0) breaks the correspondence"
 
 
 def test_model_mismatch_report(monkeypatch, capsys):
     # The cross-check must trip and the report must name the corrupted
     # vertex-table entry.  The words start with a positive and a negative
-    # letter on generator 1, so both anchors of the arc-transition sweep
-    # (n and 0) read the corrupted jump-1 weights.
+    # letter on generator 1, so both anchors of the sweep (0 and n) read
+    # the corrupted jump-1 weights.
     _corrupt_jump_one(monkeypatch)
     for word in ("1 1 1", "-1 2 -1 2"):
         with pytest.raises(ModelMismatchError) as exc:
@@ -201,9 +204,23 @@ def test_mismatch_report_on_long_word(monkeypatch):
     _corrupt_jump_one(monkeypatch)
     _forbid_diagrams(monkeypatch)
     began = time.perf_counter()
-    with pytest.raises(ModelMismatchError, match=r"\(0, 1\) -> \(0, 1\) breaks"):
+    with pytest.raises(ModelMismatchError, match=r"\(1, 0\) -> \(1, 0\) breaks"):
         colored_jones_framed(BraidWord(2, (1,) * 30), 1, "both")
     assert time.perf_counter() - began < 1
+
+
+def test_mismatch_report_names_missing_writhe_share(monkeypatch):
+    # An arc-transition table without its per-crossing share of the writhe
+    # prefactor breaks the identity at every entry, so the report names
+    # the first one rather than blaming the sweep.
+    def without_writhe_share(n, sign, a, b):
+        share = LaurentQ.t_quarter(sign * n * n)
+        return tuple((l, r, w * share) for l, r, w in statesum._gl_step(n, sign, a, b))
+
+    monkeypatch.setitem(statesum._TABLES, PLUS, without_writhe_share)
+    with pytest.raises(ModelMismatchError) as exc:
+        colored_jones_framed(parse("1 1 1"), 2, "both")
+    assert "sign +1 entry (0, 0) -> (0, 0) breaks the correspondence" in str(exc.value)
 
 
 def test_value_path_builds_no_diagram(monkeypatch, capsys):
@@ -272,6 +289,9 @@ def test_oversized_color_refused(capsys, tmp_path):
         ("--braid", "99999999999999999999", "--dump-diagram"),
         ("--braid", "99999999999999999999", "--dump-diagram", "--graph-out", graph),
         ("--weaving", "99999999999999999999"),
+        # more strands than WORK_LIMIT: refused before the diagram is built
+        ("--braid", "20001", "--dump-diagram"),
+        ("--braid", "20001", "--dump-diagram", "--graph-out", graph),
     ]
     for argv in requests:
         began = time.perf_counter()
