@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 from .braid import PRESETS, BraidWord, parse
 from .diagram import build
@@ -53,7 +54,10 @@ def _poly_terms(value: LaurentQ) -> list[list[object]]:
     return [[q, str(c)] for q, c in value.terms()]
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then reused:
+    parse_args returns a fresh Namespace each time."""
     ap = argparse.ArgumentParser(
         prog="braidjones",
         description="Exact colored Jones polynomials of braid closures.",
@@ -65,11 +69,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--weaving", type=int, metavar="M", help="3-strand weaving braid, M repeats"
     )
     ap.add_argument("--strands", type=int, help="strand count override")
-    ap.add_argument("--n", type=int, default=1, help="color (default 1)")
+    # --n, --model and --seed default to None so that run can tell an
+    # option given with --verify (or --seed without it) from one left out.
+    ap.add_argument("--n", type=int, help="color (default 1)")
     ap.add_argument(
         "--model",
         choices=["rmatrix", "gl", "both"],
-        default="both",
         help="state model; 'both' cross-checks (default)",
     )
     framing = ap.add_mutually_exclusive_group()
@@ -90,22 +95,35 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a verification suite",
     )
     ap.add_argument("--json", action="store_true", help="JSON output")
-    ap.add_argument("--seed", type=int, default=2024, help="verification seed")
+    ap.add_argument("--seed", type=int, help="verification seed (default 2024)")
     return ap
 
 
 def run(args: argparse.Namespace) -> int:
     if args.verify is not None:
-        if any(x is not None for x in (args.braid, args.preset, args.weaving)):
-            print("error: --verify takes no braid", file=sys.stderr)
+        given = [
+            f"--{name.replace('_', '-')}"
+            for name, value in vars(args).items()
+            if name not in ("verify", "seed") and value not in (None, False)
+        ]
+        if given:
+            print(f"error: --verify takes no {' or '.join(given)}", file=sys.stderr)
             return 2
-        return run_verify(args.verify, args.seed)
+        return run_verify(args.verify, 2024 if args.seed is None else args.seed)
+    n = 1 if args.n is None else args.n
+    model = "both" if args.model is None else args.model
+    convention = MINUS if model == "rmatrix" else PLUS
     try:
+        if args.seed is not None:
+            raise ValueError("--seed applies only to --verify")
         b = _resolve_braid(args)
-        if args.n < 1:
+        if n < 1:
             raise ValueError("--n must be >= 1")
         if not args.dump_diagram:
-            check_work(b.strands, args.n)
+            check_work(b.strands, n)
+            count = state_count(b, n, convention) if args.states == "dump" else 0
+            if count > WORK_LIMIT:
+                raise OverflowError(f"{count} states exceed the limit {WORK_LIMIT}")
         elif b.strands > WORK_LIMIT:
             raise OverflowError(
                 f"{b.strands} strands exceed the work limit {WORK_LIMIT}"
@@ -128,32 +146,31 @@ def run(args: argparse.Namespace) -> int:
     if args.dump_diagram:
         print(d.dump_table())
         return 0
-    convention = MINUS if args.model == "rmatrix" else PLUS
     if args.states == "count":
-        print(state_count(b, args.n, convention))
+        print(state_count(b, n, convention))
         return 0
     if args.states == "dump":
-        states = enumerate_states(d, args.n, convention)
+        states = enumerate_states(d, n, convention)
         for p, colors in sorted(states, key=lambda sc: (sc[0].bases, sc[0].jumps)):
             print(f"beta={list(p.bases)} j={list(p.jumps)} i={list(colors.i)}")
         return 0
     try:
-        framed = colored_jones_framed(b, args.n, args.model)
+        framed = colored_jones_framed(b, n, model)
     except ModelMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    unframed = framed * unframing(b, args.n)
+    unframed = framed * unframing(b, n)
     if args.json:
         doc = {
             "braid": b.text(),
             "strands": b.strands,
-            "n": args.n,
-            "model": args.model,
+            "n": n,
+            "model": model,
             "framed": {"terms": _poly_terms(framed)},
             "unframed": {"terms": _poly_terms(unframed)},
             "writhe": b.writhe,
             "components": b.component_count(),
-            "state_count": state_count(b, args.n, convention),
+            "state_count": state_count(b, n, convention),
         }
         print(json.dumps(doc))
     else:

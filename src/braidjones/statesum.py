@@ -2,12 +2,19 @@
 
 Both models sum a per-state product of local crossing weights over the
 contributing states of a braid closure diagram, with the first strand's
-closure arc anchored to one color.  Colors are conserved at every
-crossing (the two outgoing colors sum to the two incoming ones) and each
-weight depends only on a crossing's two entering colors and its jump, so
-each state sum is a partial quantum trace.  Values come from one sweep
-over the braid letters, bottom to top, shared by both models: the models
-differ only in a per-crossing vertex table.
+closure arc anchored to one color.  One flow rule moves the colors in
+both models (the arc-transition model's read through c -> n - c, below):
+a crossing of sign e entered by colors a on the left and b on the right
+with jump r leaves
+
+    (b + e*r, a - e*r),  0 <= r <= _max_jump = min(a, n-b) if e > 0 else min(b, n-a),
+
+the jumps that keep both colors within 0..n.  Each weight depends only
+on the entering colors and the jump, so each state sum is a partial
+quantum trace.  Values come from one sweep over the braid letters, bottom
+to top, shared by both models, which differ only in a per-crossing vertex
+table: the weights of the allowed jumps, indexed by jump.  The sweep, its
+pruning, state counting and the correspondence report all read the rule.
 
 The anchor color is free: cutting the closure open at the anchored
 strand leaves a (1,1)-tangle, a scalar by Schur's lemma, so every anchor
@@ -35,18 +42,16 @@ within the blocks of positions they connect, and the last letter on a
 generator g splits its block [p, q) into [p, g) and [g, q).  So that
 letter must leave position g-1 with the one color that makes the sum
 over [p, g) equal the start's; the block's total is conserved and
-already matches, so [g, q) then matches too.  The same test runs early,
-right after the last earlier letter on generators p, g-1, g or g+1,
-the only letters that change its inputs: an entry whose required color
-is not among the left outputs the vertex table allows from the colors
-at g-1 and g is dropped there.  Both are necessary conditions for
-closing, so no contributing state is lost and every value and count is
-unchanged.
+already matches, so [g, q) then matches too; by the flow rule that
+fixes its jump.  The same test runs early, right after the last earlier
+letter on generators p, g-1, g or g+1, the only letters that change its
+inputs: an entry whose required jump is not allowed is dropped there.
+Both are necessary conditions for closing, so no contributing state is
+lost and every value and count is unchanged.
 
 R-matrix model, (-) convention.  With i, j the colors entering a
 crossing on the left and right, r its jump, and v = t**(1/2), the
-crossing leaves (j+r, i-r) when positive and (j-r, i+r) when negative,
-with weight
+weight is
 
     positive:  (-1)**r * v**(-((n-2i)(n-2j) + r(r-1))/2)
                * (j+r choose r) * {n+r-i}_r
@@ -57,11 +62,10 @@ times the closure weight t**((2c-n)/2) per non-anchor strand with
 closure color c.
 
 Arc-transition model, (+) convention.  Its own colors are the sweep's
-complemented, c -> n - c (the flow bijection), which carries its states
-onto the R-matrix model's; the sweep reads its table in the R-matrix
-frame.  With a, b its own entering colors and j the jump, a crossing of
-sign e leaves (b-j, a+j) with overpass entry color tld = a and underpass
-exit color i = b-j when positive, and (b+j, a-j) with tld = b and
+complemented by the flow bijection c -> n - c, which carries its states
+onto the R-matrix model's, and its jump j is the R-matrix jump.  With a,
+b its own entering colors, a crossing of sign e has overpass entry color
+tld = a and underpass exit color i = b-j when positive, and tld = b and
 i = a-j when negative.  The weight is
 
     t**(e*n*i) * (i+j choose i)_{t^-e} * {n - tld}_{j, t^e}
@@ -77,15 +81,14 @@ seeds with none) and applies nothing after the last letter.
 
 The paper's theorem, that the two models are not essentially distinct,
 holds crossing by crossing.  With [n, x] the quantum binomial, every
-entry (a, b) -> (l, r) of either sign satisfies
+jump of either sign, entered by (a, b) and leaving (l, r), satisfies
 
     gl(a, b -> l, r) [n, a] [n, b] = t**((2n(a-l) - 2(lr-ab))/4)
-                                     [n, l] [n, r] rm(a, b -> l, r)
+                                     [n, l] [n, r] rm(a, b -> l, r).
 
-with the same support in both tables.  Around a closed state the
-q-binomials (a basis rescaling per strand) and the monomials (the change
-of 2n sum(k c_k) - 2 sum_{i<k} c_i c_k over the color vector, since color
-is conserved) cancel.
+Around a closed state the q-binomials (a basis rescaling per strand) and
+the monomials (the change of 2n sum(k c_k) - 2 sum_{i<k} c_i c_k over
+the color vector, since color is conserved) cancel.
 
 model="both" sweeps with both tables; when the totals disagree,
 correspondence_report names the first entry of the signs in the word that
@@ -98,7 +101,7 @@ in the crossing count, and serve --states and the tests.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import product, zip_longest
 from typing import Callable, Iterable, Literal
 
 from .braid import BraidWord
@@ -123,7 +126,6 @@ class ModelMismatchError(AssertionError):
     """The two state models disagreed; always an implementation bug."""
 
 
-@lru_cache(maxsize=None)
 def _rmatrix_vertex(n: int, sign: int, i: int, j: int, r: int) -> LaurentQ:
     if sign > 0:
         quarter = -((n - 2 * i) * (n - 2 * j) + r * (r - 1))
@@ -137,13 +139,18 @@ def _rmatrix_vertex(n: int, sign: int, i: int, j: int, r: int) -> LaurentQ:
     return LaurentQ.t_quarter(quarter) * qbinom(i + r, r) * pochhammer(n + r - j, r)
 
 
-@lru_cache(maxsize=None)
 def _gl_vertex(n: int, sign: int, i: int, j: int, tld: int) -> LaurentQ:
     return (
         LaurentQ.t_quarter(4 * n * sign * i)
         * qbinom_signed(i + j, i, -sign)
         * pochhammer_signed(n - tld, j, sign)
     )
+
+
+# The vertex tables cache whole rows and call the weights above directly;
+# the reference weighs a crossing per state, so it reads them through caches.
+_rmatrix_weight = lru_cache(maxsize=None)(_rmatrix_vertex)
+_gl_weight = lru_cache(maxsize=None)(_gl_vertex)
 
 
 def rmatrix_contribution(
@@ -156,7 +163,7 @@ def rmatrix_contribution(
     quarter = sum(2 * (2 * b - n) for b in colors.closure[1:])
     value = LaurentQ.t_quarter(quarter)
     for c, cr in enumerate(d.crossings):
-        value = value * _rmatrix_vertex(
+        value = value * _rmatrix_weight(
             n,
             cr.sign,
             colors.arc_colors[cr.in_left],
@@ -179,7 +186,7 @@ def gl_contribution(
     for c, cr in enumerate(d.crossings):
         i, tld = colors.i[c], colors.tilde[c]
         exc += cr.sign * i * tld
-        value = value * _gl_vertex(n, cr.sign, i, p.jumps[c], tld)
+        value = value * _gl_weight(n, cr.sign, i, p.jumps[c], tld)
     rot = sum(colors.closure[1:])
     return value * LaurentQ.t_quarter(-4 * (exc + rot))
 
@@ -202,46 +209,40 @@ def state_sum(d: Diagram, n: int, convention: int) -> LaurentQ:
     return total
 
 
-# A vertex table maps (n, sign, left color in, right color in) to every
-# (left color out, right color out, weight) the crossing allows.
-Step = tuple[int, int, LaurentQ]
-Table = Callable[[int, int, int, int], tuple[Step, ...]]
+# A vertex table maps (n, sign, left color in, right color in) to the
+# weights of the jumps 0.._max_jump the crossing allows, indexed by jump.
+Table = Callable[[int, int, int, int], tuple[LaurentQ, ...]]
+
+
+def _max_jump(n: int, sign: int, a: int, b: int) -> int:
+    """The largest jump of a crossing entered by (a, b) (the flow rule)."""
+    return min(a, n - b) if sign > 0 else min(b, n - a)
 
 
 @lru_cache(maxsize=None)
-def _rmatrix_step(n: int, sign: int, i: int, j: int) -> tuple[Step, ...]:
-    if sign > 0:
-        return tuple(
-            (j + r, i - r, _rmatrix_vertex(n, sign, i, j, r))
-            for r in range(min(i, n - j) + 1)
-        )
+def _rmatrix_step(n: int, sign: int, i: int, j: int) -> tuple[LaurentQ, ...]:
     return tuple(
-        (j - r, i + r, _rmatrix_vertex(n, sign, i, j, r))
-        for r in range(min(j, n - i) + 1)
+        _rmatrix_vertex(n, sign, i, j, r) for r in range(_max_jump(n, sign, i, j) + 1)
     )
 
 
 @lru_cache(maxsize=None)
-def _gl_step(n: int, sign: int, a: int, b: int) -> tuple[Step, ...]:
-    # Read in the R-matrix frame: the model's own colors are n minus the
-    # sweep's.  tld enters on the overpass; the underpass strand leaves
-    # with i.  Each crossing carries its share of the writhe prefactor.
+def _gl_step(n: int, sign: int, a: int, b: int) -> tuple[LaurentQ, ...]:
+    # Read in the R-matrix frame, where the model's own colors are n minus
+    # the sweep's: tld enters on the overpass, the underpass strand leaves
+    # with i = under - r, and each crossing carries its writhe share.
     tld, under = (n - a, n - b) if sign > 0 else (n - b, n - a)
-    out = []
-    for j in range(min(under, n - tld) + 1):
-        i = under - j
-        weight = _gl_vertex(n, sign, i, j, tld) * LaurentQ.t_quarter(
-            -sign * (4 * i * tld + n * n)
-        )
-        left, right = (n - i, n - tld - j) if sign > 0 else (n - tld - j, n - i)
-        out.append((left, right, weight))
-    return tuple(out)
+    return tuple(
+        _gl_vertex(n, sign, under - r, r, tld)
+        * LaurentQ.t_quarter(-sign * (4 * (under - r) * tld + n * n))
+        for r in range(_max_jump(n, sign, a, b) + 1)
+    )
 
 
 @lru_cache(maxsize=None)
-def _unit_step(n: int, sign: int, a: int, b: int) -> tuple[Step, ...]:
+def _unit_step(n: int, sign: int, a: int, b: int) -> tuple[LaurentQ, ...]:
     # The support both tables share, with unit weights: for counting.
-    return tuple((l, r, ONE) for l, r, _ in _rmatrix_step(n, sign, a, b))
+    return (ONE,) * (_max_jump(n, sign, a, b) + 1)
 
 
 _TABLES: dict[int, Table] = {MINUS: _rmatrix_step, PLUS: _gl_step}
@@ -250,7 +251,8 @@ _TABLES: dict[int, Table] = {MINUS: _rmatrix_step, PLUS: _gl_step}
 # entries -- that a sweep or state sum accepts; bigger requests are refused
 # before anything is allocated.  Two strands fit up to n = 26, three up to
 # n = 10, four up to n = 6, and thirteen at n = 1.  A diagram dump, whose
-# size grows with the strand count alone, accepts at most this many strands.
+# size grows with the strand count alone, accepts at most this many strands,
+# and a state dump, which lists every state before printing, this many states.
 WORK_LIMIT = 20_000
 
 # Letters swept between two re-packs of the layer (see _sweep).
@@ -275,7 +277,7 @@ def _growth(table: Table, n: int, sign: int) -> int:
     """The most one crossing can multiply a layer's summed L1 norm by: the
     largest summed L1 norm of its weights over the entering colors."""
     return max(
-        sum(w.l1_norm() for _, _, w in table(n, sign, a, b))
+        sum(w.l1_norm() for w in table(n, sign, a, b))
         for a in range(n + 1)
         for b in range(n + 1)
     )
@@ -326,29 +328,28 @@ def _sweep(
     A layer maps (start color vector, current color vector, lowest
     exponent mod 4) to the summed weight of the partial states below it,
     with position 0 anchored at color anchor.  Any anchor gives the same
-    value: cutting the closure open at position 0 leaves a (1,1)-tangle,
-    which acts on the irreducible color-n module as a scalar (Schur's
-    lemma), so every diagonal entry is the invariant.  Only the number of
-    partial states differs (see _anchor).  With closure set, each start
+    value (see the module docstring), through a different number of
+    partial states (see _anchor).  With closure set, each start
     vector is seeded with its closure weight t**(sum((2c - n)/2)) over the
     non-anchor colors c, the same for both models; without it, with 1.
-    Every weight is t**(c/4) times a Laurent polynomial in t, so a value
-    is carried Kronecker-packed as (lo, N) with one K-bit slot per power
-    of t (qalgebra.pack); the residue in the key keeps values whose slots
-    are offset by a fraction of a power from being added together.  A product is (lo + wlo, N * W)
-    and a sum shifts the value with the higher lo up to the other.
+    The table gives weights only; the flow rule is applied where a chunk's
+    weights are packed.  A value is carried Kronecker-packed as (lo, N)
+    with one K-bit slot per power of t (qalgebra.pack); the residue in the
+    key keeps values whose slots are offset by a fraction of a power from
+    being added together.  A product is (lo + wlo, N * W) and a sum shifts
+    the value with the higher lo up to the other.
 
     Exactness: every coefficient is bounded by the layer's summed L1 norm,
     which one letter multiplies by at most _growth.  Every REPACK_LETTERS
     letters the layer is decoded, its actual summed L1 norm S taken, and
     K sized as one bit over S times the growth of the letters ahead.
 
-    Pruning (see _closing_checks): at the last letter on its generator
-    only the step whose left output equals need survives, and right after
-    the last letter that can change need, cur[g-1] or cur[g] (before any
-    letter if there is none) an entry is dropped when need is not a left
-    output the table allows from (cur[g-1], cur[g]).  Each test rejects
-    only entries that cannot close, so the result is exact.
+    Pruning (see _closing_checks): a split letter entered by (a, b) must
+    leave need on the left, so its jump is sign*(need - b).  Right after
+    the last letter that can change need, a or b (before any letter if
+    there is none) an entry is dropped unless that jump is in 0.._max_jump,
+    and the split letter takes that jump alone.  Neither test drops an
+    entry that can close.
 
     Returns the summed weight of the states whose colors return to their
     start vector.
@@ -357,19 +358,14 @@ def _sweep(
     check_work(s, n)
     letters = word.letters
     splits, early = _closing_checks(letters)
-    lefts: dict[tuple[int, int, int], frozenset[int]] = {}
 
     def can_close(
         start: tuple[int, ...], cur: tuple[int, ...], checks: list[tuple[int, int, int]]
     ) -> bool:
         for p, g, sign in checks:
             a, b = cur[g - 1], cur[g]
-            allowed = lefts.get((sign, a, b))
-            if allowed is None:
-                allowed = lefts[sign, a, b] = frozenset(
-                    left for left, _, _ in table(n, sign, a, b)
-                )
-            if sum(start[p:g]) - sum(cur[p : g - 1]) not in allowed:
+            need = sum(start[p:g]) - sum(cur[p : g - 1])
+            if not 0 <= sign * (need - b) <= _max_jump(n, sign, a, b):
                 return False
         return True
 
@@ -400,12 +396,12 @@ def _sweep(
                 steps = weights.get((sign, a, b))
                 if steps is None:
                     steps = weights[sign, a, b] = tuple(
-                        (left, right) + pack(w, k)
-                        for left, right, w in table(n, sign, a, b)
+                        (b + sign * r, a - sign * r) + pack(w, k)
+                        for r, w in enumerate(table(n, sign, a, b))
                     )
                 if p is not None:
                     need = sum(start[p:g]) - sum(cur[p : g - 1])
-                    steps = [step for step in steps if step[0] == need]
+                    steps = (steps[sign * (need - b)],)
                 head, tail = cur[: g - 1], cur[g + 1 :]
                 for left, right, wlo, w in steps:
                     new = head + (left, right) + tail
@@ -453,9 +449,10 @@ def transfer_sum(b: BraidWord, n: int, convention: int) -> LaurentQ:
 
 def state_count(b: BraidWord, n: int, convention: int) -> int:
     """Number of n-contributing states in the convention, anchored at 0 in
-    its own colors and free strands included: the sweep with unit weights
-    and no closure weight.  Both tables have the same support, and the
-    (+) convention's color 0 is the sweep's n."""
+    its own colors and free strands included: the sweep with a unit weight
+    on every jump _max_jump allows and no closure weight, so it builds no
+    weight polynomial.  Both tables read that one support, and the (+)
+    convention's color 0 is the sweep's n."""
     if convention not in _TABLES:
         raise ValueError("convention must be +1 or -1")
     anchor = 0 if convention == MINUS else n
@@ -465,16 +462,18 @@ def state_count(b: BraidWord, n: int, convention: int) -> int:
 def correspondence_report(n: int, signs: Iterable[int]) -> str:
     """Name the first entry of the vertex tables of these crossing signs
     that breaks the per-crossing correspondence (see the module
-    docstring), with both weights.  Reads the tables the sweeps use; the
-    cost depends on n alone, never on the word."""
+    docstring), with both weights.  Walks the jumps of the two tables side
+    by side: a jump one table lacks weighs 0 there, and one past _max_jump
+    breaks it.  Reads the tables the sweeps use; the cost depends on n
+    alone, never on the word."""
     binoms = lru_cache(maxsize=None)(lambda x, y: qbinom(n, x) * qbinom(n, y))
     for s, a, b in product(signs, range(n + 1), range(n + 1)):
-        gl = {(l, r): w for l, r, w in _TABLES[PLUS](n, s, a, b)}
-        rm = {(l, r): w for l, r, w in _TABLES[MINUS](n, s, a, b)}
-        for l, r in sorted(gl.keys() | rm.keys()):
-            w, v = gl.get((l, r), ZERO), rm.get((l, r), ZERO)
-            quarter = 2 * n * (a - l) - 2 * (l * r - a * b)
-            if w * binoms(a, b) != v * binoms(l, r) * LaurentQ.t_quarter(quarter):
+        gl, rm = _TABLES[PLUS](n, s, a, b), _TABLES[MINUS](n, s, a, b)
+        top = _max_jump(n, s, a, b)
+        for jump, (w, v) in enumerate(zip_longest(gl, rm, fillvalue=ZERO)):
+            l, r = b + s * jump, a - s * jump
+            shift = LaurentQ.t_quarter(2 * n * (a - l) - 2 * (l * r - a * b))
+            if jump > top or w * binoms(a, b) != v * binoms(l, r) * shift:
                 return (
                     f"  sign {s:+d} entry ({a}, {b}) -> ({l}, {r}) breaks the "
                     f"correspondence: arc-transition {w} vs r-matrix {v}"

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -119,7 +120,8 @@ def test_verify_suite(capsys):
     assert "PASS pochhammer-sum" in lines
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(capsys, tmp_path):
+    graph = str(tmp_path / "graph.txt")
     cases = [
         ("--preset", "not-a-link"),
         ("--braid", "1 x"),
@@ -132,11 +134,28 @@ def test_usage_errors(capsys):
         ("--verify", "identity", "--preset", "trefoil"),
         ("--verify", "identity", "--braid", "1 1 1"),
         ("--verify", "identity", "--weaving", "2"),
+        # --verify would ignore every other option, so each one is refused
+        *(
+            ("--verify", "identity", *option)
+            for option in (
+                ("--n", "5"),
+                ("--strands", "3"),
+                ("--model", "gl"),
+                ("--framed",),
+                ("--unframed",),
+                ("--states", "count"),
+                ("--dump-diagram",),
+                ("--graph-out", graph),
+                ("--json",),
+            )
+        ),
+        ("--seed", "3", "--preset", "trefoil"),
     ]
     for argv in cases:
-        code, _, err = run_cli(capsys, *argv)
-        assert code == 2
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
         assert err.startswith("error:")
+    assert not os.path.exists(graph)
 
 
 def test_conflicting_flags():
@@ -215,7 +234,7 @@ def test_mismatch_report_names_missing_writhe_share(monkeypatch):
     # the first one rather than blaming the sweep.
     def without_writhe_share(n, sign, a, b):
         share = LaurentQ.t_quarter(sign * n * n)
-        return tuple((l, r, w * share) for l, r, w in statesum._gl_step(n, sign, a, b))
+        return tuple(w * share for w in statesum._gl_step(n, sign, a, b))
 
     monkeypatch.setitem(statesum._TABLES, PLUS, without_writhe_share)
     with pytest.raises(ModelMismatchError) as exc:
@@ -271,6 +290,27 @@ def test_states_count_matches_enumeration(capsys):
                 )
 
 
+def test_counting_reads_no_weights(monkeypatch, capsys):
+    # Counting reads the jump range alone: with every weight function
+    # raising and the table caches bypassed, both counts still answer.
+    b = parse("-1 2 -1 2")
+    expected = {c: statesum.state_count(b, 3, c) for c in (MINUS, PLUS)}
+
+    def forbidden(*args):
+        raise AssertionError("counting must not build a weight")
+
+    for name in ("_rmatrix_vertex", "_gl_vertex"):
+        monkeypatch.setattr(statesum, name, forbidden)
+    for name in ("_rmatrix_step", "_gl_step", "_unit_step"):
+        monkeypatch.setattr(statesum, name, getattr(statesum, name).__wrapped__)
+    monkeypatch.setitem(statesum._TABLES, MINUS, statesum._rmatrix_step)
+    monkeypatch.setitem(statesum._TABLES, PLUS, statesum._gl_step)
+    assert {c: statesum.state_count(b, 3, c) for c in (MINUS, PLUS)} == expected
+    for model, convention in ((), PLUS), (("--model", "rmatrix"), MINUS):
+        argv = ("--braid", "-1 2 -1 2", "--n", "3", "--states", "count", *model)
+        assert run_cli(capsys, *argv) == (0, f"{expected[convention]}\n", "")
+
+
 def test_long_word_states_count(capsys):
     word = " ".join(["1 -1"] * 550)
     code, out, _ = run_cli(
@@ -292,6 +332,9 @@ def test_oversized_color_refused(capsys, tmp_path):
         # more strands than WORK_LIMIT: refused before the diagram is built
         ("--braid", "20001", "--dump-diagram"),
         ("--braid", "20001", "--dump-diagram", "--graph-out", graph),
+        # 28,658 states: refused before any is listed
+        ("--braid", " ".join(["1"] * 22), "--n", "1", "--states", "dump"),
+        ("--braid", " ".join(["1"] * 22), "--states", "dump", "--graph-out", graph),
     ]
     for argv in requests:
         began = time.perf_counter()
@@ -300,6 +343,8 @@ def test_oversized_color_refused(capsys, tmp_path):
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "too large" in err
     assert not os.path.exists(graph)
+    argv = ("--braid", " ".join(["1"] * 22), "--n", "1", "--states", "count")
+    assert run_cli(capsys, *argv) == (0, "28658\n", "")
 
 
 def test_python_dash_m():
@@ -336,3 +381,27 @@ def test_closed_stdout_exits_without_traceback():
     finally:
         os.close(write_end)
     assert (done.returncode, done.stderr) == (1, "")
+
+
+def test_readme_examples(capsys, monkeypatch, tmp_path):
+    # Every command of the README's "Command line" block runs, and the
+    # outputs it documents are the ones printed.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1]
+    lines = block.split("```", 1)[0].splitlines()
+    monkeypatch.chdir(tmp_path)  # --graph-out graph.txt
+    outputs = {}
+    for at, line in enumerate(lines):
+        if line.startswith("braidjones "):
+            argv = shlex.split(line, comments=True)[1:]
+            code, outputs[at], err = run_cli(capsys, *argv)
+            assert (code, err) == (0, ""), line
+    documented = [at for at, line in enumerate(lines) if line.startswith("# -> ")]
+    assert documented
+    for at in documented:
+        assert outputs[at - 1] == lines[at][len("# -> "):] + "\n"
+    snippet = readme.split("```python", 1)[1].split("```", 1)[0]
+    exec(snippet, {})
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0] == "t^(-2) - t^(-1) + 1 - t + t^2"
+    assert f"# {printed[0]}" in snippet

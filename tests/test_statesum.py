@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from braidjones import statesum
 from braidjones.braid import BraidWord, parse
 from braidjones.diagram import build
 from braidjones.qalgebra import ONE, LaurentQ, qbinom, qint
@@ -13,6 +14,7 @@ from braidjones.states import MINUS, PLUS, enumerate_states, flow_bijection
 from braidjones.statesum import (
     REPACK_LETTERS,
     _gl_step,
+    _max_jump,
     _rmatrix_step,
     _sweep,
     colored_jones_framed,
@@ -104,28 +106,39 @@ def test_state_correspondence():
                 assert lhs == rhs
 
 
-def test_vertex_tables_correspond_entry_by_entry():
-    # The paper's theorem one crossing at a time: every arc-transition
-    # entry (a, b) -> (l, r), read in the R-matrix frame with its share of
-    # the writhe prefactor, equals the R-matrix entry at the same place up
-    # to q-binomials and a monomial that does not depend on the sign, with
-    # the same support.
+def test_vertex_tables_correspond_entry_by_entry(monkeypatch):
+    # The paper's theorem one crossing at a time: at every jump, the
+    # arc-transition weight, read in the R-matrix frame with its share of
+    # the writhe prefactor, equals the R-matrix weight up to q-binomials
+    # and a monomial that does not depend on the sign, and both tables
+    # allow the same jumps.
     for n in range(1, 9):
         for s in (1, -1):
             for a in range(n + 1):
                 for b in range(n + 1):
-                    gl = {(l, r): w for l, r, w in _gl_step(n, s, a, b)}
-                    rm = {(l, r): w for l, r, w in _rmatrix_step(n, s, a, b)}
-                    assert gl.keys() == rm.keys()
-                    for (l, r), w in gl.items():
+                    gl, rm = _gl_step(n, s, a, b), _rmatrix_step(n, s, a, b)
+                    assert len(gl) == len(rm)
+                    for jump, (w, v) in enumerate(zip(gl, rm)):
+                        l, r = b + s * jump, a - s * jump
                         quarter = 2 * n * (a - l) - 2 * (l * r - a * b)
                         assert w * qbinom(n, a) * qbinom(n, b) == (
                             LaurentQ.t_quarter(quarter)
                             * qbinom(n, l)
                             * qbinom(n, r)
-                            * rm[l, r]
+                            * v
                         )
         assert "every entry corresponds" in correspondence_report(n, (1, -1))
+    # Tables that allow different jump counts break the entry, whichever
+    # table has the extra jump, and the report names it.
+    extra = LaurentQ.t_quarter(4)
+    for convention, step in ((PLUS, _gl_step), (MINUS, _rmatrix_step)):
+        for table in (
+            lambda n, s, a, b, step=step: step(n, s, a, b) + (extra,),
+            lambda n, s, a, b, step=step: step(n, s, a, b)[:-1],
+        ):
+            monkeypatch.setitem(statesum._TABLES, convention, table)
+            assert "entry (0, 0) -> " in correspondence_report(2, (1,))
+        monkeypatch.setitem(statesum._TABLES, convention, step)
 
 
 def test_all_zero_state_weight():
@@ -361,16 +374,17 @@ def test_sweep_value_does_not_depend_on_anchor():
 
 
 def _mixing_table(n, sign, a, b):
-    # Conserves colors, but reaches the same output with weights whose
-    # exponents differ by a quarter.
-    return ((a, b, LaurentQ.t_quarter(1)), (b, a, ONE))
+    # The shared support with weight t**(a/4) at jump 0 and 1 above it.
+    return (LaurentQ.t_quarter(a), ONE)[: _max_jump(n, sign, a, b) + 1]
 
 
 def test_sweep_keeps_residues_apart():
-    # Paths with weights t**(1/4) apart reach the same states: the
-    # quarter-power term shows the sweep kept their residues apart.
-    closed = _sweep(BraidWord(2, (1, 1)), 1, _mixing_table, False)
-    assert closed == LaurentQ({2: 2, 1: 2, 0: 2})
+    # At n = 1 with anchor 1, the paths with jumps (0, 0) and (1, 1) from
+    # (1, 0) both return to (1, 0), with weights t**(1/4) and 1; start
+    # (1, 1) returns with t**(1/2).  The closed total keeps both residues
+    # only if the sweep keeps them apart.
+    closed = _sweep(BraidWord(2, (1, 1)), 1, _mixing_table, False, 1)
+    assert closed == LaurentQ({0: 1, 1: 1, 2: 1})
 
 
 def test_words_without_letters():
