@@ -70,7 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--strands", type=int, help="strand count override")
     # --n, --model and --seed default to None so that run can tell an
-    # option given with --verify (or --seed without it) from one left out.
+    # option given to a mode that ignores it (or --seed without --verify)
+    # from one left out.
     ap.add_argument("--n", type=int, help="color (default 1)")
     ap.add_argument(
         "--model",
@@ -99,16 +100,32 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def run(args: argparse.Namespace) -> int:
+def _refusal(args: argparse.Namespace) -> str | None:
+    """The usage error for options that the requested mode would ignore,
+    which are refused rather than dropped silently; None if there are none."""
     if args.verify is not None:
-        given = [
-            f"--{name.replace('_', '-')}"
-            for name, value in vars(args).items()
-            if name not in ("verify", "seed") and value not in (None, False)
-        ]
-        if given:
-            print(f"error: --verify takes no {' or '.join(given)}", file=sys.stderr)
-            return 2
+        mode, ignored = "--verify", set(vars(args)) - {"verify", "seed"}
+    elif args.dump_diagram:
+        mode = "--dump-diagram"
+        ignored = {"json", "framed", "unframed", "n", "model", "states"}
+    elif args.states is not None:
+        mode, ignored = f"--states {args.states}", {"json", "framed", "unframed"}
+    else:
+        return None
+    given = [
+        f"--{name.replace('_', '-')}"
+        for name, value in vars(args).items()
+        if name in ignored and value not in (None, False)
+    ]
+    return f"{mode} takes no {' or '.join(given)}" if given else None
+
+
+def run(args: argparse.Namespace) -> int:
+    refusal = _refusal(args)
+    if refusal is not None:
+        print(f"error: {refusal}", file=sys.stderr)
+        return 2
+    if args.verify is not None:
         return run_verify(args.verify, 2024 if args.seed is None else args.seed)
     n = 1 if args.n is None else args.n
     model = "both" if args.model is None else args.model

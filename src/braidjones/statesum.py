@@ -14,7 +14,8 @@ on the entering colors and the jump, so each state sum is a partial
 quantum trace.  Values come from one sweep over the braid letters, bottom
 to top, shared by both models, which differ only in a per-crossing vertex
 table: the weights of the allowed jumps, indexed by jump.  The sweep, its
-pruning, state counting and the correspondence report all read the rule.
+pruning, state counting and the correspondence certificate all read the
+rule.
 
 The anchor color is free: cutting the closure open at the anchored
 strand leaves a (1,1)-tangle, a scalar by Schur's lemma, so every anchor
@@ -90,12 +91,19 @@ Around a closed state the q-binomials (a basis rescaling per strand) and
 the monomials (the change of 2n sum(k c_k) - 2 sum_{i<k} c_i c_k over
 the color vector, since color is conserved) cancel.
 
-model="both" sweeps with both tables; when the totals disagree,
-correspondence_report names the first entry of the signs in the word that
-breaks the identity, at a cost that depends on n alone.  The enumeration
-state sums (state_sum) remain the independent reference: they weigh every
-contributing state in each model's own convention, at a cost exponential
-in the crossing count, and serve --states and the tests.
+So model="both" sweeps once, with the R-matrix table, and checks the
+arc-transition model by the identity instead of a second sweep: a
+certificate (certify_correspondence) tests it on every entry of both
+tables of each crossing sign in the word, in Kronecker-packed integer
+products, once per color, sign and pair of tables in a process, and
+raises ModelMismatchError naming the first entry that breaks it.  Its
+cost depends on n alone.  It reads every entry of those signs, where a
+second sweep read only the entries its states reach; a second sweep also
+ran the packing on the other table's weights, which --model gl still
+does.  The enumeration state sums (state_sum) remain the independent
+reference: they weigh every contributing state in each model's own
+convention, at a cost exponential in the crossing count, and serve
+--states and the tests.
 """
 
 from __future__ import annotations
@@ -459,48 +467,88 @@ def state_count(b: BraidWord, n: int, convention: int) -> int:
     return _sweep(b, n, _unit_step, False, anchor).coefficient(0)
 
 
-def correspondence_report(n: int, signs: Iterable[int]) -> str:
-    """Name the first entry of the vertex tables of these crossing signs
-    that breaks the per-crossing correspondence (see the module
-    docstring), with both weights.  Walks the jumps of the two tables side
-    by side: a jump one table lacks weighs 0 there, and one past _max_jump
-    breaks it.  Reads the tables the sweeps use; the cost depends on n
-    alone, never on the word."""
-    binoms = lru_cache(maxsize=None)(lambda x, y: qbinom(n, x) * qbinom(n, y))
-    for s, a, b in product(signs, range(n + 1), range(n + 1)):
-        gl, rm = _TABLES[PLUS](n, s, a, b), _TABLES[MINUS](n, s, a, b)
-        top = _max_jump(n, s, a, b)
+@lru_cache(maxsize=None)
+def _certificate(gl_table: Table, rm_table: Table, n: int, sign: int) -> None:
+    """Check the per-crossing correspondence (see the module docstring) on
+    every entry of the two tables of this sign, or raise ModelMismatchError
+    naming the first entry that breaks it, with both weights.  The jumps of
+    the two tables are walked side by side: a jump one table lacks weighs 0
+    there, and one past _max_jump breaks it.
+
+    Both sides are compared as Kronecker-packed integer products, with one
+    K for the sign, one bit over the largest L1 norm of a weight times that
+    of a product of two q-binomials [n, x][n, y], which bounds every
+    coefficient; packed products of K-bit fitting values are equal exactly
+    when the polynomials are.  The q-binomial products are packed once per
+    pair.  Keyed on the tables, so a table swapped into _TABLES is checked
+    afresh; a failure raises and so is never cached.
+    """
+    rows = [
+        (a, b, gl_table(n, sign, a, b), rm_table(n, sign, a, b))
+        for a in range(n + 1)
+        for b in range(n + 1)
+    ]
+    binoms = [qbinom(n, x) for x in range(n + 1)]
+    norm = max((w.l1_norm() for *_, gl, rm in rows for w in gl + rm), default=0)
+    k = (norm * max(x.l1_norm() for x in binoms) ** 2).bit_length() + 1
+    packed = [pack(x, k) for x in binoms]
+    pairs = {
+        (x, y): (xlo + ylo, xn * yn)
+        for (x, (xlo, xn)), (y, (ylo, yn)) in product(enumerate(packed), repeat=2)
+    }
+
+    def holds(a: int, b: int, l: int, r: int, w: LaurentQ, v: LaurentQ) -> bool:
+        try:
+            (wlo, wn), (vlo, vn) = pack(w, k), pack(v, k)
+        except ArithmeticError:
+            # exponents in two classes mod 4, which no weight of either model has
+            return False
+        (alo, an), (llo, ln) = pairs[a, b], pairs[l, r]
+        lhs, rhs = wn * an, vn * ln
+        shift = 2 * n * (a - l) - 2 * (l * r - a * b)
+        return lhs == rhs and (not lhs or wlo + alo == vlo + llo + shift)
+
+    for a, b, gl, rm in rows:
+        top = _max_jump(n, sign, a, b)
         for jump, (w, v) in enumerate(zip_longest(gl, rm, fillvalue=ZERO)):
-            l, r = b + s * jump, a - s * jump
-            shift = LaurentQ.t_quarter(2 * n * (a - l) - 2 * (l * r - a * b))
-            if jump > top or w * binoms(a, b) != v * binoms(l, r) * shift:
-                return (
-                    f"  sign {s:+d} entry ({a}, {b}) -> ({l}, {r}) breaks the "
-                    f"correspondence: arc-transition {w} vs r-matrix {v}"
+            l, r = b + sign * jump, a - sign * jump
+            if jump > top or not holds(a, b, l, r, w, v):
+                raise ModelMismatchError(
+                    f"models disagree at n={n}: sign {sign:+d} entry ({a}, {b}) "
+                    f"-> ({l}, {r}) breaks the correspondence: arc-transition "
+                    f"{w} vs r-matrix {v}"
                 )
-    return "  every entry corresponds; suspect the sweep"
+
+
+def certify_correspondence(n: int, signs: Iterable[int]) -> None:
+    """Run the cached certificate (_certificate) on the vertex tables the
+    sweeps read, for each of these crossing signs: every entry satisfying
+    the per-crossing correspondence makes the two models' values equal on
+    every word of those signs at color n.  The cost depends on n alone."""
+    for sign in signs:
+        _certificate(_TABLES[PLUS], _TABLES[MINUS], n, sign)
 
 
 def colored_jones_framed(b: BraidWord, n: int, model: Model = "both") -> LaurentQ:
-    """The framed invariant of the braid closure at color n."""
+    """The framed invariant of the braid closure at color n.
+
+    "rmatrix" and "gl" sweep with that model's vertex table.  "both"
+    sweeps with the R-matrix table once and checks the arc-transition
+    model by certify_correspondence on the signs in the word, which raises
+    ModelMismatchError naming the first vertex-table entry that breaks the
+    correspondence.  The certificate runs first, after the work check,
+    so the sweep reads certified tables only.
+    """
     if n < 1:
         raise ValueError("color n must be >= 1")
-    if model == "rmatrix":
-        return transfer_sum(b, n, MINUS)
-    if model == "gl":
-        return transfer_sum(b, n, PLUS)
-    if model != "both":
+    if model not in ("rmatrix", "gl", "both"):
         raise ValueError(f"unknown model {model!r}")
-    minus = transfer_sum(b, n, MINUS)
-    plus = transfer_sum(b, n, PLUS)
-    if minus != plus:
-        signs = [s for s in (1, -1) if any(s * k > 0 for k in b.letters)]
-        raise ModelMismatchError(
-            f"models disagree on braid '{b.text()}' at n={n}: "
-            f"r-matrix {minus} vs arc-transition {plus}\n"
-            + correspondence_report(n, signs)
+    if model == "both":
+        check_work(b.strands, n)
+        certify_correspondence(
+            n, [s for s in (1, -1) if any(s * k > 0 for k in b.letters)]
         )
-    return minus
+    return transfer_sum(b, n, PLUS if model == "gl" else MINUS)
 
 
 def unframing(b: BraidWord, n: int) -> LaurentQ:

@@ -3,7 +3,8 @@
 Each suite takes a seeded random generator and returns (check name,
 passed) pairs: the q-identities, the color identities on random integer
 potentials with the matrix lemma, the framed and unframed skein
-relations at n = 1, and the Kauffman-bracket oracle on named links.
+relations at n = 1, the Kauffman-bracket oracle on named links, and the
+Rosso-Jones formula on torus knots at colors above 1.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from .braid import PRESETS, BraidWord, parse
 from .diagram import Diagram, build
 from .oracle import (
     kauffman_jones,
+    rosso_jones,
+    torus_braid,
     verify_matrix_lemma,
     verify_pochhammer_identity,
     verify_prop_61,
@@ -169,11 +172,23 @@ def _suite_oracle(rng: random.Random) -> list[tuple[str, bool]]:
     return checks
 
 
+def _suite_torus(rng: random.Random) -> list[tuple[str, bool]]:
+    cases = ((2, 3, 5), (2, -5, 3), (2, 7, 4), (3, 4, 3), (3, -5, 2), (4, 5, 2))
+    return [
+        (
+            f"rosso-jones-T({p},{q})-n={n}",
+            colored_jones_framed(torus_braid(p, q), n) == rosso_jones(p, q, n),
+        )
+        for p, q, n in cases
+    ]
+
+
 SUITES = {
     "identity": _suite_identity,
     "props": _suite_props,
     "skein": _suite_skein,
-    "oracle": _suite_oracle,
+    # the oracles: the bracket at n = 1 and Rosso-Jones on torus knots
+    "oracle": lambda rng: _suite_oracle(rng) + _suite_torus(rng),
 }
 
 

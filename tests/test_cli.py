@@ -150,6 +150,16 @@ def test_usage_errors(capsys, tmp_path):
             )
         ),
         ("--seed", "3", "--preset", "trefoil"),
+        # --states and --dump-diagram would ignore the value options
+        *(
+            ("--preset", "trefoil", *mode, *option)
+            for mode in (("--states", "count"), ("--states", "dump"), ("--dump-diagram",))
+            for option in (("--json",), ("--framed",), ("--unframed",))
+        ),
+        *(
+            ("--preset", "trefoil", "--dump-diagram", "--graph-out", graph, *option)
+            for option in (("--n", "2"), ("--model", "gl"), ("--states", "count"))
+        ),
     ]
     for argv in cases:
         code, out, err = run_cli(capsys, *argv)
@@ -175,17 +185,24 @@ def test_model_mismatch_exit_code(capsys):
     assert (code2, out2) == (code, out)
 
 
-def _corrupt_jump_one(monkeypatch):
-    # Double the arc-transition weights at jump 1, bypassing the table
-    # cache so no other test sees them.
-    vertex = statesum._gl_vertex
+def _corrupt_jump_one(monkeypatch, model="gl"):
+    # Double one model's weights at jump 1, bypassing the table cache so
+    # no other test sees them.  The jump is the weight's fourth argument
+    # in the arc-transition model and its fifth in the R-matrix model.
+    vertex, step, convention, at = {
+        "gl": ("_gl_vertex", "_gl_step", PLUS, 3),
+        "rmatrix": ("_rmatrix_vertex", "_rmatrix_step", MINUS, 4),
+    }[model]
+    weight = getattr(statesum, vertex)
 
-    def corrupted(n, sign, i, j, tld):
-        value = vertex(n, sign, i, j, tld)
-        return value * 2 if j == 1 else value
+    def corrupted(*args):
+        value = weight(*args)
+        return value * 2 if args[at] == 1 else value
 
-    monkeypatch.setattr(statesum, "_gl_vertex", corrupted)
-    monkeypatch.setitem(statesum._TABLES, PLUS, statesum._gl_step.__wrapped__)
+    monkeypatch.setattr(statesum, vertex, corrupted)
+    monkeypatch.setitem(
+        statesum._TABLES, convention, getattr(statesum, step).__wrapped__
+    )
 
 
 def _forbid_diagrams(monkeypatch):
@@ -215,6 +232,29 @@ def test_model_mismatch_report(monkeypatch, capsys):
         assert code == 1 and out == ""
         assert err.startswith("error: models disagree")
         assert BROKEN_ENTRY in err
+
+
+def test_mismatch_report_names_corrupted_rmatrix_weight(monkeypatch):
+    # "both" sweeps the R-matrix table alone, so a corrupted R-matrix
+    # weight must trip the certificate, which reads both tables.
+    _corrupt_jump_one(monkeypatch, "rmatrix")
+    for word in ("1 1 1", "-1 2 -1 2"):
+        with pytest.raises(ModelMismatchError) as exc:
+            colored_jones_framed(parse(word, 3), 2, "both")
+        assert BROKEN_ENTRY in str(exc.value)
+
+
+def test_table_corrupted_after_healthy_call_trips(monkeypatch):
+    # The certificate is cached per pair of tables: a healthy call must not
+    # let a table swapped in later in the process pass unchecked.
+    b = parse("1 1 1")
+    healthy = colored_jones_framed(b, 2, "both")
+    _corrupt_jump_one(monkeypatch)
+    with pytest.raises(ModelMismatchError) as exc:
+        colored_jones_framed(b, 2, "both")
+    assert BROKEN_ENTRY in str(exc.value)
+    monkeypatch.undo()
+    assert colored_jones_framed(b, 2, "both") == healthy
 
 
 def test_mismatch_report_on_long_word(monkeypatch):

@@ -1,6 +1,8 @@
-"""The bracket oracle and the chord-level identities it cross-checks."""
+"""The bracket and Rosso-Jones oracles and the chord-level identities
+they cross-check."""
 
 import random
+from math import gcd
 
 import pytest
 
@@ -9,6 +11,8 @@ from braidjones.diagram import build
 from braidjones.oracle import (
     _out_colors,
     kauffman_jones,
+    rosso_jones,
+    torus_braid,
     verify_matrix_lemma,
     verify_pochhammer_identity,
     verify_prop_61,
@@ -16,7 +20,7 @@ from braidjones.oracle import (
 )
 from braidjones.qalgebra import ONE, LaurentQ
 from braidjones.states import MINUS, PLUS, Potential, enumerate_z_potentials
-from braidjones.statesum import colored_jones_unframed
+from braidjones.statesum import colored_jones_framed, colored_jones_unframed
 
 
 def rand_braid(rng: random.Random, max_strands=4, max_len=6) -> BraidWord:
@@ -73,6 +77,24 @@ def test_engine_matches_bracket():
         if sign < 0:
             oracle = LaurentQ.zero() - oracle
         assert colored_jones_unframed(b, 1) == oracle
+
+
+def test_rosso_jones_matches_sweep():
+    # The torus-knot formula shares nothing with the state models or the
+    # sweep, so it checks the engine at colors the bracket cannot reach.
+    for p, colors in ((2, (1, 2, 3, 4)), (3, (1, 2, 3)), (4, (1, 2))):
+        for q in (q for q in range(-7, 9) if gcd(p, q) == 1):
+            for n in colors:
+                sweep = colored_jones_framed(torus_braid(p, q), n, "rmatrix")
+                assert rosso_jones(p, q, n) == sweep, (p, q, n)
+    for p, q, n in ((2, 7, 10), (3, 4, 8), (3, -5, 6), (4, 5, 4)):
+        sweep = colored_jones_framed(torus_braid(p, q), n, "rmatrix")
+        assert rosso_jones(p, q, n) == sweep, (p, q, n)
+    assert rosso_jones(1, 5, 3) == ONE  # T(1, q) is the unknot
+    assert torus_braid(3, -2).letters == (-2, -1, -2, -1)
+    for args in ((2, 4, 1), (0, 1, 1), (2, 3, 0)):
+        with pytest.raises(ValueError):
+            rosso_jones(*args)
 
 
 def test_prop_identities_zero_potential():

@@ -13,13 +13,14 @@ from braidjones.qalgebra import ONE, LaurentQ, qbinom, qint
 from braidjones.states import MINUS, PLUS, enumerate_states, flow_bijection
 from braidjones.statesum import (
     REPACK_LETTERS,
+    ModelMismatchError,
     _gl_step,
     _max_jump,
     _rmatrix_step,
     _sweep,
+    certify_correspondence,
     colored_jones_framed,
     colored_jones_unframed,
-    correspondence_report,
     gl_contribution,
     gl_writhe_prefactor_quarter,
     parity_halfinteger_check,
@@ -127,18 +128,41 @@ def test_vertex_tables_correspond_entry_by_entry(monkeypatch):
                             * qbinom(n, r)
                             * v
                         )
-        assert "every entry corresponds" in correspondence_report(n, (1, -1))
+        certify_correspondence(n, (1, -1))
     # Tables that allow different jump counts break the entry, whichever
-    # table has the extra jump, and the report names it.
+    # table has the extra jump, and the certificate names it; so does a
+    # weight whose exponents differ by a quarter, which no packing holds.
     extra = LaurentQ.t_quarter(4)
     for convention, step in ((PLUS, _gl_step), (MINUS, _rmatrix_step)):
         for table in (
             lambda n, s, a, b, step=step: step(n, s, a, b) + (extra,),
             lambda n, s, a, b, step=step: step(n, s, a, b)[:-1],
+            lambda n, s, a, b, step=step: tuple(
+                w + LaurentQ.t_quarter(1) for w in step(n, s, a, b)
+            ),
         ):
             monkeypatch.setitem(statesum._TABLES, convention, table)
-            assert "entry (0, 0) -> " in correspondence_report(2, (1,))
+            with pytest.raises(ModelMismatchError, match=r"entry \(0, 0\) -> "):
+                certify_correspondence(2, (1,))
+            with pytest.raises(ModelMismatchError, match=r"entry \(0, 0\) -> "):
+                colored_jones_framed(parse("1 1 1"), 2, "both")
         monkeypatch.setitem(statesum._TABLES, convention, step)
+
+
+def test_both_sweeps_once(monkeypatch):
+    # "both" sweeps the R-matrix table once and certifies the arc-transition
+    # table instead of sweeping it; "gl" still sweeps it.
+    tables = []
+    sweep = statesum._sweep
+
+    def recording(word, n, table, *rest):
+        tables.append(table)
+        return sweep(word, n, table, *rest)
+
+    monkeypatch.setattr(statesum, "_sweep", recording)
+    b = parse("-1 2 -1 2 1 1")
+    assert colored_jones_framed(b, 3, "both") == colored_jones_framed(b, 3, "gl")
+    assert tables == [_rmatrix_step, _gl_step]
 
 
 def test_all_zero_state_weight():
