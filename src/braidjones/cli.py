@@ -110,6 +110,9 @@ def _refusal(args: argparse.Namespace) -> str | None:
         ignored = {"json", "framed", "unframed", "n", "model", "states"}
     elif args.states is not None:
         mode, ignored = f"--states {args.states}", {"json", "framed", "unframed"}
+    elif args.json:
+        # the document carries both the framed and the unframed value
+        mode, ignored = "--json", {"framed", "unframed"}
     else:
         return None
     given = [
@@ -134,8 +137,6 @@ def run(args: argparse.Namespace) -> int:
         if args.seed is not None:
             raise ValueError("--seed applies only to --verify")
         b = _resolve_braid(args)
-        if n < 1:
-            raise ValueError("--n must be >= 1")
         if not args.dump_diagram:
             check_work(b.strands, n)
             count = state_count(b, n, convention) if args.states == "dump" else 0

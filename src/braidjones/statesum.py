@@ -14,16 +14,20 @@ on the entering colors and the jump, so each state sum is a partial
 quantum trace.  Values come from one sweep over the braid letters, bottom
 to top, shared by both models, which differ only in a per-crossing vertex
 table: the weights of the allowed jumps, indexed by jump.  The sweep, its
-pruning, state counting and the correspondence certificate all read the
-rule.
+pruning and the correspondence certificate all read the rule.  Counting
+states is the same sweep with every weight 1, read at t = 1: each closed
+state then adds one monomial with coefficient 1, so the sum of the
+coefficients is the number of states.
 
 The anchor color is free: cutting the closure open at the anchored
 strand leaves a (1,1)-tangle, a scalar by Schur's lemma, so every anchor
 gives the invariant.  The value sweeps anchor where they are narrowest,
 chosen from the word alone: at 0 when the first letter on generator 1
-is positive or there is none and at n when it is negative.  The anchored
-strand's first crossing then has jump 0 only.  The enumeration state
-sums anchor at 0 in their own convention, and state_count with them.
+is positive or there is none and at n when it is negative.  A positive
+crossing whose left entering color is 0, or a negative one whose left
+entering color is n, allows jump 0 only, so the anchored strand's first
+crossing makes no branches.  The enumeration state sums anchor at 0 in
+their own convention, and state_count with them.
 
 Every weight is t**(c/4) times a Laurent polynomial in t, so the sweep
 carries each layer value Kronecker-packed as one integer with a K-bit
@@ -77,8 +81,8 @@ t**(-(n^2/4)w + (n/2)(s-1)), with w the writhe and s the strand count.
 The rest of that prefactor, t**(n/2) per non-anchor strand, times its
 closure weight t**(-c) on its own color c = n - c' is t**((2c'-n)/2):
 the R-matrix closure weight on the sweep's color c'.  So the sweep seeds
-both models' start vectors with that one closure weight (state_count
-seeds with none) and applies nothing after the last letter.
+every start vector with that one closure weight and applies nothing
+after the last letter.
 
 The paper's theorem, that the two models are not essentially distinct,
 holds crossing by crossing.  With [n, x] the quantum binomial, every
@@ -268,8 +272,10 @@ REPACK_LETTERS = 32
 
 
 def check_work(strands: int, n: int) -> None:
-    """Raise ValueError when a request at color n on this many strands
-    exceeds WORK_LIMIT."""
+    """Raise ValueError when the color n is below 1 or a request at color n
+    on this many strands exceeds WORK_LIMIT."""
+    if n < 1:
+        raise ValueError("color n must be >= 1")
     work = 1
     for _ in range(strands + 1):
         work *= n + 1
@@ -328,23 +334,21 @@ Packed = tuple[int, int]
 Key = tuple[tuple[int, ...], tuple[int, ...], int]
 
 
-def _sweep(
-    word: BraidWord, n: int, table: Table, closure: bool, anchor: int = 0
-) -> LaurentQ:
+def _sweep(word: BraidWord, n: int, table: Table, anchor: int) -> LaurentQ:
     """Sum the weights of every contributing state, one letter at a time.
 
     A layer maps (start color vector, current color vector, lowest
     exponent mod 4) to the summed weight of the partial states below it,
     with position 0 anchored at color anchor.  Any anchor gives the same
-    value (see the module docstring), through a different number of
-    partial states (see _anchor).  With closure set, each start
-    vector is seeded with its closure weight t**(sum((2c - n)/2)) over the
-    non-anchor colors c, the same for both models; without it, with 1.
-    The table gives weights only; the flow rule is applied where a chunk's
-    weights are packed.  A value is carried Kronecker-packed as (lo, N)
-    with one K-bit slot per power of t (qalgebra.pack); the residue in the
-    key keeps values whose slots are offset by a fraction of a power from
-    being added together.  A product is (lo + wlo, N * W) and a sum shifts
+    value, through a different number of partial states (see the module
+    docstring).  Each start vector is seeded with its closure weight
+    t**(sum((2c - n)/2)) over the non-anchor colors c, the same for both
+    models; with unit weights, the sum of the coefficients of the result
+    counts the closed states.  The table gives weights only; the flow
+    rule is applied where a chunk's weights are packed.  A value is
+    carried Kronecker-packed as (lo, N) with one K-bit slot per power of t
+    (qalgebra.pack); the residue in the key keeps values whose slots are
+    offset by a fraction of a power from being added together.  A product is (lo + wlo, N * W) and a sum shifts
     the value with the higher lo up to the other.
 
     Exactness: every coefficient is bounded by the layer's summed L1 norm,
@@ -381,7 +385,7 @@ def _sweep(
     for rest in product(range(n + 1), repeat=s - 1):
         start = (anchor,) + rest
         if can_close(start, start, early[0]):
-            quarter = sum(2 * (2 * c - n) for c in rest) if closure else 0
+            quarter = sum(2 * (2 * c - n) for c in rest)
             layer[start, start, quarter & 3] = (quarter, 1)
     k = 2
     for at in range(0, len(letters), REPACK_LETTERS):
@@ -435,36 +439,16 @@ def _sweep(
     return total
 
 
-def _anchor(b: BraidWord, n: int) -> int:
-    """The start color of position 0 that makes the sweep narrowest.
-
-    A positive crossing whose left entering color is 0, or a negative one
-    whose left entering color is n, allows jump 0 only, in both tables.
-    The anchored strand first crosses at the first letter on generator 1,
-    which then makes no branches.
-    """
-    first = next((k for k in b.letters if k in (1, -1)), 1)
-    return 0 if first > 0 else n
-
-
-def transfer_sum(b: BraidWord, n: int, convention: int) -> LaurentQ:
-    """The model's state sum by one sweep over the braid letters, anchored
-    where the sweep is narrowest (see _anchor)."""
-    if convention not in _TABLES:
-        raise ValueError("convention must be +1 or -1")
-    return _sweep(b, n, _TABLES[convention], True, _anchor(b, n))
-
-
 def state_count(b: BraidWord, n: int, convention: int) -> int:
     """Number of n-contributing states in the convention, anchored at 0 in
-    its own colors and free strands included: the sweep with a unit weight
-    on every jump _max_jump allows and no closure weight, so it builds no
-    weight polynomial.  Both tables read that one support, and the (+)
+    its own colors and free strands included: the unit-weight state sum
+    at t = 1.  The sweep with weight 1 on every jump _max_jump allows adds
+    one monomial with coefficient 1 per closed state, so the L1 norm of its
+    value is the count.  Both tables read that one support, and the (+)
     convention's color 0 is the sweep's n."""
     if convention not in _TABLES:
         raise ValueError("convention must be +1 or -1")
-    anchor = 0 if convention == MINUS else n
-    return _sweep(b, n, _unit_step, False, anchor).coefficient(0)
+    return _sweep(b, n, _unit_step, 0 if convention == MINUS else n).l1_norm()
 
 
 @lru_cache(maxsize=None)
@@ -532,15 +516,14 @@ def certify_correspondence(n: int, signs: Iterable[int]) -> None:
 def colored_jones_framed(b: BraidWord, n: int, model: Model = "both") -> LaurentQ:
     """The framed invariant of the braid closure at color n.
 
-    "rmatrix" and "gl" sweep with that model's vertex table.  "both"
+    "rmatrix" and "gl" sweep with that model's vertex table, anchored
+    where the sweep is narrowest (see the module docstring).  "both"
     sweeps with the R-matrix table once and checks the arc-transition
     model by certify_correspondence on the signs in the word, which raises
     ModelMismatchError naming the first vertex-table entry that breaks the
     correspondence.  The certificate runs first, after the work check,
     so the sweep reads certified tables only.
     """
-    if n < 1:
-        raise ValueError("color n must be >= 1")
     if model not in ("rmatrix", "gl", "both"):
         raise ValueError(f"unknown model {model!r}")
     if model == "both":
@@ -548,7 +531,9 @@ def colored_jones_framed(b: BraidWord, n: int, model: Model = "both") -> Laurent
         certify_correspondence(
             n, [s for s in (1, -1) if any(s * k > 0 for k in b.letters)]
         )
-    return transfer_sum(b, n, PLUS if model == "gl" else MINUS)
+    first = next((k for k in b.letters if k in (1, -1)), 1)
+    table = _TABLES[PLUS if model == "gl" else MINUS]
+    return _sweep(b, n, table, 0 if first > 0 else n)
 
 
 def unframing(b: BraidWord, n: int) -> LaurentQ:

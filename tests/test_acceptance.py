@@ -21,7 +21,6 @@ from braidjones.statesum import (
     parity_halfinteger_check,
     state_count,
     state_sum,
-    transfer_sum,
 )
 
 
@@ -171,8 +170,8 @@ def test_criterion_10_sweep_matches_state_sums():
         for n in (1, 2, 3):
             reference = state_sum(d, n, MINUS)
             assert state_sum(d, n, PLUS) == reference
-            assert transfer_sum(b, n, MINUS) == reference
-            assert transfer_sum(b, n, PLUS) == reference
+            assert colored_jones_framed(b, n, "rmatrix") == reference
+            assert colored_jones_framed(b, n, "gl") == reference
     print(
         f"PASS criterion 10: both sweeps equal both state sums on {len(CORPUS)} "
         "braids at n=1..3"

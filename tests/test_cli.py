@@ -150,11 +150,16 @@ def test_usage_errors(capsys, tmp_path):
             )
         ),
         ("--seed", "3", "--preset", "trefoil"),
-        # --states and --dump-diagram would ignore the value options
+        # --states and --dump-diagram would ignore the value options, and
+        # --json, which carries both values, the framing options
         *(
             ("--preset", "trefoil", *mode, *option)
             for mode in (("--states", "count"), ("--states", "dump"), ("--dump-diagram",))
             for option in (("--json",), ("--framed",), ("--unframed",))
+        ),
+        *(
+            ("--preset", "trefoil", "--json", option)
+            for option in ("--framed", "--unframed")
         ),
         *(
             ("--preset", "trefoil", "--dump-diagram", "--graph-out", graph, *option)

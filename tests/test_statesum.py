@@ -27,7 +27,6 @@ from braidjones.statesum import (
     rmatrix_contribution,
     state_count,
     state_sum,
-    transfer_sum,
 )
 
 
@@ -209,9 +208,29 @@ def test_reflection():
     braids += [rand_braid(rng, max_len=5) for _ in range(8)]
     for b in braids:
         for n in (1, 2):
+            assert colored_jones_framed(b.reflect(), n) == (
+                colored_jones_framed(b, n).substitute_inverse()
+            )
             assert colored_jones_unframed(b.reflect(), n) == (
                 colored_jones_unframed(b, n).substitute_inverse()
             )
+
+
+def test_reversal_and_flip():
+    # Reading the letters backwards reverses every orientation (V_n is
+    # self-dual), and the flip g -> s - g, signs kept, turns the closure
+    # over; neither changes the framed value.
+    rng = random.Random(21)
+    for _ in range(30):
+        b = rand_braid(rng, max_len=6)
+        s = b.strands
+        reversed_ = BraidWord(s, b.letters[::-1])
+        flipped = BraidWord(s, tuple(s - k if k > 0 else -s - k for k in b.letters))
+        for n in (1, 2, 3):
+            for model in ("rmatrix", "gl"):
+                value = colored_jones_framed(b, n, model)
+                assert colored_jones_framed(reversed_, n, model) == value
+                assert colored_jones_framed(flipped, n, model) == value
 
 
 def test_skein_relations():
@@ -317,13 +336,22 @@ def test_free_cancellation():
 
 
 def test_input_validation():
-    with pytest.raises(ValueError):
-        colored_jones_framed(parse("1"), 0)
+    # Every entry refuses a color below 1 with the one message check_work
+    # gives, whatever the word, model or convention.
+    for n in (0, -1):
+        for word in (parse("1"), parse("-1 -1"), BraidWord(1, ())):
+            for model in ("rmatrix", "gl", "both"):
+                with pytest.raises(ValueError, match="color n must be >= 1"):
+                    colored_jones_framed(word, n, model)
+            for convention in (MINUS, PLUS):
+                with pytest.raises(ValueError, match="color n must be >= 1"):
+                    state_count(word, n, convention)
+                with pytest.raises(ValueError, match="color n must be >= 1"):
+                    state_sum(build(word), n, convention)
     with pytest.raises(ValueError):
         colored_jones_framed(parse("1"), 1, "quantum")
-    for sweep in (transfer_sum, state_count):
-        with pytest.raises(ValueError, match="convention must be"):
-            sweep(parse("1"), 1, 0)
+    with pytest.raises(ValueError, match="convention must be"):
+        state_count(parse("1"), 1, 0)
 
 
 def test_packed_sweep_across_repacks():
@@ -334,18 +362,19 @@ def test_packed_sweep_across_repacks():
     d = build(b)
     for n in (1, 2):
         reference = state_sum(d, n, MINUS)
-        assert transfer_sum(b, n, MINUS) == reference
-        assert transfer_sum(b, n, PLUS) == reference
+        assert colored_jones_framed(b, n, "rmatrix") == reference
+        assert colored_jones_framed(b, n, "gl") == reference
         assert state_count(b, n, MINUS) == len(enumerate_states(d, n, MINUS))
-    assert transfer_sum(b, 1, PLUS) == state_sum(d, 1, PLUS)
+    assert colored_jones_framed(b, 1, "gl") == state_sum(d, 1, PLUS)
     assert state_count(b, 1, PLUS) == len(enumerate_states(d, 1, PLUS))
 
 
 def _check_against_state_sums(b: BraidWord, colors) -> None:
     d = build(b)
     for n in colors:
-        for convention in (MINUS, PLUS):
-            assert transfer_sum(b, n, convention) == state_sum(d, n, convention)
+        for convention, model in ((MINUS, "rmatrix"), (PLUS, "gl")):
+            value = colored_jones_framed(b, n, model)
+            assert value == state_sum(d, n, convention)
             assert state_count(b, n, convention) == len(
                 enumerate_states(d, n, convention)
             )
@@ -362,8 +391,9 @@ def test_sweep_pruning_on_random_braids():
         b = BraidWord(s, letters)
         d = build(b)
         for n in (1, 2):
-            for convention in (MINUS, PLUS):
-                assert transfer_sum(b, n, convention) == state_sum(d, n, convention)
+            for convention, model in ((MINUS, "rmatrix"), (PLUS, "gl")):
+                value = colored_jones_framed(b, n, model)
+                assert value == state_sum(d, n, convention)
 
 
 def test_sweep_pruning_edge_words():
@@ -393,7 +423,7 @@ def test_sweep_value_does_not_depend_on_anchor():
         # at most 81 start vectors per anchor keeps the test under a second
         for n in (n for n in (1, 2, 3) if (n + 1) ** s <= 81):
             for table in (_rmatrix_step, _gl_step):
-                values = {_sweep(b, n, table, True, a) for a in range(n + 1)}
+                values = {_sweep(b, n, table, a) for a in range(n + 1)}
                 assert len(values) == 1, (b, n, table)
 
 
@@ -404,26 +434,28 @@ def _mixing_table(n, sign, a, b):
 
 def test_sweep_keeps_residues_apart():
     # At n = 1 with anchor 1, the paths with jumps (0, 0) and (1, 1) from
-    # (1, 0) both return to (1, 0), with weights t**(1/4) and 1; start
-    # (1, 1) returns with t**(1/2).  The closed total keeps both residues
-    # only if the sweep keeps them apart.
-    closed = _sweep(BraidWord(2, (1, 1)), 1, _mixing_table, False, 1)
-    assert closed == LaurentQ({0: 1, 1: 1, 2: 1})
+    # (1, 0) both return to (1, 0), with weights t**(1/4) and 1 times the
+    # closure weight t**(-1/2); start (1, 1) returns with t**(1/2) times
+    # t**(1/2).  The closed total keeps both residues of start (1, 0) only
+    # if the sweep keeps them apart.
+    closed = _sweep(BraidWord(2, (1, 1)), 1, _mixing_table, 1)
+    assert closed == LaurentQ({-2: 1, -1: 1, 4: 1})
 
 
 def test_words_without_letters():
     for n in (1, 2, 3):
-        for convention in (MINUS, PLUS):
-            assert transfer_sum(BraidWord(1, ()), n, convention) == ONE
+        for convention, model in ((MINUS, "rmatrix"), (PLUS, "gl")):
+            assert colored_jones_framed(BraidWord(1, ()), n, model) == ONE
             assert state_count(BraidWord(1, ()), n, convention) == 1
-            assert transfer_sum(BraidWord(3, ()), n, convention) == qint(n + 1) ** 2
+            value = colored_jones_framed(BraidWord(3, ()), n, model)
+            assert value == qint(n + 1) ** 2
             assert state_count(BraidWord(3, ()), n, convention) == (n + 1) ** 2
 
 
 def test_long_word_state_sum_matches_sweep():
     # 1,100 crossings: the enumeration must not recurse once per crossing
     b = BraidWord(2, (1, -1) * 550)
-    assert state_sum(build(b), 1, PLUS) == transfer_sum(b, 1, PLUS)
+    assert state_sum(build(b), 1, PLUS) == colored_jones_framed(b, 1, "gl")
 
 
 def test_oversized_request_refused_fast():
