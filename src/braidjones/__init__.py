@@ -1,8 +1,9 @@
 """Exact colored Jones polynomials of braid closures.
 
-Two independent state models over the same diagram combinatorics, an
-exact Laurent ring in quarter powers of t, and a Kauffman-bracket
-oracle for cross-checking at color 1.
+Two state models as vertex tables read by one sweep and checked against
+each other crossing by crossing, state enumeration as their independent
+reference, an exact Laurent ring in quarter powers of t, and the
+Kauffman-bracket oracle at color 1.
 """
 
 from .braid import BraidWord, parse

@@ -18,10 +18,8 @@ from functools import lru_cache
 from .braid import PRESETS, BraidWord, parse
 from .diagram import build
 from .qalgebra import LaurentQ
-from .states import MINUS, PLUS, enumerate_states
-from .statesum import ModelMismatchError, check_work, colored_jones_framed
-from .statesum import WORK_LIMIT, state_count, unframing
-from .verify import run_verify
+from .states import MINUS, PLUS, WORK_LIMIT, check_work, enumerate_states
+from .statesum import ModelMismatchError, colored_jones_framed, state_count, unframing
 
 
 def weaving_word(m: int) -> BraidWord:
@@ -129,6 +127,8 @@ def run(args: argparse.Namespace) -> int:
         print(f"error: {refusal}", file=sys.stderr)
         return 2
     if args.verify is not None:
+        from .verify import run_verify
+
         return run_verify(args.verify, 2024 if args.seed is None else args.seed)
     n = 1 if args.n is None else args.n
     model = "both" if args.model is None else args.model

@@ -23,6 +23,30 @@ from .diagram import Diagram, UNDER
 PLUS = 1
 MINUS = -1
 
+# Largest (n+1)**(strands+1) -- first-layer start vectors times vertex-table
+# entries -- that a sweep, state sum or state enumeration accepts; bigger
+# requests are refused before anything is allocated.  Two strands fit up to
+# n = 26, three up to n = 10, four up to n = 6, and thirteen at n = 1.  A
+# diagram dump, whose size grows with the strand count alone, accepts at
+# most this many strands, and a state dump, which lists every state before
+# printing, this many states.
+WORK_LIMIT = 20_000
+
+
+def check_work(strands: int, n: int) -> None:
+    """Raise ValueError when the color n is below 1 or a request at color n
+    on this many strands exceeds WORK_LIMIT."""
+    if n < 1:
+        raise ValueError("color n must be >= 1")
+    work = 1
+    for _ in range(strands + 1):
+        work *= n + 1
+        if work > WORK_LIMIT:
+            raise ValueError(
+                f"color n={n} on {strands} strands is too large: "
+                f"(n+1)**(strands+1) exceeds the work limit {WORK_LIMIT}"
+            )
+
 
 @dataclass(frozen=True)
 class Potential:
@@ -125,6 +149,7 @@ def enumerate_states(
     arc's color is checked as soon as the variables it depends on are
     set, pruning the subtree on a color outside [0, n].
     """
+    check_work(d.strands, n)
     if convention not in (PLUS, MINUS):
         raise ValueError("convention must be +1 or -1")
     if not 0 <= anchor <= n:

@@ -73,16 +73,17 @@ b its own entering colors, a crossing of sign e has overpass entry color
 tld = a and underpass exit color i = b-j when positive, and tld = b and
 i = a-j when negative.  The weight is
 
-    t**(e*n*i) * (i+j choose i)_{t^-e} * {n - tld}_{j, t^e}
-    * t**(-e*i*tld) * t**(-e*n^2/4)
+    t**(e*(4n*i - 4i*tld - n^2)/4) * (i+j choose i)_{t^-e} * {n - tld}_{j, t^e}
 
-where the last factor is one crossing's share of the global prefactor
-t**(-(n^2/4)w + (n/2)(s-1)), with w the writhe and s the strand count.
-The rest of that prefactor, t**(n/2) per non-anchor strand, times its
-closure weight t**(-c) on its own color c = n - c' is t**((2c'-n)/2):
-the R-matrix closure weight on the sweep's color c'.  So the sweep seeds
+times the closure weight t**((n-2c)/2) per non-anchor strand with its own
+closure color c.  The vertex weight carries the crossing's excess
+t**(-e*i*tld) and its writhe share t**(-e*n^2/4); the closure weight
+carries the strand's rotation t**(-c) and its strand share t**(n/2).
+Neither model has a global factor.  On the sweep's color c' = n - c the
+closure weight is t**((2c'-n)/2), the R-matrix one, so the sweep seeds
 every start vector with that one closure weight and applies nothing
-after the last letter.
+after the last letter, and each state weighs the same as its partner
+under the flow bijection.
 
 The paper's theorem, that the two models are not essentially distinct,
 holds crossing by crossing.  With [n, x] the quantum binomial, every
@@ -129,7 +130,7 @@ from .qalgebra import (
     qbinom_signed,
     unpack,
 )
-from .states import MINUS, PLUS, Potential, StateColors, enumerate_states
+from .states import MINUS, PLUS, Potential, StateColors, check_work, enumerate_states
 
 Model = Literal["rmatrix", "gl", "both"]
 
@@ -153,7 +154,7 @@ def _rmatrix_vertex(n: int, sign: int, i: int, j: int, r: int) -> LaurentQ:
 
 def _gl_vertex(n: int, sign: int, i: int, j: int, tld: int) -> LaurentQ:
     return (
-        LaurentQ.t_quarter(4 * n * sign * i)
+        LaurentQ.t_quarter(sign * (4 * n * i - 4 * i * tld - n * n))
         * qbinom_signed(i + j, i, -sign)
         * pochhammer_signed(n - tld, j, sign)
     )
@@ -171,7 +172,7 @@ def rmatrix_contribution(
     colors: StateColors,
     n: int,
 ) -> LaurentQ:
-    """Weight of one (-)-state, closure prefactor included."""
+    """Weight of one (-)-state, closure weight included."""
     quarter = sum(2 * (2 * b - n) for b in colors.closure[1:])
     value = LaurentQ.t_quarter(quarter)
     for c, cr in enumerate(d.crossings):
@@ -191,33 +192,23 @@ def gl_contribution(
     colors: StateColors,
     n: int,
 ) -> LaurentQ:
-    """Weight of one (+)-state, excess and rotation included but not the
-    global writhe prefactor."""
-    exc = 0
-    value = ONE
+    """Weight of one (+)-state, closure weight included: the weight of its
+    partner (-)-state under the flow bijection."""
+    quarter = sum(2 * (n - 2 * b) for b in colors.closure[1:])
+    value = LaurentQ.t_quarter(quarter)
     for c, cr in enumerate(d.crossings):
-        i, tld = colors.i[c], colors.tilde[c]
-        exc += cr.sign * i * tld
-        value = value * _gl_weight(n, cr.sign, i, p.jumps[c], tld)
-    rot = sum(colors.closure[1:])
-    return value * LaurentQ.t_quarter(-4 * (exc + rot))
-
-
-def gl_writhe_prefactor_quarter(b: BraidWord, n: int) -> int:
-    """Exponent (in quarter units) of state_sum's global (+)-prefactor."""
-    return -n * n * b.writhe + 2 * n * (b.strands - 1)
+        value = value * _gl_weight(n, cr.sign, colors.i[c], p.jumps[c], colors.tilde[c])
+    return value
 
 
 def state_sum(d: Diagram, n: int, convention: int) -> LaurentQ:
     """The model's state sum by enumerating and weighing every
-    contributing state: the reference for the sweep."""
-    check_work(d.strands, n)
+    contributing state, with no global factor: the reference for the
+    sweep."""
     weigh = rmatrix_contribution if convention == MINUS else gl_contribution
     total = LaurentQ.zero()
     for p, colors in enumerate_states(d, n, convention):
         total = total + weigh(d, p, colors, n)
-    if convention == PLUS:
-        total = total * LaurentQ.t_quarter(gl_writhe_prefactor_quarter(d.braid, n))
     return total
 
 
@@ -241,12 +232,11 @@ def _rmatrix_step(n: int, sign: int, i: int, j: int) -> tuple[LaurentQ, ...]:
 @lru_cache(maxsize=None)
 def _gl_step(n: int, sign: int, a: int, b: int) -> tuple[LaurentQ, ...]:
     # Read in the R-matrix frame, where the model's own colors are n minus
-    # the sweep's: tld enters on the overpass, the underpass strand leaves
-    # with i = under - r, and each crossing carries its writhe share.
+    # the sweep's: tld enters on the overpass and the underpass strand
+    # leaves with i = under - r.
     tld, under = (n - a, n - b) if sign > 0 else (n - b, n - a)
     return tuple(
         _gl_vertex(n, sign, under - r, r, tld)
-        * LaurentQ.t_quarter(-sign * (4 * (under - r) * tld + n * n))
         for r in range(_max_jump(n, sign, a, b) + 1)
     )
 
@@ -259,31 +249,8 @@ def _unit_step(n: int, sign: int, a: int, b: int) -> tuple[LaurentQ, ...]:
 
 _TABLES: dict[int, Table] = {MINUS: _rmatrix_step, PLUS: _gl_step}
 
-# Largest (n+1)**(strands+1) -- first-layer start vectors times vertex-table
-# entries -- that a sweep or state sum accepts; bigger requests are refused
-# before anything is allocated.  Two strands fit up to n = 26, three up to
-# n = 10, four up to n = 6, and thirteen at n = 1.  A diagram dump, whose
-# size grows with the strand count alone, accepts at most this many strands,
-# and a state dump, which lists every state before printing, this many states.
-WORK_LIMIT = 20_000
-
 # Letters swept between two re-packs of the layer (see _sweep).
 REPACK_LETTERS = 32
-
-
-def check_work(strands: int, n: int) -> None:
-    """Raise ValueError when the color n is below 1 or a request at color n
-    on this many strands exceeds WORK_LIMIT."""
-    if n < 1:
-        raise ValueError("color n must be >= 1")
-    work = 1
-    for _ in range(strands + 1):
-        work *= n + 1
-        if work > WORK_LIMIT:
-            raise ValueError(
-                f"color n={n} on {strands} strands is too large: "
-                f"(n+1)**(strands+1) exceeds the work limit {WORK_LIMIT}"
-            )
 
 
 @lru_cache(maxsize=None)

@@ -274,9 +274,9 @@ def test_mismatch_report_on_long_word(monkeypatch):
 
 
 def test_mismatch_report_names_missing_writhe_share(monkeypatch):
-    # An arc-transition table without its per-crossing share of the writhe
-    # prefactor breaks the identity at every entry, so the report names
-    # the first one rather than blaming the sweep.
+    # An arc-transition table whose weights drop the writhe share
+    # t**(-sign*n^2/4) breaks the identity at every entry, so the report
+    # names the first one rather than blaming the sweep.
     def without_writhe_share(n, sign, a, b):
         share = LaurentQ.t_quarter(sign * n * n)
         return tuple(w * share for w in statesum._gl_step(n, sign, a, b))
@@ -404,6 +404,22 @@ def test_python_dash_m():
     )
     assert done.returncode == 0
     assert done.stdout == f"{colored_jones_framed(parse('1 1 1'), 1)}\n"
+
+
+def test_cli_import_leaves_verify_unloaded():
+    # Value, count and dump requests never compile the verification suites;
+    # only --verify imports them.
+    src = str(Path(braidjones.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, braidjones.cli; print('braidjones.verify' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (0, "False\n")
 
 
 def test_closed_stdout_exits_without_traceback():

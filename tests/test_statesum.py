@@ -22,7 +22,6 @@ from braidjones.statesum import (
     colored_jones_framed,
     colored_jones_unframed,
     gl_contribution,
-    gl_writhe_prefactor_quarter,
     parity_halfinteger_check,
     rmatrix_contribution,
     state_count,
@@ -90,28 +89,27 @@ def test_models_agree_on_corpus():
 
 
 def test_state_correspondence():
-    # each (+)-state's weight matches its partner (-)-state's weight once
-    # the global writhe prefactor is attached
+    # each (+)-state's weight equals its partner (-)-state's weight: both
+    # are local vertex weights times a closure weight, with no global factor
     rng = random.Random(12)
-    braids = [parse("1 1"), parse("-1 2 -1 2"), BraidWord(3, (2, 2))]
-    braids += [rand_braid(rng, max_len=4) for _ in range(6)]
-    for b in braids:
+    fixed = [parse("1 1"), parse("-1 2 -1 2"), BraidWord(3, (2, 2))]
+    cases = [(b, n) for b in fixed for n in (1, 2, 3)]
+    drawn = [rand_braid(rng, max_len=4) for _ in range(6)]
+    cases += [(b, n) for b in drawn for n in (1, 2)]
+    for b, n in cases:
         d = build(b)
-        for n in (1, 2):
-            prefactor = LaurentQ.t_quarter(gl_writhe_prefactor_quarter(b, n))
-            for p, colors in enumerate_states(d, n, PLUS):
-                q, qcolors = flow_bijection(d, p, n)
-                lhs = prefactor * gl_contribution(d, p, colors, n)
-                rhs = rmatrix_contribution(d, q, qcolors, n)
-                assert lhs == rhs
+        for p, colors in enumerate_states(d, n, PLUS):
+            q, qcolors = flow_bijection(d, p, n)
+            rhs = rmatrix_contribution(d, q, qcolors, n)
+            assert gl_contribution(d, p, colors, n) == rhs
 
 
 def test_vertex_tables_correspond_entry_by_entry(monkeypatch):
     # The paper's theorem one crossing at a time: at every jump, the
-    # arc-transition weight, read in the R-matrix frame with its share of
-    # the writhe prefactor, equals the R-matrix weight up to q-binomials
-    # and a monomial that does not depend on the sign, and both tables
-    # allow the same jumps.
+    # arc-transition weight, read in the R-matrix frame with its writhe
+    # share, equals the R-matrix weight up to q-binomials and a monomial
+    # that does not depend on the sign, and both tables allow the same
+    # jumps.
     for n in range(1, 9):
         for s in (1, -1):
             for a in range(n + 1):
@@ -165,8 +163,11 @@ def test_both_sweeps_once(monkeypatch):
 
 
 def test_all_zero_state_weight():
+    # the all-zero (+)-state weighs t**(-(n^2/4)w + (n/2)(s-1)): each
+    # crossing's writhe share and each non-anchor strand's closure weight
     for text in ("1 1 1", "-1 2 -1 2"):
-        d = build(parse(text))
+        b = parse(text)
+        d = build(b)
         for n in (1, 2):
             states = enumerate_states(d, n, PLUS)
             zero = [
@@ -176,7 +177,9 @@ def test_all_zero_state_weight():
             ]
             assert len(zero) == 1
             p, c = zero[0]
-            assert gl_contribution(d, p, c, n) == ONE
+            assert gl_contribution(d, p, c, n) == LaurentQ.t_quarter(
+                -n * n * b.writhe + 2 * n * (b.strands - 1)
+            )
 
 
 def test_split_diagram_state_sums_match_sweeps():
@@ -348,6 +351,8 @@ def test_input_validation():
                     state_count(word, n, convention)
                 with pytest.raises(ValueError, match="color n must be >= 1"):
                     state_sum(build(word), n, convention)
+                with pytest.raises(ValueError, match="color n must be >= 1"):
+                    enumerate_states(build(word), n, convention)
     with pytest.raises(ValueError):
         colored_jones_framed(parse("1"), 1, "quantum")
     with pytest.raises(ValueError, match="convention must be"):
