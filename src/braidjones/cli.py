@@ -19,7 +19,13 @@ from .braid import PRESETS, BraidWord, parse
 from .diagram import build
 from .qalgebra import LaurentQ
 from .states import MINUS, PLUS, WORK_LIMIT, check_work, enumerate_states
-from .statesum import ModelMismatchError, colored_jones_framed, state_count, unframing
+from .statesum import (
+    ModelMismatchError,
+    colored_jones_framed,
+    framed_and_count,
+    state_count,
+    unframing,
+)
 
 
 def weaving_word(m: int) -> BraidWord:
@@ -173,7 +179,10 @@ def run(args: argparse.Namespace) -> int:
             print(f"beta={list(p.bases)} j={list(p.jumps)} i={list(colors.i)}")
         return 0
     try:
-        framed = colored_jones_framed(b, n, model)
+        if args.json:
+            framed, count = framed_and_count(b, n, model)
+        else:
+            framed = colored_jones_framed(b, n, model)
     except ModelMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -188,7 +197,7 @@ def run(args: argparse.Namespace) -> int:
             "unframed": {"terms": _poly_terms(unframed)},
             "writhe": b.writhe,
             "components": b.component_count(),
-            "state_count": state_count(b, n, convention),
+            "state_count": count,
         }
         print(json.dumps(doc))
     else:

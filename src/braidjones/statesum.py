@@ -14,10 +14,17 @@ on the entering colors and the jump, so each state sum is a partial
 quantum trace.  Values come from one sweep over the braid letters, bottom
 to top, shared by both models, which differ only in a per-crossing vertex
 table: the weights of the allowed jumps, indexed by jump.  The sweep, its
-pruning and the correspondence certificate all read the rule.  Counting
-states is the same sweep with every weight 1, read at t = 1: each closed
-state then adds one monomial with coefficient 1, so the sum of the
-coefficients is the number of states.
+pruning and the correspondence certificate all read the rule.  Every
+sweep also counts the closed states it weighs; state_count sweeps with
+every weight 1, so that counting builds no weight.
+
+The flow relation is its own inverse: a crossing entered by
+(b + e*r, a - e*r) leaves (a, b) with the same jump r, which it allows.
+So the states of the reversed word are those of the word read top to
+bottom, with the same closure colors, and at every anchor the reversal
+keeps the count; it keeps the value too, since reversing every
+orientation keeps the invariant (V_n is self-dual).  framed_and_count
+uses this to read the count from the value sweep.
 
 The anchor color is free: cutting the closure open at the anchored
 strand leaves a (1,1)-tangle, a scalar by Schur's lemma, so every anchor
@@ -297,31 +304,41 @@ def _closing_checks(
     return splits, early
 
 
-Packed = tuple[int, int]
+# (lo, N, count): a value Kronecker-packed as in qalgebra.pack, and the
+# number of partial states summed into it.
+Entry = tuple[int, int, int]
 Key = tuple[tuple[int, ...], tuple[int, ...], int]
 
 
-def _sweep(word: BraidWord, n: int, table: Table, anchor: int) -> LaurentQ:
-    """Sum the weights of every contributing state, one letter at a time.
+def _sweep(
+    word: BraidWord, n: int, table: Table, anchor: int
+) -> tuple[LaurentQ, int]:
+    """Sum the weights of every contributing state, one letter at a time,
+    and count the states.
 
     A layer maps (start color vector, current color vector, lowest
-    exponent mod 4) to the summed weight of the partial states below it,
-    with position 0 anchored at color anchor.  Any anchor gives the same
-    value, through a different number of partial states (see the module
-    docstring).  Each start vector is seeded with its closure weight
-    t**(sum((2c - n)/2)) over the non-anchor colors c, the same for both
-    models; with unit weights, the sum of the coefficients of the result
-    counts the closed states.  The table gives weights only; the flow
-    rule is applied where a chunk's weights are packed.  A value is
-    carried Kronecker-packed as (lo, N) with one K-bit slot per power of t
-    (qalgebra.pack); the residue in the key keeps values whose slots are
-    offset by a fraction of a power from being added together.  A product is (lo + wlo, N * W) and a sum shifts
-    the value with the higher lo up to the other.
+    exponent mod 4) to the summed weight of the partial states below it
+    and their number, with position 0 anchored at color anchor.  Any
+    anchor gives the same value, through a different number of partial
+    states (see the module docstring).  Each start vector is seeded with
+    its closure weight t**(sum((2c - n)/2)) over the non-anchor colors c,
+    the same for both models.  The table gives weights only; the flow
+    rule is applied where a chunk's weights are packed, and every jump
+    the table lists counts as a path, whatever its weight.  A value is carried Kronecker-packed
+    as (lo, N) with one K-bit slot per power of t (qalgebra.pack); the
+    residue in the key keeps values whose slots are offset by a fraction
+    of a power from being added together.  A product is (lo + wlo, N * W)
+    and a sum shifts the value with the higher lo up to the other.  An
+    entry whose value cancels to 0 keeps its lo, its residue and its
+    count.
 
     Exactness: every coefficient is bounded by the layer's summed L1 norm,
-    which one letter multiplies by at most _growth.  Every REPACK_LETTERS
-    letters the layer is decoded, its actual summed L1 norm S taken, and
-    K sized as one bit over S times the growth of the letters ahead.
+    which one letter multiplies by at most _growth.  K starts one bit over
+    the number of start vectors, each seeded with one monomial; every
+    REPACK_LETTERS letters the layer is decoded, its actual summed L1 norm
+    S taken, and K sized as one bit over S times the growth of the letters
+    ahead.  The closed entries of each residue are summed packed, within
+    the same bound, and decoded once.
 
     Pruning (see _closing_checks): a split letter entered by (a, b) must
     leave need on the left, so its jump is sign*(need - b).  Right after
@@ -331,7 +348,7 @@ def _sweep(word: BraidWord, n: int, table: Table, anchor: int) -> LaurentQ:
     entry that can close.
 
     Returns the summed weight of the states whose colors return to their
-    start vector.
+    start vector, and their number.
     """
     s = word.strands
     check_work(s, n)
@@ -348,29 +365,32 @@ def _sweep(word: BraidWord, n: int, table: Table, anchor: int) -> LaurentQ:
                 return False
         return True
 
-    layer: dict[Key, Packed] = {}
+    layer: dict[Key, Entry] = {}
     for rest in product(range(n + 1), repeat=s - 1):
         start = (anchor,) + rest
         if can_close(start, start, early[0]):
             quarter = sum(2 * (2 * c - n) for c in rest)
-            layer[start, start, quarter & 3] = (quarter, 1)
-    k = 2
+            layer[start, start, quarter & 3] = (quarter, 1, 1)
+    k = len(layer).bit_length() + 1
     for at in range(0, len(letters), REPACK_LETTERS):
         chunk = letters[at : at + REPACK_LETTERS]
-        values = {key: unpack(lo, v, k) for key, (lo, v) in layer.items()}
-        bound = sum(value.l1_norm() for value in values.values())
+        values = {key: (unpack(lo, v, k), lo, c) for key, (lo, v, c) in layer.items()}
+        bound = sum(value.l1_norm() for value, _, _ in values.values())
         for letter in chunk:
             bound *= _growth(table, n, 1 if letter > 0 else -1)
         k = bound.bit_length() + 1
-        layer = {key: pack(value, k) for key, value in values.items() if value}
+        layer = {
+            key: pack(value, k) + (c,) if value else (lo, 0, c)
+            for key, (value, lo, c) in values.items()
+        }
         weights: dict[tuple[int, int, int], tuple[tuple[int, int, int, int], ...]] = {}
         for i, letter in enumerate(chunk, at):
             g = letter if letter > 0 else -letter
             sign = 1 if letter > 0 else -1
             p = splits[i]
             ahead = early[i + 1]
-            nxt: dict[Key, Packed] = {}
-            for (start, cur, _), (lo, v) in layer.items():
+            nxt: dict[Key, Entry] = {}
+            for (start, cur, _), (lo, v, c) in layer.items():
                 a, b = cur[g - 1], cur[g]
                 steps = weights.get((sign, a, b))
                 if steps is None:
@@ -391,31 +411,37 @@ def _sweep(word: BraidWord, n: int, table: Table, anchor: int) -> LaurentQ:
                     term = v * w
                     old = nxt.get(key)
                     if old is None:
-                        nxt[key] = (qlo, term)
+                        nxt[key] = (qlo, term, c)
                         continue
-                    olo, acc = old
+                    olo, acc, oc = old
                     if olo <= qlo:
-                        nxt[key] = (olo, acc + (term << (k * (qlo - olo) >> 2)))
+                        nxt[key] = (olo, acc + (term << (k * (qlo - olo) >> 2)), oc + c)
                     else:
-                        nxt[key] = (qlo, term + (acc << (k * (olo - qlo) >> 2)))
+                        nxt[key] = (qlo, term + (acc << (k * (olo - qlo) >> 2)), oc + c)
             layer = nxt
-    total = ZERO
-    for (start, cur, _), (lo, v) in layer.items():
+    closed: dict[int, list[tuple[int, int]]] = {}
+    count = 0
+    for (start, cur, residue), (lo, v, c) in layer.items():
         if start == cur:
-            total = total + unpack(lo, v, k)
-    return total
+            closed.setdefault(residue, []).append((lo, v))
+            count += c
+    total = ZERO
+    for entries in closed.values():
+        base = min(lo for lo, _ in entries)
+        packed = sum(v << (k * (lo - base) >> 2) for lo, v in entries)
+        total = total + unpack(base, packed, k)
+    return total, count
 
 
 def state_count(b: BraidWord, n: int, convention: int) -> int:
     """Number of n-contributing states in the convention, anchored at 0 in
-    its own colors and free strands included: the unit-weight state sum
-    at t = 1.  The sweep with weight 1 on every jump _max_jump allows adds
-    one monomial with coefficient 1 per closed state, so the L1 norm of its
-    value is the count.  Both tables read that one support, and the (+)
+    its own colors and free strands included: the count the sweep carries
+    (see _sweep) with weight 1 on every jump _max_jump allows, so that no
+    weight is built.  Both tables read that one support, and the (+)
     convention's color 0 is the sweep's n."""
     if convention not in _TABLES:
         raise ValueError("convention must be +1 or -1")
-    return _sweep(b, n, _unit_step, 0 if convention == MINUS else n).l1_norm()
+    return _sweep(b, n, _unit_step, 0 if convention == MINUS else n)[1]
 
 
 @lru_cache(maxsize=None)
@@ -480,6 +506,19 @@ def certify_correspondence(n: int, signs: Iterable[int]) -> None:
         _certificate(_TABLES[PLUS], _TABLES[MINUS], n, sign)
 
 
+def _value_table(b: BraidWord, n: int, model: Model) -> Table:
+    """The vertex table the model's value sweeps read, after the checks
+    that colored_jones_framed describes."""
+    if model not in ("rmatrix", "gl", "both"):
+        raise ValueError(f"unknown model {model!r}")
+    if model == "both":
+        check_work(b.strands, n)
+        certify_correspondence(
+            n, [s for s in (1, -1) if any(s * k > 0 for k in b.letters)]
+        )
+    return _TABLES[PLUS if model == "gl" else MINUS]
+
+
 def colored_jones_framed(b: BraidWord, n: int, model: Model = "both") -> LaurentQ:
     """The framed invariant of the braid closure at color n.
 
@@ -491,16 +530,34 @@ def colored_jones_framed(b: BraidWord, n: int, model: Model = "both") -> Laurent
     correspondence.  The certificate runs first, after the work check,
     so the sweep reads certified tables only.
     """
-    if model not in ("rmatrix", "gl", "both"):
-        raise ValueError(f"unknown model {model!r}")
-    if model == "both":
-        check_work(b.strands, n)
-        certify_correspondence(
-            n, [s for s in (1, -1) if any(s * k > 0 for k in b.letters)]
-        )
+    table = _value_table(b, n, model)
     first = next((k for k in b.letters if k in (1, -1)), 1)
-    table = _TABLES[PLUS if model == "gl" else MINUS]
-    return _sweep(b, n, table, 0 if first > 0 else n)
+    return _sweep(b, n, table, 0 if first > 0 else n)[0]
+
+
+def framed_and_count(
+    b: BraidWord, n: int, model: Model = "both"
+) -> tuple[LaurentQ, int]:
+    """colored_jones_framed(b, n, model) and state_count(b, n, convention)
+    for the model's convention: (-) for "rmatrix", anchored at the sweep's
+    0, and (+) otherwise, anchored at the sweep's n.
+
+    That anchor is also the narrow one when the first generator-1 letter
+    is positive for (-) and negative for (+), or there is none: then one
+    value sweep there carries the count too.  When the last such letter
+    has that sign, one sweep of the reversed word does, since reversal
+    keeps the value and the count at every anchor (see the module
+    docstring).  Otherwise the value sweeps at its narrow anchor and the
+    count in its own unit-weight sweep, which costs less than a value
+    sweep at the wide anchor.
+    """
+    convention, side = (MINUS, 1) if model == "rmatrix" else (PLUS, -1)
+    ones = [k for k in b.letters if k in (1, -1)]
+    if ones and side not in (ones[0], ones[-1]):
+        return colored_jones_framed(b, n, model), state_count(b, n, convention)
+    if ones and ones[0] != side:
+        b = BraidWord(b.strands, b.letters[::-1])
+    return _sweep(b, n, _value_table(b, n, model), 0 if side > 0 else n)
 
 
 def unframing(b: BraidWord, n: int) -> LaurentQ:

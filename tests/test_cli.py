@@ -335,6 +335,51 @@ def test_states_count_matches_enumeration(capsys):
                 )
 
 
+def test_json_state_count_matches_enumeration(capsys):
+    for name in PRESETS:
+        b = parse(*PRESETS[name])
+        d = build(b)
+        for n in (1, 2):
+            for model, convention in ("both", PLUS), ("gl", PLUS), ("rmatrix", MINUS):
+                argv = ("--preset", name, "--n", str(n), "--model", model, "--json")
+                code, out, _ = run_cli(capsys, *argv)
+                assert code == 0
+                assert json.loads(out)["state_count"] == (
+                    statesum.state_count(b, n, convention)
+                ) == len(enumerate_states(d, n, convention))
+
+
+def test_json_sweeps_once_where_the_count_anchors(monkeypatch, capsys):
+    # The (+) count anchors at the sweep's n, where the value sweep anchors
+    # when the first generator-1 letter is negative or, for the reversed
+    # word, when the last one is; with none, every anchor is as narrow.
+    sweeps = []
+    sweep = statesum._sweep
+
+    def recording(word, n, table, anchor):
+        sweeps.append((word.letters, table, anchor))
+        return sweep(word, n, table, anchor)
+
+    monkeypatch.setattr(statesum, "_sweep", recording)
+    rm, unit = statesum._rmatrix_step, statesum._unit_step
+    for text, strands, expected in (
+        ("-1 2 -1 2", 3, [((-1, 2, -1, 2), rm, 2)]),
+        ("1 2 -1", 3, [((-1, 2, 1), rm, 2)]),
+        ("2 3", 4, [((2, 3), rm, 2)]),
+        ("1 1 1", 2, [((1, 1, 1), rm, 0), ((1, 1, 1), unit, 2)]),
+    ):
+        sweeps.clear()
+        argv = ("--braid", text, "--strands", str(strands), "--n", "2", "--json")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and sweeps == expected, text
+        b = parse(text, strands)
+        doc = json.loads(out)
+        assert doc["framed"]["terms"] == [
+            [q, str(c)] for q, c in colored_jones_framed(b, 2).terms()
+        ]
+        assert doc["state_count"] == statesum.state_count(b, 2, PLUS)
+
+
 def test_counting_reads_no_weights(monkeypatch, capsys):
     # Counting reads the jump range alone: with every weight function
     # raising and the table caches bypassed, both counts still answer.

@@ -18,6 +18,7 @@ from braidjones.statesum import (
     _max_jump,
     _rmatrix_step,
     _sweep,
+    _unit_step,
     certify_correspondence,
     colored_jones_framed,
     colored_jones_unframed,
@@ -428,7 +429,7 @@ def test_sweep_value_does_not_depend_on_anchor():
         # at most 81 start vectors per anchor keeps the test under a second
         for n in (n for n in (1, 2, 3) if (n + 1) ** s <= 81):
             for table in (_rmatrix_step, _gl_step):
-                values = {_sweep(b, n, table, a) for a in range(n + 1)}
+                values = {_sweep(b, n, table, a)[0] for a in range(n + 1)}
                 assert len(values) == 1, (b, n, table)
 
 
@@ -443,8 +444,47 @@ def test_sweep_keeps_residues_apart():
     # closure weight t**(-1/2); start (1, 1) returns with t**(1/2) times
     # t**(1/2).  The closed total keeps both residues of start (1, 0) only
     # if the sweep keeps them apart.
-    closed = _sweep(BraidWord(2, (1, 1)), 1, _mixing_table, 1)
+    closed, _ = _sweep(BraidWord(2, (1, 1)), 1, _mixing_table, 1)
     assert closed == LaurentQ({-2: 1, -1: 1, 4: 1})
+
+
+def _cancelling_table(n, sign, a, b):
+    # The shared support with weight -1 on jump 1, so that paths merging
+    # into one key can cancel.
+    return (ONE, -ONE)[: _max_jump(n, sign, a, b) + 1]
+
+
+def test_repack_keeps_count_of_cancelled_entry(monkeypatch):
+    # On 1 2 1 1 at n = 1 with anchor 1, partial states of weights +1 and -1
+    # merge into one key.  Re-packed after every letter, that entry's value
+    # is 0, and it must still carry its two states to the closed count.
+    b = BraidWord(3, (1, 2, 1, 1))
+    value, count = _sweep(b, 1, _cancelling_table, 1)
+    assert (value, count) == (LaurentQ({-4: -1, 0: -2, 4: 1}), 6)
+    monkeypatch.setattr(statesum, "REPACK_LETTERS", 1)
+    assert _sweep(b, 1, _cancelling_table, 1) == (value, count)
+    assert _sweep(b, 1, _unit_step, 1)[1] == count
+
+
+def test_reversal_keeps_value_and_count_at_every_anchor():
+    # The flow relation is its own inverse, so the states of the reversed
+    # word are those of the word read backwards, with the same closure
+    # colors; the value is the invariant of the reversed closure.
+    rng = random.Random(34)
+    for _ in range(40):
+        s = rng.randint(2, 4)
+        letters = tuple(
+            rng.choice([1, -1]) * rng.randint(1, s - 1)
+            for _ in range(rng.randint(0, 8))
+        )
+        b, reversed_ = BraidWord(s, letters), BraidWord(s, letters[::-1])
+        # at most 81 start vectors per anchor keeps the test under a second
+        for n in (n for n in (1, 2, 3) if (n + 1) ** s <= 81):
+            for table in (_rmatrix_step, _gl_step, _unit_step):
+                for anchor in range(n + 1):
+                    assert _sweep(reversed_, n, table, anchor) == _sweep(
+                        b, n, table, anchor
+                    ), (b, n, table, anchor)
 
 
 def test_words_without_letters():
