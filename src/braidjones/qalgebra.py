@@ -246,13 +246,13 @@ def pack(poly: LaurentQ, k: int) -> tuple[int, int]:
     ArithmeticError unless every exponent is congruent to lo mod 4 and
     every |coefficient| is below 2**(k-1), so unpack(lo, N, k) == poly.
     """
-    terms = poly.terms()
+    terms = poly._terms
     if not terms:
         return 0, 0
-    lo = terms[0][0]
+    lo = min(terms)
     half = 1 << (k - 1)
     packed = 0
-    for q, c in terms:
+    for q, c in terms.items():
         if (q - lo) & 3:
             raise ArithmeticError(f"exponents of {poly} are not congruent mod 4")
         if not -half < c < half:

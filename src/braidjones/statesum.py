@@ -49,17 +49,16 @@ not grow with the word.  Requests whose first layer and vertex table
 would exceed WORK_LIMIT are refused before anything is built.
 
 Most partial states can never close up, and the sweep drops them as
-soon as that is certain.  The letters still to come move color only
-within the blocks of positions they connect, and the last letter on a
-generator g splits its block [p, q) into [p, g) and [g, q).  So that
-letter must leave position g-1 with the one color that makes the sum
-over [p, g) equal the start's; the block's total is conserved and
-already matches, so [g, q) then matches too; by the flow rule that
-fixes its jump.  The same test runs early, right after the last earlier
-letter on generators p, g-1, g or g+1, the only letters that change its
-inputs: an entry whose required jump is not allowed is dropped there.
-Both are necessary conditions for closing, so no contributing state is
-lost and every value and count is unchanged.
+soon as that is certain.  It carries a color vector c by its prefix
+sums P_j = c_0 + ... + c_j.  A crossing on generator g keeps
+c_{g-1} + c_g, so of these it moves P_{g-1} alone, and a state closes
+exactly when every P_{g-1} is back at its start value after the last
+letter on g; by the flow rule that fixes the last letter's jump.  The
+same test runs early, right after the last earlier letter on generators
+g-1, g or g+1, the only letters that change its inputs P_{g-2} (0 for
+g = 1), P_{g-1} and P_g: an entry whose required jump is not allowed is
+dropped there.  No contributing state is lost, and every entry left
+after the last letter closes.
 
 R-matrix model, (-) convention.  With i, j the colors entering a
 crossing on the left and right, r its jump, and v = t**(1/2), the
@@ -121,7 +120,7 @@ convention, at a cost exponential in the crossing count, and serve
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product, zip_longest
+from itertools import accumulate, product, zip_longest
 from typing import Callable, Iterable, Literal
 
 from .braid import BraidWord
@@ -273,35 +272,29 @@ def _growth(table: Table, n: int, sign: int) -> int:
 
 def _closing_checks(
     letters: tuple[int, ...],
-) -> tuple[list[int | None], list[list[tuple[int, int, int]]]]:
+) -> tuple[list[bool], list[list[tuple[int, int]]]]:
     """Where the sweep tests whether an entry can still close (see the
     module docstring).
 
-    Returns (splits, early).  splits[i] is the start p of the block
-    [p, q) that letter i, on generator g, splits when it is the last
-    letter on g, else None; the letter must then leave position g-1 with
-    need = sum(start[p:g]) - sum(cur[p:g-1]).  early[i] lists (p, g,
-    sign) for the split letters whose inputs -- cur[g-1], cur[g] and
-    sum(cur[p:g-1]) -- are final once i letters are swept: only letters
-    on generators p, g-1, g and g+1 change them.
+    Returns (last, early).  last[i] tells whether letter i is the last on
+    its generator g, which must then leave the prefix sum cur[g-1] at
+    start[g-1].  early[m] lists (g, sign) for the last letters whose
+    inputs cur[g-2], cur[g-1] and cur[g] are final once m letters are
+    swept: only letters on generators g-1, g and g+1 change them.
     """
-    splits: list[int | None] = [None] * len(letters)
-    early: list[list[tuple[int, int, int]]] = [[] for _ in range(len(letters) + 1)]
+    last = [False] * len(letters)
+    early: list[list[tuple[int, int]]] = [[] for _ in range(len(letters) + 1)]
     later: set[int] = set()
     for i in reversed(range(len(letters))):
         g = abs(letters[i])
         if g not in later:
-            p = g - 1
-            while p in later:
-                p -= 1
-            splits[i] = p
-            watched = {p, g - 1, g, g + 1}
-            m = i
-            while m and abs(letters[m - 1]) not in watched:
-                m -= 1
-            early[m].append((p, g, 1 if letters[i] > 0 else -1))
             later.add(g)
-    return splits, early
+            last[i] = True
+            m = i
+            while m and abs(abs(letters[m - 1]) - g) > 1:
+                m -= 1
+            early[m].append((g, 1 if letters[i] > 0 else -1))
+    return last, early
 
 
 # (lo, N, count): a value Kronecker-packed as in qalgebra.pack, and the
@@ -316,94 +309,100 @@ def _sweep(
     """Sum the weights of every contributing state, one letter at a time,
     and count the states.
 
-    A layer maps (start color vector, current color vector, lowest
-    exponent mod 4) to the summed weight of the partial states below it
-    and their number, with position 0 anchored at color anchor.  Any
-    anchor gives the same value, through a different number of partial
-    states (see the module docstring).  Each start vector is seeded with
-    its closure weight t**(sum((2c - n)/2)) over the non-anchor colors c,
-    the same for both models.  The table gives weights only; the flow
-    rule is applied where a chunk's weights are packed, and every jump
-    the table lists counts as a path, whatever its weight.  A value is carried Kronecker-packed
-    as (lo, N) with one K-bit slot per power of t (qalgebra.pack); the
-    residue in the key keeps values whose slots are offset by a fraction
-    of a power from being added together.  A product is (lo + wlo, N * W)
+    A layer maps (start, cur, lowest exponent mod 4) to the summed weight
+    of the partial states below it and their number.  start and cur are
+    color vectors by their prefix sums (P_0, ..., P_{s-1}), position 0
+    anchored at color anchor; any anchor gives the same value, through a
+    different number of partial states (see the module docstring).  Each
+    start vector is seeded with its closure weight t**(sum((2c - n)/2))
+    over the non-anchor colors c, the same for both models.  A letter on
+    generator g reads x, y, z = cur[g-2] (0 for g = 1), cur[g-1], cur[g],
+    entering colors (a, b) = (y - x, z - y), and jump r rewrites cur[g-1]
+    alone, to x + b + sign*r.  The table gives weights only; every jump
+    it lists counts as a path, whatever its weight.  A value is carried
+    Kronecker-packed as (lo, N) with one K-bit slot per power of t
+    (qalgebra.pack); the residue in the key keeps values whose slots are
+    offset by a fraction of a power apart.  A product is (lo + wlo, N * W)
     and a sum shifts the value with the higher lo up to the other.  An
-    entry whose value cancels to 0 keeps its lo, its residue and its
-    count.
+    entry whose value cancels to 0 keeps its lo, its residue and its count.
 
     Exactness: every coefficient is bounded by the layer's summed L1 norm,
-    which one letter multiplies by at most _growth.  K starts one bit over
-    the number of start vectors, each seeded with one monomial; every
-    REPACK_LETTERS letters the layer is decoded, its actual summed L1 norm
-    S taken, and K sized as one bit over S times the growth of the letters
-    ahead.  The closed entries of each residue are summed packed, within
-    the same bound, and decoded once.
+    which one letter multiplies by at most _growth, and K is one bit over
+    that norm times the growth of the next REPACK_LETTERS letters.  The
+    first chunk's norm is the start count (one monomial each, N = 1 at any
+    K, so no re-pack); later ones decode the layer to take it.  Each
+    residue's entries are summed packed, within the bound, and decoded once.
 
-    Pruning (see _closing_checks): a split letter entered by (a, b) must
-    leave need on the left, so its jump is sign*(need - b).  Right after
-    the last letter that can change need, a or b (before any letter if
-    there is none) an entry is dropped unless that jump is in 0.._max_jump,
-    and the split letter takes that jump alone.  Neither test drops an
-    entry that can close.
+    Pruning (see _closing_checks): the last letter on g must leave
+    cur[g-1] at start[g-1], so its jump is sign*(start[g-1] - x - b).
+    Right after the last letter that can change x, y or z (before any
+    letter if there is none) an entry is dropped unless that jump is in
+    0.._max_jump, and the last letter takes that jump alone.  Neither
+    test drops an entry that can close, and every entry left closes.
 
-    Returns the summed weight of the states whose colors return to their
-    start vector, and their number.
+    Returns the summed weight of the closed states and their number.
     """
     s = word.strands
     check_work(s, n)
     letters = word.letters
-    splits, early = _closing_checks(letters)
+    last, early = _closing_checks(letters)
 
     def can_close(
-        start: tuple[int, ...], cur: tuple[int, ...], checks: list[tuple[int, int, int]]
+        start: tuple[int, ...], cur: tuple[int, ...], checks: list[tuple[int, int]]
     ) -> bool:
-        for p, g, sign in checks:
-            a, b = cur[g - 1], cur[g]
-            need = sum(start[p:g]) - sum(cur[p : g - 1])
-            if not 0 <= sign * (need - b) <= _max_jump(n, sign, a, b):
+        for g, sign in checks:
+            x = cur[g - 2] if g > 1 else 0
+            y, z = cur[g - 1], cur[g]
+            b = z - y
+            if not 0 <= sign * (start[g - 1] - x - b) <= _max_jump(n, sign, y - x, b):
                 return False
         return True
 
     layer: dict[Key, Entry] = {}
     for rest in product(range(n + 1), repeat=s - 1):
-        start = (anchor,) + rest
+        start = (*accumulate((anchor,) + rest),)
         if can_close(start, start, early[0]):
             quarter = sum(2 * (2 * c - n) for c in rest)
             layer[start, start, quarter & 3] = (quarter, 1, 1)
-    k = len(layer).bit_length() + 1
+    bound = len(layer)
+    k = bound.bit_length() + 1
     for at in range(0, len(letters), REPACK_LETTERS):
         chunk = letters[at : at + REPACK_LETTERS]
-        values = {key: (unpack(lo, v, k), lo, c) for key, (lo, v, c) in layer.items()}
-        bound = sum(value.l1_norm() for value, _, _ in values.values())
+        if at:
+            values = {
+                key: (unpack(lo, v, k), lo, c) for key, (lo, v, c) in layer.items()
+            }
+            bound = sum(value.l1_norm() for value, _, _ in values.values())
         for letter in chunk:
             bound *= _growth(table, n, 1 if letter > 0 else -1)
         k = bound.bit_length() + 1
-        layer = {
-            key: pack(value, k) + (c,) if value else (lo, 0, c)
-            for key, (value, lo, c) in values.items()
-        }
-        weights: dict[tuple[int, int, int], tuple[tuple[int, int, int, int], ...]] = {}
+        if at:
+            layer = {
+                key: pack(value, k) + (c,) if value else (lo, 0, c)
+                for key, (value, lo, c) in values.items()
+            }
+        weights: dict[tuple[int, int, int], tuple[tuple[int, int, int], ...]] = {}
         for i, letter in enumerate(chunk, at):
             g = letter if letter > 0 else -letter
             sign = 1 if letter > 0 else -1
-            p = splits[i]
+            closing = last[i]
             ahead = early[i + 1]
             nxt: dict[Key, Entry] = {}
             for (start, cur, _), (lo, v, c) in layer.items():
-                a, b = cur[g - 1], cur[g]
+                x = cur[g - 2] if g > 1 else 0
+                y, z = cur[g - 1], cur[g]
+                a, b = y - x, z - y
                 steps = weights.get((sign, a, b))
                 if steps is None:
                     steps = weights[sign, a, b] = tuple(
-                        (b + sign * r, a - sign * r) + pack(w, k)
+                        (b + sign * r,) + pack(w, k)
                         for r, w in enumerate(table(n, sign, a, b))
                     )
-                if p is not None:
-                    need = sum(start[p:g]) - sum(cur[p : g - 1])
-                    steps = (steps[sign * (need - b)],)
-                head, tail = cur[: g - 1], cur[g + 1 :]
-                for left, right, wlo, w in steps:
-                    new = head + (left, right) + tail
+                if closing:
+                    steps = (steps[sign * (start[g - 1] - x - b)],)
+                head, tail = cur[: g - 1], cur[g:]
+                for left, wlo, w in steps:
+                    new = head + (x + left,) + tail
                     if ahead and not can_close(start, new, ahead):
                         continue
                     qlo = lo + wlo
@@ -421,10 +420,9 @@ def _sweep(
             layer = nxt
     closed: dict[int, list[tuple[int, int]]] = {}
     count = 0
-    for (start, cur, residue), (lo, v, c) in layer.items():
-        if start == cur:
-            closed.setdefault(residue, []).append((lo, v))
-            count += c
+    for (_, _, residue), (lo, v, c) in layer.items():
+        closed.setdefault(residue, []).append((lo, v))
+        count += c
     total = ZERO
     for entries in closed.values():
         base = min(lo for lo, _ in entries)

@@ -14,6 +14,7 @@ from braidjones.states import MINUS, PLUS, enumerate_states, flow_bijection
 from braidjones.statesum import (
     REPACK_LETTERS,
     ModelMismatchError,
+    _closing_checks,
     _gl_step,
     _max_jump,
     _rmatrix_step,
@@ -403,16 +404,62 @@ def test_sweep_pruning_on_random_braids():
 
 
 def test_sweep_pruning_edge_words():
-    # The -1 changes sum(cur[1:2]), an input of the split of block [1, 4)
-    # at the 3: generator p = 1 must be watched too.
+    # The last 3 reads P_1, P_2 and P_3, which letters on generator 1 do not
+    # move: its early check runs after the second -2, before the -1.
     _check_against_state_sums(BraidWord(4, (1, -2, -2, -1, 3, 2)), (1, 2, 3))
-    # The early check of the split at the last 1 follows the third letter,
-    # in the chunk before the one that holds the split itself.
+    # The early check of the last 1 follows the third letter, in the chunk
+    # before the one that holds the last 1 itself.
     b = BraidWord(4, (1, -2, 1) + (3, -3) * 16 + (1, 2))
     assert 3 <= REPACK_LETTERS <= len(b.letters) - 2
     _check_against_state_sums(b, (1, 2))
-    # The first letter already splits: its check filters the first layer.
+    # The last -3 reads P_1, which last changes at the 2 on generator 2,
+    # four letters in; the letters on 1 between them do not move its inputs,
+    # so its early check runs a chunk before it.
+    b = BraidWord(4, (3, 2, -3, 2) + (1, -1) * 16 + (-3,))
+    assert 4 < REPACK_LETTERS < len(b.letters)
+    _check_against_state_sums(b, (1,))
+    # The first letter is already the last on generator 1: its check
+    # filters the first layer.
     _check_against_state_sums(BraidWord(3, (1, 2, 2)), (1, 2, 3))
+    # One strand has no generator; an unused generator's prefix sum never
+    # moves and closes as it starts.
+    _check_against_state_sums(BraidWord(1, ()), (1, 2, 3))
+    _check_against_state_sums(BraidWord(4, (1, -1, 1, 3, 3)), (1, 2))
+
+
+def test_closing_checks():
+    # (last letter on its generator?, early checks by the number of letters
+    # swept before them)
+    assert _closing_checks(()) == ([], [[]])
+    last, early = _closing_checks((1, -2, -2, -1, 3, 2))
+    assert last == [False, False, False, True, True, True]
+    assert early == [[], [], [], [(3, 1), (1, -1)], [], [(2, 1)], []]
+    last, early = _closing_checks((1, 2, 2))
+    assert last == [True, False, True]
+    assert early == [[(1, 1)], [], [(2, 1)], []]
+    # The last -3 is checked once its inputs P_1..P_3 are final: after the
+    # last 2, since letters on generator 1 do not move them.
+    last, early = _closing_checks((3, 2, -3, 2, 1, -1, -3))
+    assert last == [False, False, False, True, False, True, True]
+    assert early == [[], [], [], [(2, 1)], [(3, -1)], [(1, -1)], [], []]
+
+
+def _tripled(n, sign, a, b):
+    # Every allowed jump weighs 3, so coefficients grow 3-fold per letter.
+    return (LaurentQ.from_int(3),) * (_max_jump(n, sign, a, b) + 1)
+
+
+@pytest.mark.parametrize("extra", (-1, 0, 1))
+def test_first_chunk_boundary(extra, monkeypatch):
+    # The first chunk's K is sized from the start count, with no re-pack;
+    # the second chunk re-packs a layer swept at that K.
+    b = BraidWord(3, ((1, -1, 2, -2) * REPACK_LETTERS)[: REPACK_LETTERS + extra])
+    for repack in (REPACK_LETTERS, 1):
+        monkeypatch.setattr(statesum, "REPACK_LETTERS", repack)
+        _check_against_state_sums(b, (1,))
+        closure, count = _sweep(b, 1, _unit_step, 0)
+        tripled = (3 ** len(b.letters) * closure, count)
+        assert _sweep(b, 1, _tripled, 0) == tripled
 
 
 def test_sweep_value_does_not_depend_on_anchor():
