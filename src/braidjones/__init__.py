@@ -7,7 +7,6 @@ Kauffman-bracket oracle at color 1.
 """
 
 from .braid import BraidWord, parse
-from .diagram import Diagram, build
 from .qalgebra import (
     ExactDivisionError,
     LaurentQ,
@@ -18,23 +17,43 @@ from .qalgebra import (
     qbrace,
     qint,
 )
-from .states import (
+from .statesum import (
     MINUS,
     PLUS,
-    Potential,
-    StateColors,
-    derive_colors,
-    enumerate_states,
-    enumerate_z_potentials,
-    flow_bijection,
-)
-from .statesum import (
     ModelMismatchError,
     colored_jones_framed,
     colored_jones_unframed,
     parity_halfinteger_check,
 )
-from .oracle import kauffman_jones
+
+# The diagram, the state enumeration and the oracle serve as references and
+# for inspection only; a value never needs them, so they load on first use.
+_LAZY = {
+    "Diagram": "diagram",
+    "build": "diagram",
+    "Potential": "states",
+    "StateColors": "states",
+    "derive_colors": "states",
+    "enumerate_states": "states",
+    "enumerate_z_potentials": "states",
+    "flow_bijection": "states",
+    "kauffman_jones": "oracle",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})
+
 
 __version__ = "0.1.0"
 

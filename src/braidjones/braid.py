@@ -13,26 +13,50 @@ equivalence on their own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
 class BraidWord:
-    """A braid word: strand count plus letters in bottom-to-top order."""
+    """A braid word: strand count plus letters in bottom-to-top order.
 
+    Immutable and hashable, compared by (strands, letters).
+    """
+
+    __slots__ = ("strands", "letters")
     strands: int
     letters: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.strands < 1:
+    def __init__(self, strands: int, letters: tuple[int, ...]) -> None:
+        if strands < 1:
             raise ValueError("a braid needs at least one strand")
-        for k in self.letters:
+        for k in letters:
             if k == 0:
                 raise ValueError("0 is not a braid letter")
-            if abs(k) >= self.strands:
+            if abs(k) >= strands:
                 raise ValueError(
-                    f"letter {k} needs at least {abs(k) + 1} strands, have {self.strands}"
+                    f"letter {k} needs at least {abs(k) + 1} strands, have {strands}"
                 )
+        object.__setattr__(self, "strands", strands)
+        object.__setattr__(self, "letters", letters)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    # copy and pickle rebuild the word through __init__, since assignment is refused
+    def __reduce__(self):
+        return BraidWord, (self.strands, self.letters)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.strands, self.letters) == (other.strands, other.letters)
+
+    def __hash__(self) -> int:
+        return hash((self.strands, self.letters))
+
+    def __repr__(self) -> str:
+        return f"BraidWord(strands={self.strands!r}, letters={self.letters!r})"
 
     @property
     def writhe(self) -> int:

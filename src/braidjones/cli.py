@@ -16,11 +16,13 @@ import sys
 from functools import lru_cache
 
 from .braid import PRESETS, BraidWord, parse
-from .diagram import build
 from .qalgebra import LaurentQ
-from .states import MINUS, PLUS, WORK_LIMIT, check_work, enumerate_states
 from .statesum import (
+    MINUS,
+    PLUS,
+    WORK_LIMIT,
     ModelMismatchError,
+    check_work,
     colored_jones_framed,
     framed_and_count,
     state_count,
@@ -32,6 +34,10 @@ def weaving_word(m: int) -> BraidWord:
     """The 3-strand weaving braid: m repetitions of (sigma_1^-1 sigma_2)."""
     if m < 1:
         raise ValueError("weaving repetition count must be >= 1")
+    if 2 * m > WORK_LIMIT:
+        raise OverflowError(
+            f"weaving braid of {2 * m} letters exceeds the work limit {WORK_LIMIT}"
+        )
     return BraidWord(3, (-1, 2) * m)
 
 
@@ -153,6 +159,8 @@ def run(args: argparse.Namespace) -> int:
                 f"{b.strands} strands exceed the work limit {WORK_LIMIT}"
             )
         if args.dump_diagram or args.graph_out or args.states == "dump":
+            from .diagram import build
+
             d = build(b)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -174,6 +182,8 @@ def run(args: argparse.Namespace) -> int:
         print(state_count(b, n, convention))
         return 0
     if args.states == "dump":
+        from .states import enumerate_states
+
         states = enumerate_states(d, n, convention)
         for p, colors in sorted(states, key=lambda sc: (sc[0].bases, sc[0].jumps)):
             print(f"beta={list(p.bases)} j={list(p.jumps)} i={list(colors.i)}")

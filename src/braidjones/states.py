@@ -19,33 +19,9 @@ from itertools import product
 from typing import Iterator
 
 from .diagram import Diagram, UNDER
-
-PLUS = 1
-MINUS = -1
-
-# Largest (n+1)**(strands+1) -- first-layer start vectors times vertex-table
-# entries -- that a sweep, state sum or state enumeration accepts; bigger
-# requests are refused before anything is allocated.  Two strands fit up to
-# n = 26, three up to n = 10, four up to n = 6, and thirteen at n = 1.  A
-# diagram dump, whose size grows with the strand count alone, accepts at
-# most this many strands, and a state dump, which lists every state before
-# printing, this many states.
-WORK_LIMIT = 20_000
-
-
-def check_work(strands: int, n: int) -> None:
-    """Raise ValueError when the color n is below 1 or a request at color n
-    on this many strands exceeds WORK_LIMIT."""
-    if n < 1:
-        raise ValueError("color n must be >= 1")
-    work = 1
-    for _ in range(strands + 1):
-        work *= n + 1
-        if work > WORK_LIMIT:
-            raise ValueError(
-                f"color n={n} on {strands} strands is too large: "
-                f"(n+1)**(strands+1) exceeds the work limit {WORK_LIMIT}"
-            )
+# The sign conventions and the work limit live on the value path; they are
+# re-exported here for the enumeration's callers.
+from .statesum import MINUS, PLUS, WORK_LIMIT, check_work  # noqa: F401
 
 
 @dataclass(frozen=True)

@@ -121,10 +121,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate, product, zip_longest
-from typing import Callable, Iterable, Literal
+from typing import TYPE_CHECKING, Callable, Iterable, Literal
 
 from .braid import BraidWord
-from .diagram import Diagram
 from .qalgebra import (
     ONE,
     ZERO,
@@ -136,9 +135,40 @@ from .qalgebra import (
     qbinom_signed,
     unpack,
 )
-from .states import MINUS, PLUS, Potential, StateColors, check_work, enumerate_states
+
+if TYPE_CHECKING:
+    from .diagram import Diagram
+    from .states import Potential, StateColors
 
 Model = Literal["rmatrix", "gl", "both"]
+
+PLUS = 1
+MINUS = -1
+
+# Largest (n+1)**(strands+1) -- first-layer start vectors times vertex-table
+# entries -- that a sweep, state sum or state enumeration accepts; bigger
+# requests are refused before anything is allocated.  Two strands fit up to
+# n = 26, three up to n = 10, four up to n = 6, and thirteen at n = 1.  A
+# diagram dump, whose size grows with the strand count alone, accepts at
+# most this many strands, a state dump, which lists every state before
+# printing, this many states, and a weaving braid, whose word is built
+# before any other check, this many letters.
+WORK_LIMIT = 20_000
+
+
+def check_work(strands: int, n: int) -> None:
+    """Raise ValueError when the color n is below 1 or a request at color n
+    on this many strands exceeds WORK_LIMIT."""
+    if n < 1:
+        raise ValueError("color n must be >= 1")
+    work = 1
+    for _ in range(strands + 1):
+        work *= n + 1
+        if work > WORK_LIMIT:
+            raise ValueError(
+                f"color n={n} on {strands} strands is too large: "
+                f"(n+1)**(strands+1) exceeds the work limit {WORK_LIMIT}"
+            )
 
 
 class ModelMismatchError(AssertionError):
@@ -211,6 +241,8 @@ def state_sum(d: Diagram, n: int, convention: int) -> LaurentQ:
     """The model's state sum by enumerating and weighing every
     contributing state, with no global factor: the reference for the
     sweep."""
+    from .states import enumerate_states
+
     weigh = rmatrix_contribution if convention == MINUS else gl_contribution
     total = LaurentQ.zero()
     for p, colors in enumerate_states(d, n, convention):

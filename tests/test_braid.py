@@ -1,5 +1,7 @@
 """Braid word parsing, permutations, and skein plumbing."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -105,3 +107,26 @@ def test_reflect():
         assert r.reflect() == b
         assert r.writhe == -b.writhe
         assert r.permutation() == b.permutation()
+
+
+def test_braidword_value_semantics():
+    b = BraidWord(2, (1, 1))
+    assert b == BraidWord(strands=2, letters=(1, 1)) == parse("1 1")
+    assert hash(b) == hash(parse("1 1"))
+    assert len({b, parse("1 1"), parse("1 1", strands=3)}) == 2
+    assert b != BraidWord(2, (1, -1)) and b != (2, (1, 1))
+    assert repr(b) == "BraidWord(strands=2, letters=(1, 1))"
+    for name in ("strands", "letters", "other"):
+        with pytest.raises(AttributeError):
+            setattr(b, name, 3)
+    with pytest.raises(AttributeError):
+        del b.letters
+    assert copy.copy(b) == b and pickle.loads(pickle.dumps(b)) == b
+    for strands, letters, message in [
+        (0, (), "a braid needs at least one strand"),
+        (2, (1, 0), "0 is not a braid letter"),
+        (2, (1, -2), "letter -2 needs at least 3 strands, have 2"),
+    ]:
+        with pytest.raises(ValueError) as caught:
+            BraidWord(strands, letters)
+        assert str(caught.value) == message

@@ -13,12 +13,12 @@ import pytest
 import braidjones
 from braidjones import BraidWord, colored_jones_framed, parse
 
-from braidjones import cli, statesum
+from braidjones import cli, diagram, states, statesum
 from braidjones.cli import PRESETS, main, weaving_word
 from braidjones.qalgebra import LaurentQ
 from braidjones.diagram import build
 from braidjones.states import MINUS, PLUS, enumerate_states
-from braidjones.statesum import ModelMismatchError
+from braidjones.statesum import WORK_LIMIT, ModelMismatchError
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -214,9 +214,10 @@ def _forbid_diagrams(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the value path must not build or enumerate")
 
-    for module in (statesum, cli):
-        for name in ("build", "enumerate_states"):
-            monkeypatch.setattr(module, name, forbidden, raising=False)
+    # The CLI and the reference state sum import these where they use them,
+    # so patching their home modules reaches every caller.
+    monkeypatch.setattr(diagram, "build", forbidden)
+    monkeypatch.setattr(states, "enumerate_states", forbidden)
 
 
 # The first entry jump 1 reaches: (a, b) = (1, 0) leaves (1, 0).
@@ -312,6 +313,9 @@ def test_weaving_word():
     assert weaving_word(2).letters == (-1, 2, -1, 2)
     with pytest.raises(ValueError):
         weaving_word(0)
+    assert len(weaving_word(WORK_LIMIT // 2).letters) == WORK_LIMIT
+    with pytest.raises(OverflowError, match="exceeds the work limit"):
+        weaving_word(WORK_LIMIT // 2 + 1)
 
 
 def test_presets_all_resolve(capsys):
@@ -419,6 +423,8 @@ def test_oversized_color_refused(capsys, tmp_path):
         ("--braid", "99999999999999999999", "--dump-diagram"),
         ("--braid", "99999999999999999999", "--dump-diagram", "--graph-out", graph),
         ("--weaving", "99999999999999999999"),
+        # a word of more than WORK_LIMIT letters: refused before it is built
+        ("--weaving", str(WORK_LIMIT // 2 + 1)),
         # more strands than WORK_LIMIT: refused before the diagram is built
         ("--braid", "20001", "--dump-diagram"),
         ("--braid", "20001", "--dump-diagram", "--graph-out", graph),
@@ -451,20 +457,47 @@ def test_python_dash_m():
     assert done.stdout == f"{colored_jones_framed(parse('1 1 1'), 1)}\n"
 
 
-def test_cli_import_leaves_verify_unloaded():
-    # Value, count and dump requests never compile the verification suites;
-    # only --verify imports them.
+def _fresh_python(probe: str) -> subprocess.CompletedProcess:
+    """Run probe with python -c in a new interpreter that imports this checkout."""
     src = str(Path(braidjones.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    probe = "import sys, braidjones.cli; print('braidjones.verify' in sys.modules)"
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True,
         text=True,
-        env=env,
+        env=dict(os.environ, PYTHONPATH=src),
         timeout=60,
     )
+
+
+def test_cli_import_leaves_verify_unloaded():
+    # Value, count and dump requests never compile the verification suites;
+    # only --verify imports them.
+    probe = "import sys, braidjones.cli; print('braidjones.verify' in sys.modules)"
+    done = _fresh_python(probe)
     assert (done.returncode, done.stdout) == (0, "False\n")
+
+
+def test_value_path_import_footprint():
+    # A value request loads the braid, the Laurent ring, the sweep and the
+    # CLI only; the diagram, the enumeration, the oracle, the verification
+    # suites and dataclasses load on first use.
+    probe = "\n".join(
+        [
+            "import contextlib, io, sys, braidjones, braidjones.cli",
+            "argv = ['--preset', 'sample-knot', '--n', '2', '--json']",
+            "out = io.StringIO()",
+            "with contextlib.redirect_stdout(out): code = braidjones.cli.main(argv)",
+            "value = braidjones.colored_jones_framed(braidjones.parse('1 1 1'), 2)",
+            "deferred = ['braidjones.diagram', 'braidjones.states', "
+            "'braidjones.oracle', 'braidjones.verify', 'dataclasses']",
+            "print(code, len(out.getvalue()) > 0, [m for m in deferred if m in sys.modules])",
+            "braidjones.build",
+            "print('braidjones.diagram' in sys.modules)",
+        ]
+    )
+    done = _fresh_python(probe)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "0 True []\nTrue\n"
 
 
 def test_closed_stdout_exits_without_traceback():
