@@ -48,6 +48,13 @@ decoded and K sized afresh every REPACK_LETTERS letters so that K does
 not grow with the word.  Requests whose first layer and vertex table
 would exceed WORK_LIMIT are refused before anything is built.
 
+Set-up that depends on the color, the table and K alone is cached per
+process and shared by every sweep: rows packed at K (_packed_row, keyed
+on table, n, sign, entering colors and K; 4096 at most), first layers
+(_seed, keyed on strands, n, anchor and the checks due before any letter;
+128 at most) and jump limits (_jump_limits, per n and sign).  K is still
+the exact proved bound, not rounded to share rows.
+
 Most partial states can never close up, and the sweep drops them as
 soon as that is certain.  It carries a color vector c by its prefix
 sums P_j = c_0 + ... + c_j.  A crossing on generator g keeps
@@ -333,6 +340,67 @@ def _closing_checks(
 # number of partial states summed into it.
 Entry = tuple[int, int, int]
 Key = tuple[tuple[int, ...], tuple[int, ...], int]
+Limits = dict[int, tuple[tuple[int, ...], ...]]
+
+
+# _max_jump(n, sign, a, b) as limits[a][b], for the closing test.  Read after
+# check_work, which bounds n, so the cache stays small.
+@lru_cache(maxsize=None)
+def _jump_limits(n: int, sign: int) -> tuple[tuple[int, ...], ...]:
+    colors = range(n + 1)
+    return tuple(tuple([_max_jump(n, sign, a, b) for b in colors]) for a in colors)
+
+
+# Whether the last letter of each (g, sign) in checks can bring the prefix
+# sum cur[g-1] back to start[g-1]: whether the jump that needs,
+# sign*(start[g-1] - x - b) with x = cur[g-2] (0 for g = 1) and b the right
+# entering color, is allowed.  limits[sign] is _jump_limits(n, sign).
+def _can_close(
+    limits: Limits,
+    start: tuple[int, ...],
+    cur: tuple[int, ...],
+    checks: Iterable[tuple[int, int]],
+) -> bool:
+    for g, sign in checks:
+        x = cur[g - 2] if g > 1 else 0
+        y, z = cur[g - 1], cur[g]
+        b = z - y
+        if not 0 <= sign * (start[g - 1] - x - b) <= limits[sign][y - x][b]:
+            return False
+    return True
+
+
+# The two caches below are bounded: perfbench's corpus reads about 1,600
+# distinct packed rows and 84 distinct first layers in one process.
+#
+# The steps of a crossing entered by (a, b): for each jump r the left color
+# b + sign*r it leaves and its weight Kronecker-packed at K = k.
+@lru_cache(maxsize=4096)
+def _packed_row(
+    table: Table, n: int, sign: int, a: int, b: int, k: int
+) -> tuple[tuple[int, int, int], ...]:
+    return tuple(
+        (b + sign * r,) + pack(w, k) for r, w in enumerate(table(n, sign, a, b))
+    )
+
+
+# A sweep's first layer: every start vector, by its prefix sums with position
+# 0 at anchor, that passes the closing checks due before any letter, seeded
+# with its closure weight t**(sum((2c - n)/2)) over the non-anchor colors c
+# as one monomial (N = 1 at any K) and a count of 1.  Shared by every sweep
+# with these arguments, so it must not be mutated.
+@lru_cache(maxsize=128)
+def _seed(
+    strands: int, n: int, anchor: int, checks: tuple[tuple[int, int], ...]
+) -> dict[Key, Entry]:
+    limits = {sign: _jump_limits(n, sign) for _, sign in checks}
+    layer: dict[Key, Entry] = {}
+    for rest in product(range(n + 1), repeat=strands - 1):
+        start = (*accumulate((anchor,) + rest),)
+        if _can_close(limits, start, start, checks):
+            quarter = sum(2 * (2 * c - n) for c in rest)
+            layer[start, start, quarter & 3] = (quarter, 1, 1)
+    return layer
 
 
 def _sweep(
@@ -372,30 +440,18 @@ def _sweep(
     0.._max_jump, and the last letter takes that jump alone.  Neither
     test drops an entry that can close, and every entry left closes.
 
+    The first layer (_seed) and packed rows (_packed_row, behind a dict per
+    chunk) are cached per process, keyed as the module docstring says; the
+    sweep only reads them.
+
     Returns the summed weight of the closed states and their number.
     """
     s = word.strands
     check_work(s, n)
     letters = word.letters
     last, early = _closing_checks(letters)
-
-    def can_close(
-        start: tuple[int, ...], cur: tuple[int, ...], checks: list[tuple[int, int]]
-    ) -> bool:
-        for g, sign in checks:
-            x = cur[g - 2] if g > 1 else 0
-            y, z = cur[g - 1], cur[g]
-            b = z - y
-            if not 0 <= sign * (start[g - 1] - x - b) <= _max_jump(n, sign, y - x, b):
-                return False
-        return True
-
-    layer: dict[Key, Entry] = {}
-    for rest in product(range(n + 1), repeat=s - 1):
-        start = (*accumulate((anchor,) + rest),)
-        if can_close(start, start, early[0]):
-            quarter = sum(2 * (2 * c - n) for c in rest)
-            layer[start, start, quarter & 3] = (quarter, 1, 1)
+    limits = {sign: _jump_limits(n, sign) for checks in early for _, sign in checks}
+    layer = _seed(s, n, anchor, tuple(early[0]))
     bound = len(layer)
     k = bound.bit_length() + 1
     for at in range(0, len(letters), REPACK_LETTERS):
@@ -426,16 +482,13 @@ def _sweep(
                 a, b = y - x, z - y
                 steps = weights.get((sign, a, b))
                 if steps is None:
-                    steps = weights[sign, a, b] = tuple(
-                        (b + sign * r,) + pack(w, k)
-                        for r, w in enumerate(table(n, sign, a, b))
-                    )
+                    steps = weights[sign, a, b] = _packed_row(table, n, sign, a, b, k)
                 if closing:
                     steps = (steps[sign * (start[g - 1] - x - b)],)
                 head, tail = cur[: g - 1], cur[g:]
                 for left, wlo, w in steps:
                     new = head + (x + left,) + tail
-                    if ahead and not can_close(start, new, ahead):
+                    if ahead and not _can_close(limits, start, new, ahead):
                         continue
                     qlo = lo + wlo
                     key = (start, new, qlo & 3)

@@ -9,6 +9,7 @@ import pytest
 from braidjones import statesum
 from braidjones.braid import BraidWord, parse
 from braidjones.diagram import build
+from braidjones.oracle import rosso_jones, torus_braid
 from braidjones.qalgebra import ONE, LaurentQ, qbinom, qint
 from braidjones.states import MINUS, PLUS, enumerate_states, flow_bijection
 from braidjones.statesum import (
@@ -17,12 +18,15 @@ from braidjones.statesum import (
     _closing_checks,
     _gl_step,
     _max_jump,
+    _packed_row,
     _rmatrix_step,
+    _seed,
     _sweep,
     _unit_step,
     certify_correspondence,
     colored_jones_framed,
     colored_jones_unframed,
+    framed_and_count,
     gl_contribution,
     parity_halfinteger_check,
     rmatrix_contribution,
@@ -460,6 +464,43 @@ def test_first_chunk_boundary(extra, monkeypatch):
         closure, count = _sweep(b, 1, _unit_step, 0)
         tripled = (3 ** len(b.letters) * closure, count)
         assert _sweep(b, 1, _tripled, 0) == tripled
+
+
+def test_packed_rows_keyed_on_k_and_table():
+    # The packed rows are cached per process.  sigma_1^2 and sigma_1^41
+    # read the same rows, at K sized from 2 letters and from a chunk of 32:
+    # each sweep must see its rows packed at its own K.  They are read
+    # through two tables, R-matrix first, then one whose weights differ;
+    # sigma_1^2 sizes the same K under both (3 * 7**2 and 3 * 9**2 have 8
+    # bits), so each table must see its own weights.
+    _packed_row.cache_clear()
+    length = REPACK_LETTERS + 9
+    short, long_ = BraidWord(2, (1, 1)), torus_braid(2, length)
+    assert _sweep(short, 2, _rmatrix_step, 0)[0] == state_sum(build(short), 2, MINUS)
+    assert _sweep(long_, 2, _rmatrix_step, 0)[0] == rosso_jones(2, length, 2)
+    for b in (short, long_):
+        closure, count = _sweep(b, 2, _unit_step, 0)
+        assert _sweep(b, 2, _tripled, 0) == (3 ** len(b.letters) * closure, count)
+
+
+def test_sweeps_do_not_depend_on_call_order():
+    # Packed rows and first layers are shared by every sweep in a process.
+    # Results computed in an interleaved order, under all three models (so
+    # at anchors 0 and n), must equal those computed from empty caches.  A word with no letters returns its first layer itself,
+    # closed, so reading it twice catches a sweep that mutates a shared one.
+    rng = random.Random(29)
+    cases = [(rand_braid(rng, max_len=8), rng.randint(1, 3)) for _ in range(40)]
+    cases += [(BraidWord(s, ()), n) for s in (2, 3, 4) for n in (1, 2, 3)] * 2
+    rng.shuffle(cases)
+    models = ("rmatrix", "gl", "both")
+    interleaved = [framed_and_count(b, n, m) for b, n in cases for m in models]
+    fresh = []
+    for b, n in cases:
+        for model in models:
+            _packed_row.cache_clear()
+            _seed.cache_clear()
+            fresh.append(framed_and_count(b, n, model))
+    assert interleaved == fresh
 
 
 def test_sweep_value_does_not_depend_on_anchor():
