@@ -132,6 +132,9 @@ def parse(text: str, strands: int | None = None) -> BraidWord:
     letters: list[int] = []
     for tok in tokens:
         try:
+            # int() alone also takes "1_0" and the digits of other scripts
+            if "_" in tok or not tok.isascii():
+                raise ValueError
             k = int(tok)
         except ValueError:
             raise ValueError(f"bad braid letter {tok!r}") from None
@@ -145,7 +148,7 @@ def parse(text: str, strands: int | None = None) -> BraidWord:
     return BraidWord(strands, tuple(letters))
 
 
-# Named links for the command line and the oracle suite: word and strand count.
+# Named links for the command line and the tests: word and strand count.
 PRESETS: dict[str, tuple[str, int]] = {
     "unknot": ("", 1),
     "unknot-kink-plus": ("1", 2),

@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Computes framed or unframed colored Jones polynomials of braid
-closures, counts or dumps contributing states, dumps diagram tables,
-and runs the built-in verification suites.  Exit status: 0 on success,
-1 when a verification or cross-model check fails or when the reader of
-standard output closes it early (no traceback), 2 on usage errors.
+closures, counts or dumps contributing states, and dumps diagram tables.
+Exit status: 0 on success, 1 when the cross-model check fails or when the
+reader of standard output closes it early (no traceback), 2 on usage
+errors.
 """
 
 from __future__ import annotations
@@ -79,9 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--weaving", type=int, metavar="M", help="3-strand weaving braid, M repeats"
     )
     ap.add_argument("--strands", type=int, help="strand count override")
-    # --n, --model and --seed default to None so that run can tell an
-    # option given to a mode that ignores it (or --seed without --verify)
-    # from one left out.
+    # --n and --model default to None so that run can tell an option given
+    # to a mode that ignores it from one left out.
     ap.add_argument("--n", type=int, help="color (default 1)")
     ap.add_argument(
         "--model",
@@ -100,22 +99,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--dump-diagram", action="store_true", help="print the crossing table"
     )
     ap.add_argument("--graph-out", metavar="FILE", help="write transition graph")
-    ap.add_argument(
-        "--verify",
-        choices=["all", "identity", "props", "skein", "oracle"],
-        help="run a verification suite",
-    )
     ap.add_argument("--json", action="store_true", help="JSON output")
-    ap.add_argument("--seed", type=int, help="verification seed (default 2024)")
     return ap
 
 
 def _refusal(args: argparse.Namespace) -> str | None:
     """The usage error for options that the requested mode would ignore,
     which are refused rather than dropped silently; None if there are none."""
-    if args.verify is not None:
-        mode, ignored = "--verify", set(vars(args)) - {"verify", "seed"}
-    elif args.dump_diagram:
+    if args.dump_diagram:
         mode = "--dump-diagram"
         ignored = {"json", "framed", "unframed", "n", "model", "states"}
     elif args.states is not None:
@@ -138,16 +129,10 @@ def run(args: argparse.Namespace) -> int:
     if refusal is not None:
         print(f"error: {refusal}", file=sys.stderr)
         return 2
-    if args.verify is not None:
-        from .verify import run_verify
-
-        return run_verify(args.verify, 2024 if args.seed is None else args.seed)
     n = 1 if args.n is None else args.n
     model = "both" if args.model is None else args.model
     convention = MINUS if model == "rmatrix" else PLUS
     try:
-        if args.seed is not None:
-            raise ValueError("--seed applies only to --verify")
         b = _resolve_braid(args)
         if not args.dump_diagram:
             check_work(b.strands, n)

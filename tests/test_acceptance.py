@@ -11,10 +11,25 @@ from collections import Counter
 
 from braidjones.braid import BraidWord, parse
 from braidjones.cli import PRESETS
-from braidjones.verify import _suite_identity, _suite_oracle, _suite_props, _suite_skein
 from braidjones.diagram import build
-from braidjones.qalgebra import ONE, LaurentQ
-from braidjones.states import MINUS, PLUS, enumerate_states
+from braidjones.oracle import (
+    kauffman_jones,
+    verify_matrix_lemma,
+    verify_pochhammer_identity,
+    verify_prop_61,
+    verify_prop_62,
+)
+from braidjones.qalgebra import (
+    ONE,
+    LaurentQ,
+    pochhammer,
+    pochhammer_signed,
+    qbinom,
+    qbinom_signed,
+    qbrace,
+    qint,
+)
+from braidjones.states import MINUS, PLUS, Potential, enumerate_states
 from braidjones.statesum import (
     colored_jones_framed,
     colored_jones_unframed,
@@ -103,27 +118,70 @@ def test_criterion_4_jump_map_closed_forms():
 
 
 def test_criterion_5_identity_suites():
+    # the t <-> t^-1 conversions of the q-symbols, binomial symmetry and
+    # the quantum integers
+    for a in range(-6, 7):
+        for b in range(7):
+            for eps in (1, -1):
+                sign = (-1) ** b if eps == 1 else 1
+                to_t = LaurentQ.monomial(sign, -eps * (2 * a * b - b * (b - 1)))
+                assert pochhammer(a, b) == to_t * pochhammer_signed(a, b, eps)
+                to_t = LaurentQ.t_quarter(2 * eps * b * (b - a))
+                assert qbinom(a, b) == to_t * qbinom_signed(a, b, eps)
+    for c in range(7):
+        for d in range(7):
+            assert qbinom(c + d, c) == qbinom(c + d, d)
+            for eps in (1, -1):
+                assert qbinom_signed(c + d, c, eps) == qbinom_signed(c + d, d, eps)
+    assert all(qint(a) * qbrace(1) == qbrace(a) for a in range(-8, 9))
+    assert all(verify_pochhammer_identity(n) for n in range(11))
+    # the matrix lemma on sums of random skew triangles
     rng = random.Random(2024)
-    results = _suite_identity(rng) + _suite_props(rng)
-    assert all(ok for _, ok in results)
-    names = [name for name, _ in results]
-    assert "pochhammer-sum" in names and "matrix-lemma" in names
-    print(f"PASS criterion 5: identity suites ({', '.join(names)})")
+    for _ in range(200):
+        mu = rng.randint(3, 6)
+        m = [[0] * mu for _ in range(mu)]
+        for _ in range(rng.randint(1, 5)):
+            i, j, k = rng.sample(range(mu), 3)
+            w = rng.randint(-3, 3)
+            for x, y in ((i, j), (j, k), (k, i)):
+                m[x][y] += w
+                m[y][x] -= w
+        assert verify_matrix_lemma(m)
+    # the color identities on integer potentials: free jumps and bases in
+    # [-5, 5], the remaining jumps solved from the cycle relations
+    for b in CORPUS:
+        d = build(b)
+        for _ in range(4):
+            free = (rng.randint(-5, 5) for _ in range(d.crossing_count))
+            bases = [0] + [rng.randint(-5, 5) for _ in range(d.component_count - 1)]
+            p = Potential(d.solve_jumps(free), tuple(bases), PLUS)
+            assert verify_prop_61(d, p) and verify_prop_62(d, p)
+    print("PASS criterion 5: q-identities, matrix lemma, color identities")
 
 
 def test_criterion_6_skein_relations():
+    # at n = 1, t^(-1/4) J(L+) - t^(1/4) J(L-) = (t^(-1/2) - t^(1/2)) J(L0)
+    # framed, and the same with t^(-1) and t unframed
     rng = random.Random(2024)
-    results = _suite_skein(rng)
-    assert all(ok for _, ok in results)
-    print("PASS criterion 6: framed and unframed skein relations on 20 triples")
+    rhs = LaurentQ.t_quarter(-2) - LaurentQ.t_quarter(2)
+    braids = [b for b in CORPUS if b.strands <= 3 and b.letters]
+    assert len(braids) >= 20
+    for b in braids:
+        plus, minus, zero = b.skein_triple(rng.randrange(len(b.letters)))
+        fp, fm, fz = (colored_jones_framed(x, 1) for x in (plus, minus, zero))
+        assert LaurentQ.t_quarter(-1) * fp - LaurentQ.t_quarter(1) * fm == rhs * fz
+        up, um, uz = (colored_jones_unframed(x, 1) for x in (plus, minus, zero))
+        assert LaurentQ.t_quarter(-4) * up - LaurentQ.t_quarter(4) * um == rhs * uz
+    print(f"PASS criterion 6: framed and unframed skein on {len(braids)} triples")
 
 
 def test_criterion_7_jones_oracle():
-    rng = random.Random(2024)
-    results = _suite_oracle(rng)
-    assert len(results) == 9
-    assert all(ok for _, ok in results)
-    print("PASS criterion 7: bracket oracle matches n=1 on all nine named links")
+    for name, (text, strands) in PRESETS.items():
+        b = parse(text, strands)
+        sign = 1 if b.component_count() % 2 else -1
+        oracle = kauffman_jones(b).substitute_inverse() * sign
+        assert colored_jones_unframed(b, 1) == oracle, name
+    print(f"PASS criterion 7: bracket oracle matches n=1 on {len(PRESETS)} named links")
 
 
 def test_criterion_8_framing_reflection():

@@ -30,6 +30,10 @@ def test_parse_errors():
         parse("0 1")
     with pytest.raises(ValueError):
         parse("1 x")
+    # an optional sign and ASCII digits only, though int() takes more
+    for text in ("1_0", "\u0661", "\uff11", "1 --2", "+"):
+        with pytest.raises(ValueError, match="bad braid letter"):
+            parse(text)
     with pytest.raises(ValueError):
         parse("3", strands=3)
     with pytest.raises(ValueError):

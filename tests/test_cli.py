@@ -112,44 +112,18 @@ def test_graph_out_missing_directory(capsys, tmp_path):
     assert err.startswith("error:")
 
 
-def test_verify_suite(capsys):
-    code, out, _ = run_cli(capsys, "--verify", "identity", "--seed", "7")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines and all(line.startswith("PASS ") for line in lines)
-    assert "PASS pochhammer-sum" in lines
-
-
 def test_usage_errors(capsys, tmp_path):
     graph = str(tmp_path / "graph.txt")
     cases = [
         ("--preset", "not-a-link"),
         ("--braid", "1 x"),
+        ("--braid", "1_0"),
         ("--braid", "0"),
         ("--braid", "1", "--n", "0"),
         (),
         ("--braid", ""),
         ("--preset", "trefoil", "--strands", "5", "--n", "1"),
         ("--weaving", "2", "--strands", "4"),
-        ("--verify", "identity", "--preset", "trefoil"),
-        ("--verify", "identity", "--braid", "1 1 1"),
-        ("--verify", "identity", "--weaving", "2"),
-        # --verify would ignore every other option, so each one is refused
-        *(
-            ("--verify", "identity", *option)
-            for option in (
-                ("--n", "5"),
-                ("--strands", "3"),
-                ("--model", "gl"),
-                ("--framed",),
-                ("--unframed",),
-                ("--states", "count"),
-                ("--dump-diagram",),
-                ("--graph-out", graph),
-                ("--json",),
-            )
-        ),
-        ("--seed", "3", "--preset", "trefoil"),
         # --states and --dump-diagram would ignore the value options, and
         # --json, which carries both values, the framing options
         *(
@@ -174,12 +148,16 @@ def test_usage_errors(capsys, tmp_path):
 
 
 def test_conflicting_flags():
-    with pytest.raises(SystemExit) as exc:
-        main(["--braid", "1", "--preset", "trefoil"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["--braid", "1", "--framed", "--unframed"])
-    assert exc.value.code == 2
+    for argv in (
+        ["--braid", "1", "--preset", "trefoil"],
+        ["--braid", "1", "--framed", "--unframed"],
+        # options the command line no longer has
+        ["--verify", "all"],
+        ["--seed", "3", "--preset", "trefoil"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_model_mismatch_exit_code(capsys):
@@ -469,18 +447,10 @@ def _fresh_python(probe: str) -> subprocess.CompletedProcess:
     )
 
 
-def test_cli_import_leaves_verify_unloaded():
-    # Value, count and dump requests never compile the verification suites;
-    # only --verify imports them.
-    probe = "import sys, braidjones.cli; print('braidjones.verify' in sys.modules)"
-    done = _fresh_python(probe)
-    assert (done.returncode, done.stdout) == (0, "False\n")
-
-
 def test_value_path_import_footprint():
     # A value request loads the braid, the Laurent ring, the sweep and the
-    # CLI only; the diagram, the enumeration, the oracle, the verification
-    # suites and dataclasses load on first use.
+    # CLI only; the diagram, the enumeration, the oracle and dataclasses
+    # load on first use.
     probe = "\n".join(
         [
             "import contextlib, io, sys, braidjones, braidjones.cli",
@@ -489,7 +459,7 @@ def test_value_path_import_footprint():
             "with contextlib.redirect_stdout(out): code = braidjones.cli.main(argv)",
             "value = braidjones.colored_jones_framed(braidjones.parse('1 1 1'), 2)",
             "deferred = ['braidjones.diagram', 'braidjones.states', "
-            "'braidjones.oracle', 'braidjones.verify', 'dataclasses']",
+            "'braidjones.oracle', 'dataclasses']",
             "print(code, len(out.getvalue()) > 0, [m for m in deferred if m in sys.modules])",
             "braidjones.build",
             "print('braidjones.diagram' in sys.modules)",

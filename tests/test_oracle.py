@@ -90,6 +90,10 @@ def test_rosso_jones_matches_sweep():
     for p, q, n in ((2, 7, 10), (3, 4, 8), (3, -5, 6), (4, 5, 4)):
         sweep = colored_jones_framed(torus_braid(p, q), n, "rmatrix")
         assert rosso_jones(p, q, n) == sweep, (p, q, n)
+    # the default model: one sweep behind the cross-model certificate
+    for p, q, n in ((2, 3, 5), (2, -5, 3), (2, 7, 4), (3, 4, 3), (3, -5, 2), (4, 5, 2)):
+        sweep = colored_jones_framed(torus_braid(p, q), n, "both")
+        assert rosso_jones(p, q, n) == sweep, (p, q, n)
     assert rosso_jones(1, 5, 3) == ONE  # T(1, q) is the unknot
     assert torus_braid(3, -2).letters == (-2, -1, -2, -1)
     for args in ((2, 4, 1), (0, 1, 1), (2, 3, 0)):
@@ -147,6 +151,16 @@ def test_prop_identities_random():
             assert verify_prop_61(d, p)
             assert verify_prop_62(d, p)
             checked += 1
+    # integer potentials off the n = 2 box: free jumps and bases in [-5, 5],
+    # the remaining jumps solved from the cycle relations
+    for _ in range(40):
+        d = build(rand_braid(rng))
+        for _ in range(5):
+            free = (rng.randint(-5, 5) for _ in range(d.crossing_count))
+            bases = [0] + [rng.randint(-5, 5) for _ in range(d.component_count - 1)]
+            p = Potential(d.solve_jumps(free), tuple(bases), PLUS)
+            assert verify_prop_61(d, p)
+            assert verify_prop_62(d, p)
 
 
 def test_out_colors_convention():
