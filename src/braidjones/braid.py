@@ -24,7 +24,10 @@ class BraidWord:
     strands: int
     letters: tuple[int, ...]
 
-    def __init__(self, strands: int, letters: tuple[int, ...]) -> None:
+    # letters, any iterable of ints (unannotated: Iterable needs an import),
+    # is stored as a tuple, so a list or a generator makes the parsed word.
+    def __init__(self, strands: int, letters) -> None:
+        letters = tuple(letters)
         if strands < 1:
             raise ValueError("a braid needs at least one strand")
         for k in letters:

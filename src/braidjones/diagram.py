@@ -23,7 +23,7 @@ under), plus the arc entering each step.  From the traversals come:
             that never passes under.
 
 tau_preimage_order[v] lists tau^{-1}(v) in the order the overpasses sit
-along the arc ending at v, which is the order the jump recursion needs.
+along the arc ending at v: the jumps-into column of --dump-diagram.
 """
 
 from __future__ import annotations

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator
 
 from .diagram import Diagram, UNDER
 # The sign conventions and the work limit live on the value path; they are
@@ -89,27 +88,6 @@ def derive_colors(d: Diagram, p: Potential) -> StateColors:
     return StateColors(arc_colors, i, tilde, closure)
 
 
-def _checkpoints(d: Diagram) -> dict[int, list[tuple[int, int, int, int]]]:
-    """Group arc-color checks by the DFS level that completes them.
-
-    Component l's base is set at level l (the anchor at level 0) and
-    crossing c's jump at level component_count + c.  A checkpoint
-    (component, arc, crossing, sign) says that the part arc has the color
-    of the arc before it on the component plus sign times the crossing's
-    jump; it fires once the base and every jump before the arc are
-    assigned, so never before the checkpoint of the arc before it.
-    """
-    mu = d.component_count
-    ready: dict[int, list[tuple[int, int, int, int]]] = {}
-    for l, steps in enumerate(d.steps):
-        level = l
-        for k in range(1, len(steps)):
-            c, role = steps[k - 1]
-            level = max(level, mu + c)
-            ready.setdefault(level, []).append((l, k, c, _step_sign(role, PLUS)))
-    return ready
-
-
 def enumerate_states(
     d: Diagram,
     n: int,
@@ -118,75 +96,63 @@ def enumerate_states(
 ) -> list[tuple[Potential, StateColors]]:
     """All n-contributing states with the first component anchored.
 
-    A depth-first search, iterative so that long words cannot exhaust the
-    interpreter's stack, assigns base colors in component order and then
-    jumps in braid order; a dependent jump (pivot of a cycle relation)
-    is computed from earlier jumps when its index comes up.  Every part
-    arc's color is checked as soon as the variables it depends on are
-    set, pruning the subtree on a color outside [0, n].
+    A depth-first search walks each component from its start arc, in
+    component order.  It chooses the component's base color (the anchor
+    for component 0), and a crossing's jump in 0..n where a walk first
+    meets it; where the other strand meets the crossing, the walk reuses
+    that jump.  Each part arc's color is checked right after the step
+    that sets it, and a walk whose last step does not bring it back to
+    its base color is dropped: that closing test is the component's
+    cycle relation.  The search keeps its own stack, so long words cannot
+    exhaust the interpreter's.
+
+    The order of the returned list is unspecified; ``--states dump``
+    sorts it.
     """
     check_work(d.strands, n)
     if convention not in (PLUS, MINUS):
         raise ValueError("convention must be +1 or -1")
     if not 0 <= anchor <= n:
         return []
-    mu = d.component_count
-    levels = [("base", l) for l in range(1, mu)]
-    levels += [("jump", c) for c in range(d.crossing_count)]
-    dependent = dict(d.eliminated_jumps())
-
-    # Convention only flips every checkpoint sign uniformly per role,
-    # so store (+)-signs and apply the flip at evaluation time.
-    flip = 1 if convention == PLUS else -1
-    ready = _checkpoints(d)
-
-    bases = [0] * mu
-    bases[0] = anchor
+    bases = [0] * d.component_count
     jumps = [0] * d.crossing_count
-    # arc_color[l][k]: color of component l's k-th part arc, valid from
-    # the level its checkpoint fires at on the current search path.
-    arc_color = [[0] * len(steps) for steps in d.steps]
+    # One level per choice: (variables, index, run), where run lists the
+    # steps (crossing, sign, component closed or None) that the walk takes
+    # from the choice up to the next one.
+    levels: list[tuple[list[int], int, list[tuple[int, int, int | None]]]] = []
+    met: set[int] = set()
+    for l, steps in enumerate(d.steps):
+        levels.append((bases, l, []))
+        for k, (c, role) in enumerate(steps):
+            if c not in met:
+                met.add(c)
+                levels.append((jumps, c, []))
+            closes = l if k == len(steps) - 1 else None
+            levels[-1][2].append((c, _step_sign(role, convention), closes))
+
     out: list[tuple[Potential, StateColors]] = []
-
-    def color_ok(level: int) -> bool:
-        for l, k, c, s in ready.get(level, ()):
-            below = arc_color[l][k - 1] if k > 1 else bases[l]
-            color = below + flip * s * jumps[c]
-            if not 0 <= color <= n:
-                return False
-            arc_color[l][k] = color
-        return True
-
-    def choices(depth: int) -> Iterator[int]:
-        kind, which = levels[depth]
-        expr = dependent.get(which) if kind == "jump" else None
-        if expr is None:
-            return iter(range(n + 1))
-        v = sum(k * jumps[c] for c, k in expr.items())
-        return iter((v,) if 0 <= v <= n else ())
-
-    if not levels:
-        p = Potential(tuple(jumps), tuple(bases), convention)
-        return [(p, derive_colors(d, p))]
-    # The stack holds the untried values of every level assigned so far.
-    stack = [choices(0)]
+    # Each frame holds a level's untried values and the color entering it.
+    stack = [(iter((anchor,)), anchor)]
     while stack:
-        depth = len(stack) - 1
-        kind, which = levels[depth]
-        target = bases if kind == "base" else jumps
-        v = next(stack[-1], None)
+        values, color = stack[-1]
+        v = next(values, None)
         if v is None:
-            target[which] = 0
             stack.pop()
             continue
+        target, which, run = levels[len(stack) - 1]
         target[which] = v
-        if not color_ok(depth + 1):
-            continue
-        if depth + 1 < len(levels):
-            stack.append(choices(depth + 1))
+        if target is bases:
+            color = v
+        for c, s, closes in run:
+            color += s * jumps[c]
+            if not (0 <= color <= n if closes is None else color == bases[closes]):
+                break
         else:
-            p = Potential(tuple(jumps), tuple(bases), convention)
-            out.append((p, derive_colors(d, p)))
+            if len(stack) < len(levels):
+                stack.append((iter(range(n + 1)), color))
+            else:
+                p = Potential(tuple(jumps), tuple(bases), convention)
+                out.append((p, derive_colors(d, p)))
     return out
 
 

@@ -294,7 +294,8 @@ def _unit_step(n: int, sign: int, a: int, b: int) -> tuple[LaurentQ, ...]:
 
 _TABLES: dict[int, Table] = {MINUS: _rmatrix_step, PLUS: _gl_step}
 
-# Letters swept between two re-packs of the layer (see _sweep).
+# Letters swept between two re-packs of the layer (see _sweep).  Never
+# re-packing made T(2,40) at n = 8 1.6-2.2x slower (CHANGES.md).
 REPACK_LETTERS = 32
 
 
@@ -329,6 +330,8 @@ def _closing_checks(
         if g not in later:
             later.add(g)
             last[i] = True
+            # Testing at the last letter only made perfbench's wide jobs 2x
+            # slower (CHANGES.md).
             m = i
             while m and abs(abs(letters[m - 1]) - g) > 1:
                 m -= 1
@@ -614,6 +617,7 @@ def colored_jones_framed(b: BraidWord, n: int, model: Model = "both") -> Laurent
     so the sweep reads certified tables only.
     """
     table = _value_table(b, n, model)
+    # A fixed anchor at n made perfbench's wide jobs 2.3x slower (CHANGES.md).
     first = next((k for k in b.letters if k in (1, -1)), 1)
     return _sweep(b, n, table, 0 if first > 0 else n)[0]
 
@@ -636,6 +640,8 @@ def framed_and_count(
     """
     convention, side = (MINUS, 1) if model == "rmatrix" else (PLUS, -1)
     ones = [k for k in b.letters if k in (1, -1)]
+    # One sweep at the count's anchor instead, with no reversal or fallback,
+    # took 1 2 -1 2 1 -2 -1 at n = 10 from 0.13 to 1.0 s (CHANGES.md).
     if ones and side not in (ones[0], ones[-1]):
         return colored_jones_framed(b, n, model), state_count(b, n, convention)
     if ones and ones[0] != side:

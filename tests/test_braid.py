@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from braidjones import colored_jones_framed
 from braidjones.braid import BraidWord, parse
 
 
@@ -126,6 +127,13 @@ def test_braidword_value_semantics():
     with pytest.raises(AttributeError):
         del b.letters
     assert copy.copy(b) == b and pickle.loads(pickle.dumps(b)) == b
+    # a list or a generator of letters makes the same word as the parsed text
+    parsed = parse("1 1 1")
+    for letters in ([1, 1, 1], (k for k in (1, 1, 1))):
+        word = BraidWord(2, letters)
+        assert word == parsed and hash(word) == hash(parsed)
+        assert word.letters == (1, 1, 1)
+        assert colored_jones_framed(word, 2) == colored_jones_framed(parsed, 2)
     for strands, letters, message in [
         (0, (), "a braid needs at least one strand"),
         (2, (1, 0), "0 is not a braid letter"),

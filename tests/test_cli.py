@@ -1,5 +1,6 @@
 """Command-line behavior: flags, output formats, and exit codes."""
 
+import hashlib
 import json
 import os
 import shlex
@@ -63,6 +64,17 @@ def test_states_dump(capsys):
     )
     keys = [line.split(" j=")[0] for line in lines]
     assert keys == sorted(keys)
+    # The Borromean rings (3 components): the printed dump is sorted, so it
+    # stays fixed whatever order the enumeration lists the states in.
+    for model, count, digest in [
+        ((), 20, "88ed6b401d286daa"),
+        (("--model", "rmatrix"), 63, "7342755c264577f3"),
+    ]:
+        code, out, _ = run_cli(
+            capsys, "--preset", "weaving-3-3", "--n", "2", "--states", "dump", *model
+        )
+        assert (code, out.count("\n")) == (0, count)
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
 def test_json_output(capsys):

@@ -589,6 +589,14 @@ def test_long_word_state_sum_matches_sweep():
     # 1,100 crossings: the enumeration must not recurse once per crossing
     b = BraidWord(2, (1, -1) * 550)
     assert state_sum(build(b), 1, PLUS) == colored_jones_framed(b, 1, "gl")
+    # 37 letters on 3 components with 50 states in each convention at n = 2
+    b = BraidWord(4, (3, 2, -3, 2) + (1, -1) * 16 + (-3,))
+    d = build(b)
+    assert d.component_count == 3
+    for convention, model in ((MINUS, "rmatrix"), (PLUS, "gl")):
+        assert state_sum(d, 2, convention) == colored_jones_framed(b, 2, model)
+        assert state_count(b, 2, convention) == 50
+        assert len(enumerate_states(d, 2, convention)) == 50
 
 
 def test_oversized_request_refused_fast():
