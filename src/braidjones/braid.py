@@ -28,9 +28,14 @@ class BraidWord:
     # is stored as a tuple, so a list or a generator makes the parsed word.
     def __init__(self, strands: int, letters) -> None:
         letters = tuple(letters)
+        # exact ints: a bool prints as 'True' and a float cannot index the sweep
+        if type(strands) is not int:
+            raise TypeError(f"strand count {strands!r} is not an int")
         if strands < 1:
             raise ValueError("a braid needs at least one strand")
         for k in letters:
+            if type(k) is not int:
+                raise TypeError(f"braid letter {k!r} is not an int")
             if k == 0:
                 raise ValueError("0 is not a braid letter")
             if abs(k) >= strands:

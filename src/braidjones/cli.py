@@ -2,9 +2,12 @@
 
 Computes framed or unframed colored Jones polynomials of braid
 closures, counts or dumps contributing states, and dumps diagram tables.
-Exit status: 0 on success, 1 when the cross-model check fails or when the
-reader of standard output closes it early (no traceback), 2 on usage
-errors.
+Exit status: 0 on success; 1 when the cross-model check fails or the reader
+of standard output closes it early (no traceback); 2 on an error. An error
+in combining options (no source or two, an unknown preset, two output modes,
+--strands without --braid, --n or --model with --dump-diagram) prints the
+usage line and raises SystemExit(2); a bad request (letter, strand count,
+colour, size, unwritable --graph-out file) prints "error: ..." and returns 2.
 """
 
 from __future__ import annotations
@@ -41,25 +44,6 @@ def weaving_word(m: int) -> BraidWord:
     return BraidWord(3, (-1, 2) * m)
 
 
-def _resolve_braid(args: argparse.Namespace) -> BraidWord:
-    picked = [x for x in (args.braid, args.preset, args.weaving) if x is not None]
-    if len(picked) != 1:
-        raise ValueError("choose exactly one of --braid, --preset, --weaving")
-    if args.strands is not None and args.braid is None:
-        raise ValueError("--strands applies only to --braid")
-    if args.preset is not None:
-        if args.preset not in PRESETS:
-            raise ValueError(
-                f"unknown preset {args.preset!r}; available: {', '.join(sorted(PRESETS))}"
-            )
-        return parse(*PRESETS[args.preset])
-    if args.weaving is not None:
-        return weaving_word(args.weaving)
-    if args.braid.strip() == "" and args.strands is None:
-        raise ValueError("empty braid word needs --strands")
-    return parse(args.braid, args.strands)
-
-
 def _poly_terms(value: LaurentQ) -> list[list[object]]:
     return [[q, str(c)] for q, c in value.terms()]
 
@@ -72,68 +56,51 @@ def build_parser() -> argparse.ArgumentParser:
         prog="braidjones",
         description="Exact colored Jones polynomials of braid closures.",
     )
-    src = ap.add_mutually_exclusive_group()
+    src = ap.add_mutually_exclusive_group(required=True)
     src.add_argument("--braid", help="braid word, e.g. '-1 2 -1 2'")
-    src.add_argument("--preset", help=f"named link: {', '.join(sorted(PRESETS))}")
+    src.add_argument(
+        "--preset",
+        choices=sorted(PRESETS),
+        metavar="NAME",
+        help="named link: %(choices)s",
+    )
     src.add_argument(
         "--weaving", type=int, metavar="M", help="3-strand weaving braid, M repeats"
     )
-    ap.add_argument("--strands", type=int, help="strand count override")
-    # --n and --model default to None so that run can tell an option given
-    # to a mode that ignores it from one left out.
+    ap.add_argument("--strands", type=int, help="strand count for --braid")
+    # --n and --model default to None so that --dump-diagram can refuse them.
     ap.add_argument("--n", type=int, help="color (default 1)")
     ap.add_argument(
         "--model",
         choices=["rmatrix", "gl", "both"],
         help="state model; 'both' cross-checks (default)",
     )
-    framing = ap.add_mutually_exclusive_group()
-    framing.add_argument(
-        "--framed", action="store_true", help="framed invariant (default)"
-    )
-    framing.add_argument(
+    # At most one output mode: --json carries both values, the others one or none.
+    out = ap.add_mutually_exclusive_group()
+    out.add_argument("--framed", action="store_true", help="framed invariant (default)")
+    out.add_argument(
         "--unframed", action="store_true", help="writhe-normalized invariant"
     )
-    ap.add_argument("--states", choices=["count", "dump"], help="inspect states")
-    ap.add_argument(
+    out.add_argument("--json", action="store_true", help="JSON output")
+    out.add_argument("--states", choices=["count", "dump"], help="inspect states")
+    out.add_argument(
         "--dump-diagram", action="store_true", help="print the crossing table"
     )
     ap.add_argument("--graph-out", metavar="FILE", help="write transition graph")
-    ap.add_argument("--json", action="store_true", help="JSON output")
     return ap
 
 
-def _refusal(args: argparse.Namespace) -> str | None:
-    """The usage error for options that the requested mode would ignore,
-    which are refused rather than dropped silently; None if there are none."""
-    if args.dump_diagram:
-        mode = "--dump-diagram"
-        ignored = {"json", "framed", "unframed", "n", "model", "states"}
-    elif args.states is not None:
-        mode, ignored = f"--states {args.states}", {"json", "framed", "unframed"}
-    elif args.json:
-        # the document carries both the framed and the unframed value
-        mode, ignored = "--json", {"framed", "unframed"}
-    else:
-        return None
-    given = [
-        f"--{name.replace('_', '-')}"
-        for name, value in vars(args).items()
-        if name in ignored and value not in (None, False)
-    ]
-    return f"{mode} takes no {' or '.join(given)}" if given else None
-
-
 def run(args: argparse.Namespace) -> int:
-    refusal = _refusal(args)
-    if refusal is not None:
-        print(f"error: {refusal}", file=sys.stderr)
-        return 2
     n = 1 if args.n is None else args.n
     model = "both" if args.model is None else args.model
     convention = MINUS if model == "rmatrix" else PLUS
     try:
-        b = _resolve_braid(args)
+        if args.preset is not None:
+            b = parse(*PRESETS[args.preset])
+        elif args.weaving is not None:
+            b = weaving_word(args.weaving)
+        else:
+            b = parse(args.braid, args.strands)
         if not args.dump_diagram:
             check_work(b.strands, n)
             count = state_count(b, n, convention) if args.states == "dump" else 0
@@ -201,8 +168,16 @@ def run(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    ap = build_parser()
     try:
-        code = run(build_parser().parse_args(argv))
+        args = ap.parse_args(argv)
+        # the two rules a mutually exclusive group cannot state
+        if args.strands is not None and args.braid is None:
+            ap.error("--strands applies only to --braid")
+        given = [f"--{k}" for k in ("n", "model") if getattr(args, k) is not None]
+        if args.dump_diagram and given:
+            ap.error(f"--dump-diagram takes no {' or '.join(given)}")
+        code = run(args)
         sys.stdout.flush()
     except BrokenPipeError:
         # Point stdout at devnull so the flush at exit cannot raise again.

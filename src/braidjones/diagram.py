@@ -273,7 +273,7 @@ def build(b: BraidWord) -> Diagram:
             steps = steps[at + 1 :] + steps[: at + 1]
             arcs = arcs[at + 1 :] + arcs[: at + 1]
             base_vertices.append(base)
-            start_arcs.append(arcs[0] if arcs else min(cyc))
+            start_arcs.append(arcs[0])
         else:
             base_vertices.append(min(unders) if unders else None)
             start_arcs.append(min(cyc))

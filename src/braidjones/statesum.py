@@ -665,13 +665,12 @@ def parity_halfinteger_check(b: BraidWord, n: int) -> str:
 
     Exponents are all integral when n is even or the closure has an odd
     number of components, and all half-integral otherwise; a mix of the
-    two classes signals a bug.
+    two classes signals a bug.  The value is never 0: at t = 1 it is
+    (n+1)^(components-1).
     """
     value = colored_jones_unframed(b, n, "rmatrix")
     mu = b.component_count()
     expected = "integer" if n % 2 == 0 or mu % 2 == 1 else "half-integer"
-    if value.is_zero():
-        return expected
     residues = {q % 4 for q, _ in value.terms()}
     if residues == {0}:
         seen = "integer"

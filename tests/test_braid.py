@@ -134,6 +134,10 @@ def test_braidword_value_semantics():
         assert word == parsed and hash(word) == hash(parsed)
         assert word.letters == (1, 1, 1)
         assert colored_jones_framed(word, 2) == colored_jones_framed(parsed, 2)
+    # only exact ints: a bool or a float would fail far from the mistake
+    for strands, letters in [(2, [True]), (2.5, [1]), (2, [1.0]), (True, [])]:
+        with pytest.raises(TypeError, match="is not an int"):
+            BraidWord(strands, letters)
     for strands, letters, message in [
         (0, (), "a braid needs at least one strand"),
         (2, (1, 0), "0 is not a braid letter"),

@@ -113,6 +113,29 @@ def test_graph_out(capsys, tmp_path):
     assert "node 0 sign=+1 component=0" in text
     assert "edge blue 0 ->" in text
     assert "edge red 0 ->" in text
+    # Every node carries its crossing's sign and under-component, every blue
+    # edge is c -> sigma(c) and every red edge c -> tau(c), as build has them;
+    # weaving-3-3 has three components.
+    for name, digest in [
+        ("trefoil", "a17ee49198f03840"),
+        ("sample-knot", "3d683fa1d4bdd4c8"),
+        ("weaving-3-3", "d2d054a928d10793"),
+    ]:
+        code, out, _ = run_cli(capsys, "--preset", name, "--graph-out", str(target))
+        assert code == 0
+        text = target.read_text(encoding="utf-8")
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+        d = build(parse(*PRESETS[name]))
+        lines = [line.split() for line in text.splitlines()]
+        nodes = [line for line in lines if line[0] == "node"]
+        assert nodes == [
+            ["node", str(c), f"sign={cr.sign:+d}", f"component={d.under_component[c]}"]
+            for c, cr in enumerate(d.crossings)
+        ]
+        edges = [(color, int(c), int(to)) for _, color, c, _, to in lines[len(nodes) :]]
+        assert edges == [("blue", c, to) for c, to in enumerate(d.sigma)] + [
+            ("red", c, to) for c, to in enumerate(d.tau) if to is not None
+        ]
 
 
 def test_graph_out_missing_directory(capsys, tmp_path):
@@ -124,52 +147,70 @@ def test_graph_out_missing_directory(capsys, tmp_path):
     assert err.startswith("error:")
 
 
-def test_usage_errors(capsys, tmp_path):
-    graph = str(tmp_path / "graph.txt")
+def test_usage_errors(capsys):
+    # Bad requests: the options combine, but a value is refused.
     cases = [
-        ("--preset", "not-a-link"),
         ("--braid", "1 x"),
         ("--braid", "1_0"),
         ("--braid", "0"),
         ("--braid", "1", "--n", "0"),
-        (),
-        ("--braid", ""),
-        ("--preset", "trefoil", "--strands", "5", "--n", "1"),
-        ("--weaving", "2", "--strands", "4"),
-        # --states and --dump-diagram would ignore the value options, and
-        # --json, which carries both values, the framing options
-        *(
-            ("--preset", "trefoil", *mode, *option)
-            for mode in (("--states", "count"), ("--states", "dump"), ("--dump-diagram",))
-            for option in (("--json",), ("--framed",), ("--unframed",))
-        ),
-        *(
-            ("--preset", "trefoil", "--json", option)
-            for option in ("--framed", "--unframed")
-        ),
-        *(
-            ("--preset", "trefoil", "--dump-diagram", "--graph-out", graph, *option)
-            for option in (("--n", "2"), ("--model", "gl"), ("--states", "count"))
-        ),
+        ("--braid", ""),  # parse refuses the empty word without --strands
     ]
     for argv in cases:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error:")
-    assert not os.path.exists(graph)
 
 
-def test_conflicting_flags():
-    for argv in (
-        ["--braid", "1", "--preset", "trefoil"],
-        ["--braid", "1", "--framed", "--unframed"],
+def test_conflicting_flags(capsys, tmp_path):
+    # Options that do not combine: argparse prints its usage line and exits
+    # 2, naming the offending option.  --states and --dump-diagram would
+    # ignore the value options, and --json, which carries both values, the
+    # framing options.
+    graph = str(tmp_path / "graph.txt")
+    cases = [
+        (["--braid", "1", "--preset", "trefoil"], "--preset"),
+        (["--braid", "1", "--framed", "--unframed"], "--unframed"),
         # options the command line no longer has
-        ["--verify", "all"],
-        ["--seed", "3", "--preset", "trefoil"],
-    ):
+        (["--verify", "all"], "--braid --preset --weaving"),
+        (["--preset", "trefoil", "--verify", "all"], "--verify"),
+        (["--seed", "3", "--preset", "trefoil"], "--seed"),
+        (["--preset", "not-a-link"], "--preset"),
+        ([], "--braid --preset --weaving"),
+        (["--preset", "trefoil", "--strands", "5", "--n", "1"], "--strands"),
+        (["--weaving", "2", "--strands", "4"], "--strands"),
+        *(
+            (["--preset", "trefoil", *mode, option], option)
+            for mode in (("--states", "count"), ("--states", "dump"), ("--dump-diagram",))
+            for option in ("--json", "--framed", "--unframed")
+        ),
+        *(
+            (["--preset", "trefoil", "--json", option], option)
+            for option in ("--framed", "--unframed")
+        ),
+        *(
+            (
+                ["--preset", "trefoil", "--dump-diagram", "--graph-out", graph, *option],
+                option[0],
+            )
+            for option in (("--n", "2"), ("--model", "gl"), ("--states", "count"))
+        ),
+    ]
+    for argv, named in cases:
         with pytest.raises(SystemExit) as exc:
             main(argv)
-        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert err.startswith("usage: braidjones ")
+        assert err.splitlines()[-1].startswith("braidjones: error: ")
+        assert named in err.splitlines()[-1], argv
+        usage = " ".join(err.split())
+        assert "(--braid BRAID | --preset NAME | --weaving M)" in usage
+        output_group = (
+            "[--framed | --unframed | --json | --states {count,dump} | --dump-diagram]"
+        )
+        assert output_group in usage
+    assert not os.path.exists(graph)
 
 
 def test_model_mismatch_exit_code(capsys):

@@ -295,6 +295,8 @@ def test_free_positions_and_bases():
     assert d.component_count == 3
     assert d.base_vertices[0] == 0
     assert d.base_vertices[1] is None and d.base_vertices[2] is None
+    # components 1 and 2 never pass under, so only component 0 is labelled
+    assert d.cyclic_labels() == {0: (0, 0)}
 
 
 def test_dump_table():

@@ -96,6 +96,8 @@ def test_rosso_jones_matches_sweep():
         assert rosso_jones(p, q, n) == sweep, (p, q, n)
     assert rosso_jones(1, 5, 3) == ONE  # T(1, q) is the unknot
     assert torus_braid(3, -2).letters == (-2, -1, -2, -1)
+    with pytest.raises(ValueError):
+        torus_braid(0, 3)
     for args in ((2, 4, 1), (0, 1, 1), (2, 3, 0)):
         with pytest.raises(ValueError):
             rosso_jones(*args)

@@ -68,6 +68,8 @@ def test_hash_agrees_with_int_equality():
         assert hash(LaurentQ.from_int(c)) == hash(c)
         assert len({LaurentQ.from_int(c), c}) == 1
     assert len({LaurentQ.t_quarter(4), LaurentQ({4: 1})}) == 1
+    # anything else is not equal, and comparing does not raise
+    assert LaurentQ.one() != "x" and not LaurentQ.one() == "x"
 
 
 def test_substitute_inverse():
@@ -199,6 +201,8 @@ def test_binomial_counts():
 def test_symbol_validation():
     with pytest.raises(ValueError):
         pochhammer_signed(2, 1, 0)
+    # a negative length b gives the zero polynomial
+    assert pochhammer_signed(2, -1, 1) == pochhammer_signed(2, -1, -1) == 0
     with pytest.raises(ValueError):
         qbinom_signed(2, 1, 2)
 

@@ -68,6 +68,11 @@ def test_derive_colors_validation():
         derive_colors(d, Potential((0,), (0, 0), PLUS))
     with pytest.raises(ValueError):
         derive_colors(d, Potential((0, 0), (0,), PLUS))
+    for convention in (0, 2):
+        with pytest.raises(ValueError, match="convention must be"):
+            Potential((0, 0), (0, 0), convention)
+        with pytest.raises(ValueError, match="convention must be"):
+            enumerate_states(d, 1, convention)
 
 
 def test_anchor_counts():
@@ -174,6 +179,8 @@ def test_z_potentials():
     zero = list(enumerate_z_potentials(fig8, 0))
     assert len(zero) == 1
     assert zero[0].jumps == (0, 0, 0, 0)
+    with pytest.raises(ValueError, match="bound must be"):
+        enumerate_z_potentials(fig8, -1)
     rng = random.Random(7)
     for _ in range(10):
         d = build(rand_braid(rng, max_len=4))

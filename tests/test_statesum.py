@@ -228,7 +228,8 @@ def test_reflection():
 def test_reversal_and_flip():
     # Reading the letters backwards reverses every orientation (V_n is
     # self-dual), and the flip g -> s - g, signs kept, turns the closure
-    # over; neither changes the framed value.
+    # over; neither changes the framed value.  At t = 1 the R-matrix is the
+    # flip, so the coefficients sum to (n+1)^(components-1).
     rng = random.Random(21)
     for _ in range(30):
         b = rand_braid(rng, max_len=6)
@@ -236,8 +237,10 @@ def test_reversal_and_flip():
         reversed_ = BraidWord(s, b.letters[::-1])
         flipped = BraidWord(s, tuple(s - k if k > 0 else -s - k for k in b.letters))
         for n in (1, 2, 3):
-            for model in ("rmatrix", "gl"):
+            for model in ("rmatrix", "gl", "both"):
                 value = colored_jones_framed(b, n, model)
+                at_one = sum(c for _, c in value.terms())
+                assert at_one == (n + 1) ** (b.component_count() - 1)
                 assert colored_jones_framed(reversed_, n, model) == value
                 assert colored_jones_framed(flipped, n, model) == value
 
