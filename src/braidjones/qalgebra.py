@@ -22,6 +22,20 @@ pack and unpack carry a polynomial whose exponents all agree mod 4 (one
 slot per whole power of t) as a single integer by Kronecker substitution,
 t -> 2**K: the product of two packed values is their integer product, and
 unpacking is exact while every coefficient lies in (-2**(K-1), 2**(K-1)).
+
+Substituting t -> 2**K is a ring homomorphism from Z[t] to Z, and (lo, N)
+extends it to t**(lo/4) Z[t]: the lo of a product is the sum of the lo's
+and its N the product of the N's, exactly, whatever the size of the
+coefficients.  So the packed symbols below are built as integers without
+building the polynomials: {a} and 1 - t**m in closed form, the Pochhammer
+symbols as integer products of those, and both q-binomials as integer
+quotients.  A quotient is exact because the polynomial quotient is: if
+P = Q D then N(P) = N(Q) N(D), so N(Q) = N(P) // N(D) with no remainder,
+and lo(Q) = lo(P) - lo(D) since lowest terms multiply.  Each lo is the
+symbol's lowest exponent, so a packed symbol equals pack(symbol, K)
+whenever its coefficients fit K-bit slots, and otherwise it is still the
+symbol's image at t = 2**K, which is all a product of packed values needs
+until its result is decoded.
 """
 
 from __future__ import annotations
@@ -345,3 +359,88 @@ def qbinom_signed(a: int, b: int, eps: int) -> LaurentQ:
     for s in range(1, b + 1):
         den = den * (LaurentQ.t_quarter(4 * eps * s) - ONE)
     return num.exact_div(den)
+
+
+# Packed symbols: (lo, N) as pack returns them, at K = k (see the module
+# docstring).  The recursive ones are cached per K, bounded like the packed
+# vertex rows that read them; each new entry costs one product, and one
+# quotient for a q-binomial.
+Packed = tuple[int, int]
+
+
+def _times(x: Packed, y: Packed) -> Packed:
+    n = x[1] * y[1]
+    return (x[0] + y[0], n) if n else (0, 0)
+
+
+def packed_div(x: Packed, y: Packed) -> Packed:
+    """The exact quotient x / y of packed values; raises ExactDivisionError
+    when the integer quotient leaves a remainder."""
+    if not y[1]:
+        raise ZeroDivisionError("division by the zero polynomial")
+    n, rem = divmod(x[1], y[1])
+    if rem:
+        raise ExactDivisionError(f"non-exact packed division of {x} by {y}")
+    return (x[0] - y[0], n) if n else (0, 0)
+
+
+def packed_qbrace(a: int, k: int) -> Packed:
+    """{a} = v**a - v**(-a) packed at K = k, in closed form."""
+    if a == 0:
+        return 0, 0
+    if a > 0:
+        return -2 * a, (1 << (k * a)) - 1
+    return 2 * a, 1 - (1 << (-k * a))
+
+
+def packed_one_minus(m: int, k: int) -> Packed:
+    """1 - t**m packed at K = k, in closed form."""
+    if m == 0:
+        return 0, 0
+    if m > 0:
+        return 0, 1 - (1 << (k * m))
+    return 4 * m, (1 << (-k * m)) - 1
+
+
+@lru_cache(maxsize=4096)
+def packed_pochhammer(a: int, b: int, k: int) -> Packed:
+    """{a}_b packed at K = k: {a} times {a-1}_{b-1}."""
+    if b <= 0:
+        return (0, 1) if b == 0 else (0, 0)
+    return _times(packed_qbrace(a, k), packed_pochhammer(a - 1, b - 1, k))
+
+
+@lru_cache(maxsize=4096)
+def packed_pochhammer_signed(a: int, b: int, eps: int, k: int) -> Packed:
+    """{a}_{b,t^eps} packed at K = k: (1 - t**(eps*a)) times
+    {a-1}_{b-1,t^eps}."""
+    if eps not in (1, -1):
+        raise ValueError("eps must be +1 or -1")
+    if b <= 0:
+        return (0, 1) if b == 0 else (0, 0)
+    return _times(
+        packed_one_minus(eps * a, k), packed_pochhammer_signed(a - 1, b - 1, eps, k)
+    )
+
+
+@lru_cache(maxsize=4096)
+def packed_qbinom(a: int, b: int, k: int) -> Packed:
+    """(a choose b) packed at K = k: (a-1 choose b-1) {a} / {b}."""
+    if b <= 0:
+        return (0, 1) if b == 0 else (0, 0)
+    step = _times(packed_qbinom(a - 1, b - 1, k), packed_qbrace(a, k))
+    return packed_div(step, packed_qbrace(b, k))
+
+
+@lru_cache(maxsize=4096)
+def packed_qbinom_signed(a: int, b: int, eps: int, k: int) -> Packed:
+    """(a choose b)_{t^eps} packed at K = k: (a-1 choose b-1)_{t^eps}
+    (1 - t**(eps*a)) / (1 - t**(eps*b))."""
+    if eps not in (1, -1):
+        raise ValueError("eps must be +1 or -1")
+    if b <= 0:
+        return (0, 1) if b == 0 else (0, 0)
+    step = _times(
+        packed_qbinom_signed(a - 1, b - 1, eps, k), packed_one_minus(eps * a, k)
+    )
+    return packed_div(step, packed_one_minus(eps * b, k))

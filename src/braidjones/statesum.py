@@ -48,12 +48,21 @@ decoded and K sized afresh every REPACK_LETTERS letters so that K does
 not grow with the word.  Requests whose first layer and vertex table
 would exceed WORK_LIMIT are refused before anything is built.
 
+The vertex tables build their rows already packed at the sweep's K, as
+products and exact quotients of packed quantum symbols (qalgebra), with
+no polynomial in between.  Substituting t -> 2**K is a ring homomorphism,
+so a row built at any K is the image of its weights, and a layer's sums
+and products are the image of the layer's value; only the values decoded
+need to fit their K-bit slots, which the bound above proves.
+
 Set-up that depends on the color, the table and K alone is cached per
-process and shared by every sweep: rows packed at K (_packed_row, keyed
-on table, n, sign, entering colors and K; 4096 at most), first layers
-(_seed, keyed on strands, n, anchor and the checks due before any letter;
-128 at most) and jump limits (_jump_limits, per n and sign).  K is still
-the exact proved bound, not rounded to share rows.
+process and shared by every sweep: packed rows (_rmatrix_row, _gl_row,
+_unit_row, each keyed on n, sign, entering colors and K; 4096 at most
+each) and the packed symbols they read (4096 at most per kind), first
+layers (_seed, keyed on strands, n, anchor and the checks due before any
+letter; 128 at most), jump limits (_jump_limits), and per n and sign the
+certificate's K (_exact_k) and each table's growth (_growth).  K is
+still the exact proved bound, not rounded to share rows.
 
 Most partial states can never close up, and the sweep drops them as
 soon as that is certain.  It carries a color vector c by its prefix
@@ -112,30 +121,37 @@ the color vector, since color is conserved) cancel.
 So model="both" sweeps once, with the R-matrix table, and checks the
 arc-transition model by the identity instead of a second sweep: a
 certificate (certify_correspondence) tests it on every entry of both
-tables of each crossing sign in the word, in Kronecker-packed integer
-products, once per color, sign and pair of tables in a process, and
-raises ModelMismatchError naming the first entry that breaks it.  Its
-cost depends on n alone.  It reads every entry of those signs, where a
-second sweep read only the entries its states reach; a second sweep also
-ran the packing on the other table's weights, which --model gl still
-does.  The enumeration state sums (state_sum) remain the independent
-reference: they weigh every contributing state in each model's own
-convention, at a cost exponential in the crossing count, and serve
---states and the tests.
+tables of each crossing sign in the word, once per color, sign and pair
+of tables in a process, and raises ModelMismatchError naming the first
+entry that breaks it.  It compares Kronecker-packed integer products of
+the tables' own packed rows, at a K proved from the L1 norms of the
+weights' factors (_exact_k); _growth decodes the R-matrix norms from
+those same rows.  Its cost depends on n alone.  It reads every entry of
+those signs, where a second sweep read only the entries its states
+reach; --model gl still sweeps the other table.  The enumeration state
+sums (state_sum) remain the independent reference: they weigh every
+contributing state in each model's own convention, with the weights
+_rmatrix_vertex and _gl_vertex, written apart from the packed tables,
+at a cost exponential in the crossing count, and serve --states and the
+tests.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate, product, zip_longest
+from math import comb
 from typing import TYPE_CHECKING, Callable, Iterable, Literal
 
 from .braid import BraidWord
 from .qalgebra import (
-    ONE,
     ZERO,
     LaurentQ,
     pack,
+    packed_pochhammer,
+    packed_pochhammer_signed,
+    packed_qbinom,
+    packed_qbinom_signed,
     pochhammer,
     pochhammer_signed,
     qbinom,
@@ -203,8 +219,9 @@ def _gl_vertex(n: int, sign: int, i: int, j: int, tld: int) -> LaurentQ:
     )
 
 
-# The vertex tables cache whole rows and call the weights above directly;
-# the reference weighs a crossing per state, so it reads them through caches.
+# The weights above serve the reference alone, which weighs a crossing per
+# state and so reads them through caches; the vertex tables build the same
+# weights packed (_rmatrix_row, _gl_row).
 _rmatrix_weight = lru_cache(maxsize=None)(_rmatrix_vertex)
 _gl_weight = lru_cache(maxsize=None)(_gl_vertex)
 
@@ -257,9 +274,12 @@ def state_sum(d: Diagram, n: int, convention: int) -> LaurentQ:
     return total
 
 
-# A vertex table maps (n, sign, left color in, right color in) to the
-# weights of the jumps 0.._max_jump the crossing allows, indexed by jump.
-Table = Callable[[int, int, int, int], tuple[LaurentQ, ...]]
+# A row of a vertex table: for each jump r = 0.._max_jump a crossing entered
+# by (a, b) allows, the left color b + sign*r it leaves and its weight packed
+# at K as (lo, N) (qalgebra.pack).  A vertex table maps (n, sign, a, b, K)
+# to that row.
+Row = tuple[tuple[int, int, int], ...]
+Table = Callable[[int, int, int, int, int], Row]
 
 
 def _max_jump(n: int, sign: int, a: int, b: int) -> int:
@@ -267,32 +287,74 @@ def _max_jump(n: int, sign: int, a: int, b: int) -> int:
     return min(a, n - b) if sign > 0 else min(b, n - a)
 
 
-@lru_cache(maxsize=None)
-def _rmatrix_step(n: int, sign: int, i: int, j: int) -> tuple[LaurentQ, ...]:
-    return tuple(
-        _rmatrix_vertex(n, sign, i, j, r) for r in range(_max_jump(n, sign, i, j) + 1)
-    )
+# The two model tables build each weight as a product of packed symbols
+# (qalgebra), with no polynomial in between.  They are written apart from
+# _rmatrix_vertex and _gl_vertex, so the sweep and the reference weigh with
+# independent code.  Rows are cached per K, bounded as the symbols are.
+@lru_cache(maxsize=4096)
+def _rmatrix_row(n: int, sign: int, i: int, j: int, k: int) -> Row:
+    steps = []
+    for r in range(_max_jump(n, sign, i, j) + 1):
+        if sign > 0:
+            quarter = -((n - 2 * i) * (n - 2 * j) + r * (r - 1))
+            blo, bn = packed_qbinom(j + r, r, k)
+            plo, pn = packed_pochhammer(n + r - i, r, k)
+            if r % 2:
+                bn = -bn
+        else:
+            quarter = (n - 2 * i - 2 * r) * (n - 2 * j + 2 * r) + r * (r - 1)
+            blo, bn = packed_qbinom(i + r, r, k)
+            plo, pn = packed_pochhammer(n + r - j, r, k)
+        steps.append((j + sign * r, quarter + blo + plo, bn * pn))
+    return tuple(steps)
 
 
-@lru_cache(maxsize=None)
-def _gl_step(n: int, sign: int, a: int, b: int) -> tuple[LaurentQ, ...]:
+@lru_cache(maxsize=4096)
+def _gl_row(n: int, sign: int, a: int, b: int, k: int) -> Row:
     # Read in the R-matrix frame, where the model's own colors are n minus
     # the sweep's: tld enters on the overpass and the underpass strand
     # leaves with i = under - r.
     tld, under = (n - a, n - b) if sign > 0 else (n - b, n - a)
-    return tuple(
-        _gl_vertex(n, sign, under - r, r, tld)
-        for r in range(_max_jump(n, sign, a, b) + 1)
-    )
+    steps = []
+    for r in range(_max_jump(n, sign, a, b) + 1):
+        i = under - r
+        blo, bn = packed_qbinom_signed(under, i, -sign, k)
+        plo, pn = packed_pochhammer_signed(n - tld, r, sign, k)
+        quarter = sign * (4 * n * i - 4 * i * tld - n * n)
+        steps.append((b + sign * r, quarter + blo + plo, bn * pn))
+    return tuple(steps)
 
 
-@lru_cache(maxsize=None)
-def _unit_step(n: int, sign: int, a: int, b: int) -> tuple[LaurentQ, ...]:
+@lru_cache(maxsize=4096)
+def _unit_row(n: int, sign: int, a: int, b: int, k: int) -> Row:
     # The support both tables share, with unit weights: for counting.
-    return (ONE,) * (_max_jump(n, sign, a, b) + 1)
+    return tuple((b + sign * r, 0, 1) for r in range(_max_jump(n, sign, a, b) + 1))
 
 
-_TABLES: dict[int, Table] = {MINUS: _rmatrix_step, PLUS: _gl_step}
+# One bit over the largest coefficient bound, at any entry of this sign, of
+# either model's weight times the q-binomials [n, x][n, y] its side of the
+# correspondence carries, so that every weight of either table, alone or
+# times those, fits K-bit slots.  A product's L1 norm is at most the product
+# of its factors' norms: a q-binomial of either kind has nonnegative
+# coefficients, so its norm is the binomial, and each factor of a Pochhammer
+# symbol ({x} or 1 - t**m) has norm at most 2.  Tables built otherwise (say,
+# broken ones in a test) are bounded by the same K only if their weights are.
+@lru_cache(maxsize=None)
+def _exact_k(n: int, sign: int) -> int:
+    binom = [comb(n, x) for x in range(n + 1)]
+    bound = 0
+    for a in range(n + 1):
+        for b in range(n + 1):
+            rm_top, gl_top = (b, n - b) if sign > 0 else (a, n - a)
+            for r in range(_max_jump(n, sign, a, b) + 1):
+                l, right = b + sign * r, a - sign * r
+                gl = comb(gl_top, r) * binom[a] * binom[b]
+                rm = comb(rm_top + r, r) * binom[l] * binom[right]
+                bound = max(bound, max(gl, rm) << r)
+    return bound.bit_length() + 1
+
+
+_TABLES: dict[int, Table] = {MINUS: _rmatrix_row, PLUS: _gl_row}
 
 # Letters swept between two re-packs of the layer (see _sweep).  Never
 # re-packing made T(2,40) at n = 8 1.6-2.2x slower (CHANGES.md).
@@ -302,9 +364,12 @@ REPACK_LETTERS = 32
 @lru_cache(maxsize=None)
 def _growth(table: Table, n: int, sign: int) -> int:
     """The most one crossing can multiply a layer's summed L1 norm by: the
-    largest summed L1 norm of its weights over the entering colors."""
+    largest summed L1 norm of its weights over the entering colors, each
+    decoded once from its row packed at _exact_k(n, sign), where every
+    weight fits (the rows the certificate reads)."""
+    k = _exact_k(n, sign)
     return max(
-        sum(w.l1_norm() for w in table(n, sign, a, b))
+        sum(unpack(lo, w, k).l1_norm() for _, lo, w in table(n, sign, a, b, k))
         for a in range(n + 1)
         for b in range(n + 1)
     )
@@ -373,20 +438,8 @@ def _can_close(
     return True
 
 
-# The two caches below are bounded: perfbench's corpus reads about 1,600
-# distinct packed rows and 84 distinct first layers in one process.
+# Bounded: perfbench's corpus reads 84 distinct first layers in one process.
 #
-# The steps of a crossing entered by (a, b): for each jump r the left color
-# b + sign*r it leaves and its weight Kronecker-packed at K = k.
-@lru_cache(maxsize=4096)
-def _packed_row(
-    table: Table, n: int, sign: int, a: int, b: int, k: int
-) -> tuple[tuple[int, int, int], ...]:
-    return tuple(
-        (b + sign * r,) + pack(w, k) for r, w in enumerate(table(n, sign, a, b))
-    )
-
-
 # A sweep's first layer: every start vector, by its prefix sums with position
 # 0 at anchor, that passes the closing checks due before any letter, seeded
 # with its closure weight t**(sum((2c - n)/2)) over the non-anchor colors c
@@ -435,6 +488,9 @@ def _sweep(
     first chunk's norm is the start count (one monomial each, N = 1 at any
     K, so no re-pack); later ones decode the layer to take it.  Each
     residue's entries are summed packed, within the bound, and decoded once.
+    The table's rows come packed at K, built as the weights' images at
+    t = 2**K, which is what pack gives for weights that fit, as they do
+    since K exceeds _growth.
 
     Pruning (see _closing_checks): the last letter on g must leave
     cur[g-1] at start[g-1], so its jump is sign*(start[g-1] - x - b).
@@ -443,9 +499,9 @@ def _sweep(
     0.._max_jump, and the last letter takes that jump alone.  Neither
     test drops an entry that can close, and every entry left closes.
 
-    The first layer (_seed) and packed rows (_packed_row, behind a dict per
-    chunk) are cached per process, keyed as the module docstring says; the
-    sweep only reads them.
+    The first layer (_seed) and the table's rows (behind a dict per chunk)
+    are cached per process, keyed as the module docstring says; the sweep
+    only reads them.
 
     Returns the summed weight of the closed states and their number.
     """
@@ -485,7 +541,7 @@ def _sweep(
                 a, b = y - x, z - y
                 steps = weights.get((sign, a, b))
                 if steps is None:
-                    steps = weights[sign, a, b] = _packed_row(table, n, sign, a, b, k)
+                    steps = weights[sign, a, b] = table(n, sign, a, b, k)
                 if closing:
                     steps = (steps[sign * (start[g - 1] - x - b)],)
                 head, tail = cur[: g - 1], cur[g:]
@@ -527,7 +583,7 @@ def state_count(b: BraidWord, n: int, convention: int) -> int:
     convention's color 0 is the sweep's n."""
     if convention not in _TABLES:
         raise ValueError("convention must be +1 or -1")
-    return _sweep(b, n, _unit_step, 0 if convention == MINUS else n)[1]
+    return _sweep(b, n, _unit_row, 0 if convention == MINUS else n)[1]
 
 
 @lru_cache(maxsize=None)
@@ -538,49 +594,49 @@ def _certificate(gl_table: Table, rm_table: Table, n: int, sign: int) -> None:
     the two tables are walked side by side: a jump one table lacks weighs 0
     there, and one past _max_jump breaks it.
 
-    Both sides are compared as Kronecker-packed integer products, with one
-    K for the sign, one bit over the largest L1 norm of a weight times that
-    of a product of two q-binomials [n, x][n, y], which bounds every
-    coefficient; packed products of K-bit fitting values are equal exactly
-    when the polynomials are.  The q-binomial products are packed once per
-    pair.  Keyed on the tables, so a table swapped into _TABLES is checked
-    afresh; a failure raises and so is never cached.
+    Both sides are compared as Kronecker-packed integer products, read
+    straight from the tables' rows packed at _exact_k(n, sign), a K proved
+    from the factors' L1 norms to fit every coefficient of either side;
+    packed products of K-bit fitting values are equal exactly when the
+    polynomials are.  The q-binomial products are packed once per pair.
+    Weights are decoded only to print a failure.  Keyed on the tables, so
+    a table swapped into _TABLES is checked afresh; a failure raises and
+    so is never cached.
     """
-    rows = [
-        (a, b, gl_table(n, sign, a, b), rm_table(n, sign, a, b))
-        for a in range(n + 1)
-        for b in range(n + 1)
-    ]
-    binoms = [qbinom(n, x) for x in range(n + 1)]
-    norm = max((w.l1_norm() for *_, gl, rm in rows for w in gl + rm), default=0)
-    k = (norm * max(x.l1_norm() for x in binoms) ** 2).bit_length() + 1
-    packed = [pack(x, k) for x in binoms]
+    k = _exact_k(n, sign)
+    binoms = [packed_qbinom(n, x, k) for x in range(n + 1)]
     pairs = {
         (x, y): (xlo + ylo, xn * yn)
-        for (x, (xlo, xn)), (y, (ylo, yn)) in product(enumerate(packed), repeat=2)
+        for (x, (xlo, xn)), (y, (ylo, yn)) in product(enumerate(binoms), repeat=2)
     }
 
-    def holds(a: int, b: int, l: int, r: int, w: LaurentQ, v: LaurentQ) -> bool:
-        try:
-            (wlo, wn), (vlo, vn) = pack(w, k), pack(v, k)
-        except ArithmeticError:
-            # exponents in two classes mod 4, which no weight of either model has
-            return False
-        (alo, an), (llo, ln) = pairs[a, b], pairs[l, r]
-        lhs, rhs = wn * an, vn * ln
-        shift = 2 * n * (a - l) - 2 * (l * r - a * b)
-        return lhs == rhs and (not lhs or wlo + alo == vlo + llo + shift)
+    def broken(a: int, b: int, exit_: str, why: object) -> ModelMismatchError:
+        return ModelMismatchError(
+            f"models disagree at n={n}: sign {sign:+d} entry ({a}, {b}) -> "
+            f"{exit_} breaks the correspondence: {why}"
+        )
 
-    for a, b, gl, rm in rows:
-        top = _max_jump(n, sign, a, b)
-        for jump, (w, v) in enumerate(zip_longest(gl, rm, fillvalue=ZERO)):
-            l, r = b + sign * jump, a - sign * jump
-            if jump > top or not holds(a, b, l, r, w, v):
-                raise ModelMismatchError(
-                    f"models disagree at n={n}: sign {sign:+d} entry ({a}, {b}) "
-                    f"-> ({l}, {r}) breaks the correspondence: arc-transition "
-                    f"{w} vs r-matrix {v}"
-                )
+    for a in range(n + 1):
+        for b in range(n + 1):
+            try:
+                gl, rm = gl_table(n, sign, a, b, k), rm_table(n, sign, a, b, k)
+            except ArithmeticError as exc:
+                # A weight with exponents in two classes mod 4 packs in no
+                # row, and no weight of either model has them.
+                raise broken(a, b, "any exit", exc) from exc
+            top = _max_jump(n, sign, a, b)
+            alo, an = pairs[a, b]
+            for jump, (w, v) in enumerate(zip_longest(gl, rm, fillvalue=(0, 0, 0))):
+                l, r = b + sign * jump, a - sign * jump
+                (_, wlo, wn), (_, vlo, vn) = w, v
+                if jump <= top:
+                    llo, ln = pairs[l, r]
+                    lhs, rhs = wn * an, vn * ln
+                    shift = 2 * n * (a - l) - 2 * (l * r - a * b)
+                    if lhs == rhs and (not lhs or wlo + alo == vlo + llo + shift):
+                        continue
+                w, v = unpack(wlo, wn, k), unpack(vlo, vn, k)
+                raise broken(a, b, f"({l}, {r})", f"arc-transition {w} vs r-matrix {v}")
 
 
 def certify_correspondence(n: int, signs: Iterable[int]) -> None:

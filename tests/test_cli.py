@@ -20,6 +20,7 @@ from braidjones.qalgebra import LaurentQ
 from braidjones.diagram import build
 from braidjones.states import MINUS, PLUS, enumerate_states
 from braidjones.statesum import WORK_LIMIT, ModelMismatchError
+from packing import gl_step, packed, rmatrix_step
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -222,23 +223,14 @@ def test_model_mismatch_exit_code(capsys):
 
 
 def _corrupt_jump_one(monkeypatch, model="gl"):
-    # Double one model's weights at jump 1, bypassing the table cache so
-    # no other test sees them.  The jump is the weight's fourth argument
-    # in the arc-transition model and its fifth in the R-matrix model.
-    vertex, step, convention, at = {
-        "gl": ("_gl_vertex", "_gl_step", PLUS, 3),
-        "rmatrix": ("_rmatrix_vertex", "_rmatrix_step", MINUS, 4),
-    }[model]
-    weight = getattr(statesum, vertex)
+    # Double one model's weights at jump 1, in a table swapped in for the
+    # model's own so that no other test sees it.
+    step, convention = {"gl": (gl_step, PLUS), "rmatrix": (rmatrix_step, MINUS)}[model]
 
-    def corrupted(*args):
-        value = weight(*args)
-        return value * 2 if args[at] == 1 else value
+    def corrupted(n, sign, a, b):
+        return tuple(w * 2 if r == 1 else w for r, w in enumerate(step(n, sign, a, b)))
 
-    monkeypatch.setattr(statesum, vertex, corrupted)
-    monkeypatch.setitem(
-        statesum._TABLES, convention, getattr(statesum, step).__wrapped__
-    )
+    monkeypatch.setitem(statesum._TABLES, convention, packed(corrupted))
 
 
 def _forbid_diagrams(monkeypatch):
@@ -311,9 +303,9 @@ def test_mismatch_report_names_missing_writhe_share(monkeypatch):
     # names the first one rather than blaming the sweep.
     def without_writhe_share(n, sign, a, b):
         share = LaurentQ.t_quarter(sign * n * n)
-        return tuple(w * share for w in statesum._gl_step(n, sign, a, b))
+        return tuple(w * share for w in gl_step(n, sign, a, b))
 
-    monkeypatch.setitem(statesum._TABLES, PLUS, without_writhe_share)
+    monkeypatch.setitem(statesum._TABLES, PLUS, packed(without_writhe_share))
     with pytest.raises(ModelMismatchError) as exc:
         colored_jones_framed(parse("1 1 1"), 2, "both")
     assert "sign +1 entry (0, 0) -> (0, 0) breaks the correspondence" in str(exc.value)
@@ -396,7 +388,7 @@ def test_json_sweeps_once_where_the_count_anchors(monkeypatch, capsys):
         return sweep(word, n, table, anchor)
 
     monkeypatch.setattr(statesum, "_sweep", recording)
-    rm, unit = statesum._rmatrix_step, statesum._unit_step
+    rm, unit = statesum._rmatrix_row, statesum._unit_row
     for text, strands, expected in (
         ("-1 2 -1 2", 3, [((-1, 2, -1, 2), rm, 2)]),
         ("1 2 -1", 3, [((-1, 2, 1), rm, 2)]),
@@ -416,20 +408,29 @@ def test_json_sweeps_once_where_the_count_anchors(monkeypatch, capsys):
 
 
 def test_counting_reads_no_weights(monkeypatch, capsys):
-    # Counting reads the jump range alone: with every weight function
-    # raising and the table caches bypassed, both counts still answer.
+    # Counting reads the jump range alone: with every weight function and
+    # packed builder raising and the unit table's cache bypassed, both
+    # counts still answer.
     b = parse("-1 2 -1 2")
     expected = {c: statesum.state_count(b, 3, c) for c in (MINUS, PLUS)}
 
     def forbidden(*args):
         raise AssertionError("counting must not build a weight")
 
-    for name in ("_rmatrix_vertex", "_gl_vertex"):
+    for name in (
+        "_rmatrix_vertex",
+        "_gl_vertex",
+        "_rmatrix_row",
+        "_gl_row",
+        "packed_pochhammer",
+        "packed_pochhammer_signed",
+        "packed_qbinom",
+        "packed_qbinom_signed",
+    ):
         monkeypatch.setattr(statesum, name, forbidden)
-    for name in ("_rmatrix_step", "_gl_step", "_unit_step"):
-        monkeypatch.setattr(statesum, name, getattr(statesum, name).__wrapped__)
-    monkeypatch.setitem(statesum._TABLES, MINUS, statesum._rmatrix_step)
-    monkeypatch.setitem(statesum._TABLES, PLUS, statesum._gl_step)
+    monkeypatch.setattr(statesum, "_unit_row", statesum._unit_row.__wrapped__)
+    monkeypatch.setitem(statesum._TABLES, MINUS, statesum._rmatrix_row)
+    monkeypatch.setitem(statesum._TABLES, PLUS, statesum._gl_row)
     assert {c: statesum.state_count(b, 3, c) for c in (MINUS, PLUS)} == expected
     for model, convention in ((), PLUS), (("--model", "rmatrix"), MINUS):
         argv = ("--braid", "-1 2 -1 2", "--n", "3", "--states", "count", *model)

@@ -90,8 +90,18 @@ def test_rosso_jones_matches_sweep():
     for p, q, n in ((2, 7, 10), (3, 4, 8), (3, -5, 6), (4, 5, 4)):
         sweep = colored_jones_framed(torus_braid(p, q), n, "rmatrix")
         assert rosso_jones(p, q, n) == sweep, (p, q, n)
-    # the default model: one sweep behind the cross-model certificate
-    for p, q, n in ((2, 3, 5), (2, -5, 3), (2, 7, 4), (3, 4, 3), (3, -5, 2), (4, 5, 2)):
+    # the default model: one sweep behind the cross-model certificate, up
+    # to n = 10, where the certificate reads all 121 entries of each table
+    for p, q, n in (
+        (2, 3, 5),
+        (2, -5, 3),
+        (2, 7, 4),
+        (2, 7, 10),
+        (3, 4, 3),
+        (3, 4, 8),
+        (3, -5, 2),
+        (4, 5, 2),
+    ):
         sweep = colored_jones_framed(torus_braid(p, q), n, "both")
         assert rosso_jones(p, q, n) == sweep, (p, q, n)
     assert rosso_jones(1, 5, 3) == ONE  # T(1, q) is the unknot

@@ -6,13 +6,21 @@ import random
 import pytest
 
 from braidjones.qalgebra import (
+    ONE,
     ExactDivisionError,
     LaurentQ,
+    pack,
+    packed_div,
+    packed_one_minus,
+    packed_pochhammer,
+    packed_pochhammer_signed,
+    packed_qbinom,
+    packed_qbinom_signed,
+    packed_qbrace,
     pochhammer,
     pochhammer_signed,
     qbinom,
     qbinom_signed,
-    pack,
     qbrace,
     qint,
     unpack,
@@ -249,3 +257,61 @@ def test_pack_refuses_what_it_cannot_decode():
 def test_l1_norm():
     assert LaurentQ({-4: 3, 0: -2, 9: 1}).l1_norm() == 6
     assert LaurentQ.zero().l1_norm() == 0
+
+
+def _image(poly: LaurentQ, k: int) -> tuple[int, int]:
+    # poly at t = 2**k, term by term, with lo its lowest exponent.
+    terms = poly.terms()
+    if not terms:
+        return 0, 0
+    lo = terms[0][0]
+    return lo, sum(c << (k * ((q - lo) >> 2)) for q, c in terms)
+
+
+def test_packed_symbols():
+    # Each packed symbol is its dict symbol's image at t = 2**K: what pack
+    # gives when every coefficient fits K-bit slots, and the term-by-term
+    # evaluation when one does not (K = 2 and 3 leave most of them out).
+    fitted = overflowed = 0
+    for k in (2, 3, 8, 40):
+        cases = [(packed_qbrace(a, k), qbrace(a)) for a in range(-12, 13)]
+        cases += [
+            (packed_one_minus(m, k), ONE - LaurentQ.t_quarter(4 * m))
+            for m in range(-12, 13)
+        ]
+        for a in range(-12, 13):
+            for b in range(-1, 13):
+                cases.append((packed_pochhammer(a, b, k), pochhammer(a, b)))
+                cases.append((packed_qbinom(a, b, k), qbinom(a, b)))
+                for e in (1, -1):
+                    poch, binom = pochhammer_signed(a, b, e), qbinom_signed(a, b, e)
+                    cases.append((packed_pochhammer_signed(a, b, e, k), poch))
+                    cases.append((packed_qbinom_signed(a, b, e, k), binom))
+        for got, symbol in cases:
+            try:
+                expected = pack(symbol, k)
+                fitted += 1
+            except ArithmeticError:
+                expected = _image(symbol, k)
+                overflowed += 1
+            assert got == expected, (symbol, k)
+    assert fitted and overflowed
+    with pytest.raises(ValueError):
+        packed_pochhammer_signed(2, 1, 0, 8)
+    with pytest.raises(ValueError):
+        packed_qbinom_signed(2, 1, 2, 8)
+
+
+def test_packed_division_is_exact():
+    k = 8
+    three = packed_qbrace(3, k)
+    product = (three[0] + three[0], three[1] * three[1])
+    assert packed_div(product, three) == three
+    assert packed_div((0, 0), three) == (0, 0)
+    # {2} / {1} = [2] = v + v**-1, but {1} / {2} and {3} / {2} leave remainders
+    assert unpack(*packed_div(packed_qbrace(2, k), packed_qbrace(1, k)), k) == qint(2)
+    for a, b in ((1, 2), (3, 2)):
+        with pytest.raises(ExactDivisionError):
+            packed_div(packed_qbrace(a, k), packed_qbrace(b, k))
+    with pytest.raises(ZeroDivisionError):
+        packed_div(three, (0, 0))

@@ -10,19 +10,20 @@ from braidjones import statesum
 from braidjones.braid import BraidWord, parse
 from braidjones.diagram import build
 from braidjones.oracle import rosso_jones, torus_braid
-from braidjones.qalgebra import ONE, LaurentQ, qbinom, qint
+from braidjones.qalgebra import ONE, LaurentQ, qbinom, qint, unpack
 from braidjones.states import MINUS, PLUS, enumerate_states, flow_bijection
 from braidjones.statesum import (
     REPACK_LETTERS,
     ModelMismatchError,
     _closing_checks,
-    _gl_step,
+    _exact_k,
+    _gl_row,
+    _growth,
     _max_jump,
-    _packed_row,
-    _rmatrix_step,
+    _rmatrix_row,
     _seed,
     _sweep,
-    _unit_step,
+    _unit_row,
     certify_correspondence,
     colored_jones_framed,
     colored_jones_unframed,
@@ -33,6 +34,7 @@ from braidjones.statesum import (
     state_count,
     state_sum,
 )
+from packing import gl_step, packed, rmatrix_step
 
 
 def rand_braid(rng: random.Random, max_strands=4, max_len=6) -> BraidWord:
@@ -115,13 +117,20 @@ def test_vertex_tables_correspond_entry_by_entry(monkeypatch):
     # arc-transition weight, read in the R-matrix frame with its writhe
     # share, equals the R-matrix weight up to q-binomials and a monomial
     # that does not depend on the sign, and both tables allow the same
-    # jumps.
+    # jumps.  The packed rows the sweep reads decode, at the certificate's
+    # K, to the reference weights, which are computed apart from them.
     for n in range(1, 9):
         for s in (1, -1):
+            k = _exact_k(n, s)
             for a in range(n + 1):
                 for b in range(n + 1):
-                    gl, rm = _gl_step(n, s, a, b), _rmatrix_step(n, s, a, b)
+                    gl, rm = gl_step(n, s, a, b), rmatrix_step(n, s, a, b)
                     assert len(gl) == len(rm)
+                    for row, weights in ((_gl_row, gl), (_rmatrix_row, rm)):
+                        expected = [(b + s * r, w) for r, w in enumerate(weights)]
+                        assert [
+                            (left, unpack(lo, w, k)) for left, lo, w in row(n, s, a, b, k)
+                        ] == expected
                     for jump, (w, v) in enumerate(zip(gl, rm)):
                         l, r = b + s * jump, a - s * jump
                         quarter = 2 * n * (a - l) - 2 * (l * r - a * b)
@@ -136,7 +145,8 @@ def test_vertex_tables_correspond_entry_by_entry(monkeypatch):
     # table has the extra jump, and the certificate names it; so does a
     # weight whose exponents differ by a quarter, which no packing holds.
     extra = LaurentQ.t_quarter(4)
-    for convention, step in ((PLUS, _gl_step), (MINUS, _rmatrix_step)):
+    for convention, step in ((PLUS, gl_step), (MINUS, rmatrix_step)):
+        healthy = statesum._TABLES[convention]
         for table in (
             lambda n, s, a, b, step=step: step(n, s, a, b) + (extra,),
             lambda n, s, a, b, step=step: step(n, s, a, b)[:-1],
@@ -144,12 +154,26 @@ def test_vertex_tables_correspond_entry_by_entry(monkeypatch):
                 w + LaurentQ.t_quarter(1) for w in step(n, s, a, b)
             ),
         ):
-            monkeypatch.setitem(statesum._TABLES, convention, table)
+            monkeypatch.setitem(statesum._TABLES, convention, packed(table))
             with pytest.raises(ModelMismatchError, match=r"entry \(0, 0\) -> "):
                 certify_correspondence(2, (1,))
             with pytest.raises(ModelMismatchError, match=r"entry \(0, 0\) -> "):
                 colored_jones_framed(parse("1 1 1"), 2, "both")
-        monkeypatch.setitem(statesum._TABLES, convention, step)
+        monkeypatch.setitem(statesum._TABLES, convention, healthy)
+
+
+def test_growth_is_the_largest_reference_row_norm():
+    # _growth decodes the packed rows at the certificate's K; it must read
+    # the true norms, which set every sweep's K.
+    for n in range(1, 11):
+        for s in (1, -1):
+            for row, step in ((_rmatrix_row, rmatrix_step), (_gl_row, gl_step)):
+                assert _growth(row, n, s) == max(
+                    sum(w.l1_norm() for w in step(n, s, a, b))
+                    for a in range(n + 1)
+                    for b in range(n + 1)
+                )
+            assert _growth(_unit_row, n, s) == n + 1
 
 
 def test_both_sweeps_once(monkeypatch):
@@ -165,7 +189,7 @@ def test_both_sweeps_once(monkeypatch):
     monkeypatch.setattr(statesum, "_sweep", recording)
     b = parse("-1 2 -1 2 1 1")
     assert colored_jones_framed(b, 3, "both") == colored_jones_framed(b, 3, "gl")
-    assert tables == [_rmatrix_step, _gl_step]
+    assert tables == [_rmatrix_row, _gl_row]
 
 
 def test_all_zero_state_weight():
@@ -464,26 +488,27 @@ def test_first_chunk_boundary(extra, monkeypatch):
     for repack in (REPACK_LETTERS, 1):
         monkeypatch.setattr(statesum, "REPACK_LETTERS", repack)
         _check_against_state_sums(b, (1,))
-        closure, count = _sweep(b, 1, _unit_step, 0)
+        closure, count = _sweep(b, 1, _unit_row, 0)
         tripled = (3 ** len(b.letters) * closure, count)
-        assert _sweep(b, 1, _tripled, 0) == tripled
+        assert _sweep(b, 1, packed(_tripled), 0) == tripled
 
 
 def test_packed_rows_keyed_on_k_and_table():
-    # The packed rows are cached per process.  sigma_1^2 and sigma_1^41
-    # read the same rows, at K sized from 2 letters and from a chunk of 32:
-    # each sweep must see its rows packed at its own K.  They are read
-    # through two tables, R-matrix first, then one whose weights differ;
-    # sigma_1^2 sizes the same K under both (3 * 7**2 and 3 * 9**2 have 8
-    # bits), so each table must see its own weights.
-    _packed_row.cache_clear()
+    # The packed rows are cached per process, per table and per K.
+    # sigma_1^2 and sigma_1^41 read the same rows, at K sized from 2 letters
+    # and from a chunk of 32: each sweep must see its rows packed at its own
+    # K.  They are read through two tables, R-matrix first, then one whose
+    # weights differ; sigma_1^2 sizes the same K under both (3 * 7**2 and
+    # 3 * 9**2 have 8 bits), so each table must see its own weights.
+    _rmatrix_row.cache_clear()
     length = REPACK_LETTERS + 9
     short, long_ = BraidWord(2, (1, 1)), torus_braid(2, length)
-    assert _sweep(short, 2, _rmatrix_step, 0)[0] == state_sum(build(short), 2, MINUS)
-    assert _sweep(long_, 2, _rmatrix_step, 0)[0] == rosso_jones(2, length, 2)
+    assert _sweep(short, 2, _rmatrix_row, 0)[0] == state_sum(build(short), 2, MINUS)
+    assert _sweep(long_, 2, _rmatrix_row, 0)[0] == rosso_jones(2, length, 2)
+    tripled = packed(_tripled)
     for b in (short, long_):
-        closure, count = _sweep(b, 2, _unit_step, 0)
-        assert _sweep(b, 2, _tripled, 0) == (3 ** len(b.letters) * closure, count)
+        closure, count = _sweep(b, 2, _unit_row, 0)
+        assert _sweep(b, 2, tripled, 0) == (3 ** len(b.letters) * closure, count)
 
 
 def test_sweeps_do_not_depend_on_call_order():
@@ -500,8 +525,8 @@ def test_sweeps_do_not_depend_on_call_order():
     fresh = []
     for b, n in cases:
         for model in models:
-            _packed_row.cache_clear()
-            _seed.cache_clear()
+            for cache in (_rmatrix_row, _gl_row, _unit_row, _seed):
+                cache.cache_clear()
             fresh.append(framed_and_count(b, n, model))
     assert interleaved == fresh
 
@@ -519,7 +544,7 @@ def test_sweep_value_does_not_depend_on_anchor():
         b = BraidWord(s, letters)
         # at most 81 start vectors per anchor keeps the test under a second
         for n in (n for n in (1, 2, 3) if (n + 1) ** s <= 81):
-            for table in (_rmatrix_step, _gl_step):
+            for table in (_rmatrix_row, _gl_row):
                 values = {_sweep(b, n, table, a)[0] for a in range(n + 1)}
                 assert len(values) == 1, (b, n, table)
 
@@ -535,7 +560,7 @@ def test_sweep_keeps_residues_apart():
     # closure weight t**(-1/2); start (1, 1) returns with t**(1/2) times
     # t**(1/2).  The closed total keeps both residues of start (1, 0) only
     # if the sweep keeps them apart.
-    closed, _ = _sweep(BraidWord(2, (1, 1)), 1, _mixing_table, 1)
+    closed, _ = _sweep(BraidWord(2, (1, 1)), 1, packed(_mixing_table), 1)
     assert closed == LaurentQ({-2: 1, -1: 1, 4: 1})
 
 
@@ -549,12 +574,12 @@ def test_repack_keeps_count_of_cancelled_entry(monkeypatch):
     # On 1 2 1 1 at n = 1 with anchor 1, partial states of weights +1 and -1
     # merge into one key.  Re-packed after every letter, that entry's value
     # is 0, and it must still carry its two states to the closed count.
-    b = BraidWord(3, (1, 2, 1, 1))
-    value, count = _sweep(b, 1, _cancelling_table, 1)
+    b, cancelling = BraidWord(3, (1, 2, 1, 1)), packed(_cancelling_table)
+    value, count = _sweep(b, 1, cancelling, 1)
     assert (value, count) == (LaurentQ({-4: -1, 0: -2, 4: 1}), 6)
     monkeypatch.setattr(statesum, "REPACK_LETTERS", 1)
-    assert _sweep(b, 1, _cancelling_table, 1) == (value, count)
-    assert _sweep(b, 1, _unit_step, 1)[1] == count
+    assert _sweep(b, 1, cancelling, 1) == (value, count)
+    assert _sweep(b, 1, _unit_row, 1)[1] == count
 
 
 def test_reversal_keeps_value_and_count_at_every_anchor():
@@ -571,7 +596,7 @@ def test_reversal_keeps_value_and_count_at_every_anchor():
         b, reversed_ = BraidWord(s, letters), BraidWord(s, letters[::-1])
         # at most 81 start vectors per anchor keeps the test under a second
         for n in (n for n in (1, 2, 3) if (n + 1) ** s <= 81):
-            for table in (_rmatrix_step, _gl_step, _unit_step):
+            for table in (_rmatrix_row, _gl_row, _unit_row):
                 for anchor in range(n + 1):
                     assert _sweep(reversed_, n, table, anchor) == _sweep(
                         b, n, table, anchor
