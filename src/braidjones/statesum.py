@@ -61,8 +61,12 @@ _unit_row, each keyed on n, sign, entering colors and K; 4096 at most
 each) and the packed symbols they read (4096 at most per kind), first
 layers (_seed, keyed on strands, n, anchor and the checks due before any
 letter; 128 at most), jump limits (_jump_limits), and per n and sign the
-certificate's K (_exact_k) and each table's growth (_growth).  K is
-still the exact proved bound, not rounded to share rows.
+certificate's K (_exact_k) and each table's growth (_growth), read from
+the packed weights' slot magnitudes (qalgebra.packed_l1).  K is still the
+exact proved bound, not rounded to share rows.  Within a chunk, where K is
+fixed, the sweep holds the rows it reads in a grid indexed by sign and
+entering colors, and a weight packed as 1 (every jump-0 weight and every
+unit weight) skips its product.
 
 Most partial states can never close up, and the sweep drops them as
 soon as that is certain.  It carries a color vector c by its prefix
@@ -125,7 +129,7 @@ tables of each crossing sign in the word, once per color, sign and pair
 of tables in a process, and raises ModelMismatchError naming the first
 entry that breaks it.  It compares Kronecker-packed integer products of
 the tables' own packed rows, at a K proved from the L1 norms of the
-weights' factors (_exact_k); _growth decodes the R-matrix norms from
+weights' factors (_exact_k); _growth reads the R-matrix norms from
 those same rows.  Its cost depends on n alone.  It reads every entry of
 those signs, where a second sweep read only the entries its states
 reach; --model gl still sweeps the other table.  The enumeration state
@@ -148,6 +152,7 @@ from .qalgebra import (
     ZERO,
     LaurentQ,
     pack,
+    packed_l1,
     packed_pochhammer,
     packed_pochhammer_signed,
     packed_qbinom,
@@ -365,11 +370,11 @@ REPACK_LETTERS = 32
 def _growth(table: Table, n: int, sign: int) -> int:
     """The most one crossing can multiply a layer's summed L1 norm by: the
     largest summed L1 norm of its weights over the entering colors, each
-    decoded once from its row packed at _exact_k(n, sign), where every
-    weight fits (the rows the certificate reads)."""
+    read slot by slot (packed_l1) from its row packed at _exact_k(n, sign),
+    where every weight fits (the rows the certificate reads)."""
     k = _exact_k(n, sign)
     return max(
-        sum(unpack(lo, w, k).l1_norm() for _, lo, w in table(n, sign, a, b, k))
+        sum(packed_l1(w, k) for _, _, w in table(n, sign, a, b, k))
         for a in range(n + 1)
         for b in range(n + 1)
     )
@@ -499,9 +504,12 @@ def _sweep(
     0.._max_jump, and the last letter takes that jump alone.  Neither
     test drops an entry that can close, and every entry left closes.
 
-    The first layer (_seed) and the table's rows (behind a dict per chunk)
-    are cached per process, keyed as the module docstring says; the sweep
-    only reads them.
+    The first layer (_seed) and the table's rows are cached per process,
+    keyed as the module docstring says; the sweep only reads them.  Each
+    chunk holds the rows it reads in a grid, rows[sign][a][b], so it
+    fetches each row at most once.  A weight packed as 1 (N = 1, as every
+    jump-0 weight is) skips the product.  One closing check due after a
+    letter, the usual case, is _can_close inlined; two or more call it.
 
     Returns the summed weight of the closed states and their number.
     """
@@ -528,30 +536,46 @@ def _sweep(
                 key: pack(value, k) + (c,) if value else (lo, 0, c)
                 for key, (value, lo, c) in values.items()
             }
-        weights: dict[tuple[int, int, int], tuple[tuple[int, int, int], ...]] = {}
+        # rows[sign][a][b]: the row entered by (a, b), read once per chunk.
+        rows: dict[int, list[list[Row | None]]] = {
+            sign: [[None] * (n + 1) for _ in range(n + 1)] for sign in (1, -1)
+        }
         for i, letter in enumerate(chunk, at):
             g = letter if letter > 0 else -letter
             sign = 1 if letter > 0 else -1
+            grid = rows[sign]
             closing = last[i]
             ahead = early[i + 1]
+            # h = 0 unless exactly one check is due, which is tested inline.
+            h, hsign = ahead[0] if len(ahead) == 1 else (0, 0)
+            hlimits = limits.get(hsign)
             nxt: dict[Key, Entry] = {}
             for (start, cur, _), (lo, v, c) in layer.items():
                 x = cur[g - 2] if g > 1 else 0
                 y, z = cur[g - 1], cur[g]
                 a, b = y - x, z - y
-                steps = weights.get((sign, a, b))
+                steps = grid[a][b]
                 if steps is None:
-                    steps = weights[sign, a, b] = table(n, sign, a, b, k)
+                    steps = grid[a][b] = table(n, sign, a, b, k)
                 if closing:
                     steps = (steps[sign * (start[g - 1] - x - b)],)
                 head, tail = cur[: g - 1], cur[g:]
                 for left, wlo, w in steps:
                     new = head + (x + left,) + tail
-                    if ahead and not _can_close(limits, start, new, ahead):
-                        continue
+                    if ahead:
+                        if h:
+                            x2 = new[h - 2] if h > 1 else 0
+                            y2 = new[h - 1]
+                            b2 = new[h] - y2
+                            jump = hsign * (start[h - 1] - x2 - b2)
+                            if not 0 <= jump <= hlimits[y2 - x2][b2]:
+                                continue
+                        elif not _can_close(limits, start, new, ahead):
+                            continue
                     qlo = lo + wlo
                     key = (start, new, qlo & 3)
-                    term = v * w
+                    # Every jump-0 weight, and every unit-table weight, is 1.
+                    term = v if w == 1 else v * w
                     old = nxt.get(key)
                     if old is None:
                         nxt[key] = (qlo, term, c)

@@ -11,6 +11,7 @@ from braidjones.qalgebra import (
     LaurentQ,
     pack,
     packed_div,
+    packed_l1,
     packed_one_minus,
     packed_pochhammer,
     packed_pochhammer_signed,
@@ -268,26 +269,31 @@ def _image(poly: LaurentQ, k: int) -> tuple[int, int]:
     return lo, sum(c << (k * ((q - lo) >> 2)) for q, c in terms)
 
 
+def _packed_symbol_cases(k: int) -> list[tuple[tuple[int, int], LaurentQ]]:
+    # (packed symbol at K = k, its dict symbol) for every kind of symbol.
+    cases = [(packed_qbrace(a, k), qbrace(a)) for a in range(-12, 13)]
+    cases += [
+        (packed_one_minus(m, k), ONE - LaurentQ.t_quarter(4 * m))
+        for m in range(-12, 13)
+    ]
+    for a in range(-12, 13):
+        for b in range(-1, 13):
+            cases.append((packed_pochhammer(a, b, k), pochhammer(a, b)))
+            cases.append((packed_qbinom(a, b, k), qbinom(a, b)))
+            for e in (1, -1):
+                poch, binom = pochhammer_signed(a, b, e), qbinom_signed(a, b, e)
+                cases.append((packed_pochhammer_signed(a, b, e, k), poch))
+                cases.append((packed_qbinom_signed(a, b, e, k), binom))
+    return cases
+
+
 def test_packed_symbols():
     # Each packed symbol is its dict symbol's image at t = 2**K: what pack
     # gives when every coefficient fits K-bit slots, and the term-by-term
     # evaluation when one does not (K = 2 and 3 leave most of them out).
     fitted = overflowed = 0
     for k in (2, 3, 8, 40):
-        cases = [(packed_qbrace(a, k), qbrace(a)) for a in range(-12, 13)]
-        cases += [
-            (packed_one_minus(m, k), ONE - LaurentQ.t_quarter(4 * m))
-            for m in range(-12, 13)
-        ]
-        for a in range(-12, 13):
-            for b in range(-1, 13):
-                cases.append((packed_pochhammer(a, b, k), pochhammer(a, b)))
-                cases.append((packed_qbinom(a, b, k), qbinom(a, b)))
-                for e in (1, -1):
-                    poch, binom = pochhammer_signed(a, b, e), qbinom_signed(a, b, e)
-                    cases.append((packed_pochhammer_signed(a, b, e, k), poch))
-                    cases.append((packed_qbinom_signed(a, b, e, k), binom))
-        for got, symbol in cases:
+        for got, symbol in _packed_symbol_cases(k):
             try:
                 expected = pack(symbol, k)
                 fitted += 1
@@ -300,6 +306,32 @@ def test_packed_symbols():
         packed_pochhammer_signed(2, 1, 0, 8)
     with pytest.raises(ValueError):
         packed_qbinom_signed(2, 1, 2, 8)
+
+
+def test_packed_l1_reads_the_decoded_norm():
+    # packed_l1 reads the slots unpack decodes, borrow included.  Negative
+    # slots and borrow chains (a negative slot right above another) must
+    # both occur; the hand-made values also carry a borrow through a zero
+    # slot.
+    negative = chained = 0
+    for k in (2, 3, 8, 40):
+        edge = (1 << (k - 1)) - 1
+        cases = [got for got, _ in _packed_symbol_cases(k)]
+        cases += [
+            pack(LaurentQ({0: -edge, 4: -1, 8: 0, 12: -edge, 16: edge}), k),
+            pack(LaurentQ({-8: -1, -4: 0, 0: -1}), k),
+            (0, -1),
+            (0, 0),
+        ]
+        for lo, packed in cases:
+            decoded = unpack(lo, packed, k)
+            assert packed_l1(packed, k) == decoded.l1_norm(), (packed, k)
+            terms = decoded.terms()
+            top = terms[-1][0] if terms else lo
+            slots = [decoded.coefficient(q) for q in range(lo, top + 1, 4)]
+            negative += any(c < 0 for c in slots)
+            chained += any(c < 0 and d < 0 for c, d in zip(slots, slots[1:]))
+    assert negative and chained
 
 
 def test_packed_division_is_exact():

@@ -3,6 +3,7 @@ totals must satisfy: framing, reflection, skein, exponent parity."""
 
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -475,6 +476,35 @@ def test_closing_checks():
     assert early == [[], [], [], [(2, 1)], [(3, -1)], [(1, -1)], [], []]
 
 
+def test_both_closing_test_paths_match_the_state_sums():
+    # After a letter, _sweep tests one closing check inline and two or more
+    # through _can_close; both shapes must occur.  Anchors 0 and n give the
+    # check on generator 2 different inputs P_0.
+    rng = random.Random(41)
+    words = [
+        BraidWord(4, (1, -2, -2, -1, 3, 2)),
+        BraidWord(4, (2, -3, 1, 2, -1, 3)),
+        BraidWord(4, (-3, 1, 2, -3, -2, -1)),
+        BraidWord(4, (1, -2, 3, 1, -2, 3)),
+        BraidWord(3, (1, 1, -2, 1, -2)),
+    ]
+    words += [rand_braid(rng, max_len=6) for _ in range(6)]
+    shapes = set()
+    for b in words:
+        _, early = _closing_checks(b.letters)
+        shapes.update(min(len(checks), 2) for checks in early[1:])
+        d = build(b)
+        for n in (1, 2, 3):
+            value = state_sum(d, n, MINUS)
+            assert state_sum(d, n, PLUS) == value
+            for anchor, convention in ((0, MINUS), (n, PLUS)):
+                count = len(enumerate_states(d, n, convention))
+                assert state_count(b, n, convention) == count
+                for table in (_rmatrix_row, _gl_row):
+                    assert _sweep(b, n, table, anchor) == (value, count), (b, n)
+    assert shapes == {0, 1, 2}
+
+
 def _tripled(n, sign, a, b):
     # Every allowed jump weighs 3, so coefficients grow 3-fold per letter.
     return (LaurentQ.from_int(3),) * (_max_jump(n, sign, a, b) + 1)
@@ -491,6 +521,48 @@ def test_first_chunk_boundary(extra, monkeypatch):
         closure, count = _sweep(b, 1, _unit_row, 0)
         tripled = (3 ** len(b.letters) * closure, count)
         assert _sweep(b, 1, packed(_tripled), 0) == tripled
+
+
+def _negated(n, sign, a, b):
+    # Every allowed jump weighs -1, packed as N = -1.
+    return (-ONE,) * (_max_jump(n, sign, a, b) + 1)
+
+
+def test_unit_weight_shortcut_skips_only_one(monkeypatch):
+    # The sweep skips the product by a weight packed as 1; one packed as -1
+    # must still flip the sign, within a chunk and across re-packs.
+    negated = packed(_negated)
+    for b in (parse("1 -2 1 2 2"), BraidWord(3, (1, -1, 2) * 11)):
+        assert len(b.letters) % 2
+        for repack in (REPACK_LETTERS, 1):
+            monkeypatch.setattr(statesum, "REPACK_LETTERS", repack)
+            for n in (1, 2):
+                for anchor in (0, n):
+                    closure, count = _sweep(b, n, _unit_row, anchor)
+                    assert _sweep(b, n, negated, anchor) == (-closure, count)
+
+
+def test_rows_read_once_per_chunk():
+    # The sweep holds each chunk's rows in a grid by entering colors, so a
+    # row (sign, a, b, K) is requested at most once per chunk.  _growth reads
+    # every row at the certificate's K first, outside the count.
+    requests = Counter()
+
+    def counting(n, sign, a, b, k):
+        requests[sign, a, b, k] += 1
+        return _rmatrix_row(n, sign, a, b, k)
+
+    cases = [(BraidWord(3, (-1, 2) * 5), 3), (parse("1 -2 3 1 -2 3"), 2)]
+    cases += [(BraidWord(3, (1, -1) * 40 + (-1, 2) * 3), 2)]
+    for b, n in cases:
+        for sign in (1, -1):
+            _growth(counting, n, sign)
+        requests.clear()
+        value = _sweep(b, n, counting, 0)
+        assert value == _sweep(b, n, _rmatrix_row, 0)
+        chunks = -(-len(b.letters) // REPACK_LETTERS)
+        assert max(requests.values()) <= chunks, (b, n)
+    assert chunks > 1
 
 
 def test_packed_rows_keyed_on_k_and_table():
