@@ -39,8 +39,16 @@ their own convention, and state_count with them.
 Every weight is t**(c/4) times a Laurent polynomial in t, so the sweep
 carries each layer value Kronecker-packed as one integer with a K-bit
 slot per power of t: a product is one integer product and a sum one
-shift and add.  The layer is keyed by the lowest exponent mod 4 as well,
-so values whose slots are offset by a fraction of a power never meet.
+shift and add.  That needs the summed values' lowest quarter exponents
+lo to agree mod 4, and the flow rule fixes their class.  A weight of sign e
+taking color vector c to c' has lo = Phi(c') - Phi(c) - e*n^2 (mod 4),
+with Phi(c) = sum c_p^2 + 2n sum p*c_p for the R-matrix table and
+-2 sum c_p(n - c_p), which a crossing moves by a multiple of 4, for the
+arc-transition one; unit weights have lo = 0 (README derives it).  So a
+partial state's class depends on its start and current colors alone, and
+every closed state has one class: the layer is keyed by those colors, and
+with a table that broke the law the sweep raises ArithmeticError where two
+classes meet.
 K is proved large enough rather than guessed: every coefficient is
 bounded by the layer's summed L1 norm, which one crossing multiplies by
 at most the largest summed L1 norm of its weights, and the layer is
@@ -149,7 +157,6 @@ from typing import TYPE_CHECKING, Callable, Iterable, Literal
 
 from .braid import BraidWord
 from .qalgebra import (
-    ZERO,
     LaurentQ,
     pack,
     packed_l1,
@@ -185,8 +192,11 @@ WORK_LIMIT = 20_000
 
 
 def check_work(strands: int, n: int) -> None:
-    """Raise ValueError when the color n is below 1 or a request at color n
-    on this many strands exceeds WORK_LIMIT."""
+    """Raise TypeError when the color n is not an int (a bool is not), and
+    ValueError when it is below 1 or a request at color n on this many
+    strands exceeds WORK_LIMIT."""
+    if type(n) is not int:
+        raise TypeError(f"color {n!r} is not an int")
     if n < 1:
         raise ValueError("color n must be >= 1")
     work = 1
@@ -203,6 +213,7 @@ class ModelMismatchError(AssertionError):
     """The two state models disagreed; always an implementation bug."""
 
 
+@lru_cache(maxsize=None)
 def _rmatrix_vertex(n: int, sign: int, i: int, j: int, r: int) -> LaurentQ:
     if sign > 0:
         quarter = -((n - 2 * i) * (n - 2 * j) + r * (r - 1))
@@ -216,19 +227,13 @@ def _rmatrix_vertex(n: int, sign: int, i: int, j: int, r: int) -> LaurentQ:
     return LaurentQ.t_quarter(quarter) * qbinom(i + r, r) * pochhammer(n + r - j, r)
 
 
+@lru_cache(maxsize=None)
 def _gl_vertex(n: int, sign: int, i: int, j: int, tld: int) -> LaurentQ:
     return (
         LaurentQ.t_quarter(sign * (4 * n * i - 4 * i * tld - n * n))
         * qbinom_signed(i + j, i, -sign)
         * pochhammer_signed(n - tld, j, sign)
     )
-
-
-# The weights above serve the reference alone, which weighs a crossing per
-# state and so reads them through caches; the vertex tables build the same
-# weights packed (_rmatrix_row, _gl_row).
-_rmatrix_weight = lru_cache(maxsize=None)(_rmatrix_vertex)
-_gl_weight = lru_cache(maxsize=None)(_gl_vertex)
 
 
 def rmatrix_contribution(
@@ -241,7 +246,7 @@ def rmatrix_contribution(
     quarter = sum(2 * (2 * b - n) for b in colors.closure[1:])
     value = LaurentQ.t_quarter(quarter)
     for c, cr in enumerate(d.crossings):
-        value = value * _rmatrix_weight(
+        value = value * _rmatrix_vertex(
             n,
             cr.sign,
             colors.arc_colors[cr.in_left],
@@ -262,7 +267,7 @@ def gl_contribution(
     quarter = sum(2 * (n - 2 * b) for b in colors.closure[1:])
     value = LaurentQ.t_quarter(quarter)
     for c, cr in enumerate(d.crossings):
-        value = value * _gl_weight(n, cr.sign, colors.i[c], p.jumps[c], colors.tilde[c])
+        value = value * _gl_vertex(n, cr.sign, colors.i[c], p.jumps[c], colors.tilde[c])
     return value
 
 
@@ -410,9 +415,10 @@ def _closing_checks(
 
 
 # (lo, N, count): a value Kronecker-packed as in qalgebra.pack, and the
-# number of partial states summed into it.
+# number of partial states summed into it.  Keyed by (start, cur), which fix
+# lo mod 4 (see the module docstring).
 Entry = tuple[int, int, int]
-Key = tuple[tuple[int, ...], tuple[int, ...], int]
+Key = tuple[tuple[int, ...], tuple[int, ...]]
 Limits = dict[int, tuple[tuple[int, ...], ...]]
 
 
@@ -460,7 +466,7 @@ def _seed(
         start = (*accumulate((anchor,) + rest),)
         if _can_close(limits, start, start, checks):
             quarter = sum(2 * (2 * c - n) for c in rest)
-            layer[start, start, quarter & 3] = (quarter, 1, 1)
+            layer[start, start] = (quarter, 1, 1)
     return layer
 
 
@@ -470,29 +476,31 @@ def _sweep(
     """Sum the weights of every contributing state, one letter at a time,
     and count the states.
 
-    A layer maps (start, cur, lowest exponent mod 4) to the summed weight
-    of the partial states below it and their number.  start and cur are
-    color vectors by their prefix sums (P_0, ..., P_{s-1}), position 0
-    anchored at color anchor; any anchor gives the same value, through a
-    different number of partial states (see the module docstring).  Each
-    start vector is seeded with its closure weight t**(sum((2c - n)/2))
-    over the non-anchor colors c, the same for both models.  A letter on
+    A layer maps (start, cur) to the summed weight of the partial states
+    below it and their number.  start and cur are color vectors by their
+    prefix sums (P_0, ..., P_{s-1}), position 0 anchored at color anchor;
+    any anchor gives the same value, through a different number of
+    partial states (see the module docstring).  Each start vector is
+    seeded with its closure weight t**(sum((2c - n)/2)) over the
+    non-anchor colors c, the same for both models.  A letter on
     generator g reads x, y, z = cur[g-2] (0 for g = 1), cur[g-1], cur[g],
     entering colors (a, b) = (y - x, z - y), and jump r rewrites cur[g-1]
     alone, to x + b + sign*r.  The table gives weights only; every jump
     it lists counts as a path, whatever its weight.  A value is carried
     Kronecker-packed as (lo, N) with one K-bit slot per power of t
-    (qalgebra.pack); the residue in the key keeps values whose slots are
-    offset by a fraction of a power apart.  A product is (lo + wlo, N * W)
-    and a sum shifts the value with the higher lo up to the other.  An
-    entry whose value cancels to 0 keeps its lo, its residue and its count.
+    (qalgebra.pack).  A product is (lo + wlo, N * W) and a sum shifts the
+    value with the higher lo up to the other by whole slots, since the key
+    fixes lo mod 4 (see the module docstring); a sum of two classes raises
+    ArithmeticError.  An entry whose value cancels to 0 keeps its lo and
+    its count.
 
     Exactness: every coefficient is bounded by the layer's summed L1 norm,
     which one letter multiplies by at most _growth, and K is one bit over
     that norm times the growth of the next REPACK_LETTERS letters.  The
     first chunk's norm is the start count (one monomial each, N = 1 at any
-    K, so no re-pack); later ones decode the layer to take it.  Each
-    residue's entries are summed packed, within the bound, and decoded once.
+    K, so no re-pack); later ones decode the layer to take it.  The closed
+    entries, of one class or ArithmeticError, are summed packed, within the
+    bound, and decoded once.
     The table's rows come packed at K, built as the weights' images at
     t = 2**K, which is what pack gives for weights that fit, as they do
     since K exceeds _growth.
@@ -550,7 +558,7 @@ def _sweep(
             h, hsign = ahead[0] if len(ahead) == 1 else (0, 0)
             hlimits = limits.get(hsign)
             nxt: dict[Key, Entry] = {}
-            for (start, cur, _), (lo, v, c) in layer.items():
+            for (start, cur), (lo, v, c) in layer.items():
                 x = cur[g - 2] if g > 1 else 0
                 y, z = cur[g - 1], cur[g]
                 a, b = y - x, z - y
@@ -573,7 +581,7 @@ def _sweep(
                         elif not _can_close(limits, start, new, ahead):
                             continue
                     qlo = lo + wlo
-                    key = (start, new, qlo & 3)
+                    key = (start, new)
                     # Every jump-0 weight, and every unit-table weight, is 1.
                     term = v if w == 1 else v * w
                     old = nxt.get(key)
@@ -581,22 +589,21 @@ def _sweep(
                         nxt[key] = (qlo, term, c)
                         continue
                     olo, acc, oc = old
+                    if (qlo - olo) & 3:
+                        raise ArithmeticError(f"exponent classes mod 4 meet at {key}")
                     if olo <= qlo:
                         nxt[key] = (olo, acc + (term << (k * (qlo - olo) >> 2)), oc + c)
                     else:
                         nxt[key] = (qlo, term + (acc << (k * (olo - qlo) >> 2)), oc + c)
             layer = nxt
-    closed: dict[int, list[tuple[int, int]]] = {}
-    count = 0
-    for (_, _, residue), (lo, v, c) in layer.items():
-        closed.setdefault(residue, []).append((lo, v))
+    base = min((lo for lo, _, _ in layer.values()), default=0)
+    packed = count = 0
+    for lo, v, c in layer.values():
+        if (lo - base) & 3:
+            raise ArithmeticError("closed states in two exponent classes mod 4")
+        packed += v << (k * (lo - base) >> 2)
         count += c
-    total = ZERO
-    for entries in closed.values():
-        base = min(lo for lo, _ in entries)
-        packed = sum(v << (k * (lo - base) >> 2) for lo, v in entries)
-        total = total + unpack(base, packed, k)
-    return total, count
+    return unpack(base, packed, k), count
 
 
 def state_count(b: BraidWord, n: int, convention: int) -> int:

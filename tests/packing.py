@@ -3,10 +3,20 @@
 The sweep and the certificate read tables whose rows are already packed at
 K (statesum.Table).  A test that needs its own table, healthy, custom or
 broken, writes its rows as LaurentQ weights and packs them with packed().
+assert_exponent_class_law checks the packed tables against the law that
+lets the sweep key its layer on colors alone (statesum module docstring).
 """
 
 from braidjones.qalgebra import pack
-from braidjones.statesum import _gl_vertex, _max_jump, _rmatrix_vertex
+from braidjones.statesum import (
+    _exact_k,
+    _gl_row,
+    _gl_vertex,
+    _max_jump,
+    _rmatrix_row,
+    _rmatrix_vertex,
+    _unit_row,
+)
 
 
 def packed(step):
@@ -34,3 +44,38 @@ def gl_step(n, sign, a, b):
     tld, under = (n - a, n - b) if sign > 0 else (n - b, n - a)
     top = _max_jump(n, sign, a, b)
     return tuple(_gl_vertex(n, sign, under - r, r, tld) for r in range(top + 1))
+
+
+# Each table's potential Phi(n, c) on a color vector c, and its class kappa
+# (n, sign), in the law lo = Phi(out) - Phi(in) + kappa (mod 4).  A row is
+# read on strands 0 and 1: the change of Phi at a crossing does not depend
+# on its generator.
+LAWS = {
+    _rmatrix_row: (
+        lambda n, c: sum(x * x + 2 * n * p * x for p, x in enumerate(c)),
+        lambda n, sign: -sign * n * n,
+    ),
+    _gl_row: (
+        lambda n, c: -2 * sum(x * (n - x) for x in c),
+        lambda n, sign: -sign * n * n,
+    ),
+    _unit_row: (lambda n, c: 0, lambda n, sign: 0),
+}
+
+
+def assert_exponent_class_law(colors):
+    """Assert, for every table in LAWS at each color n and both signs, that
+    every step of every row, packed at the certificate's K, has its lowest
+    quarter exponent lo in the class the law gives."""
+    for n in colors:
+        for sign in (1, -1):
+            k = _exact_k(n, sign)
+            for table, (phi, kappa) in LAWS.items():
+                classes = {
+                    (lo - phi(n, (left, a + b - left)) + phi(n, (a, b))) % 4
+                    for a in range(n + 1)
+                    for b in range(n + 1)
+                    for left, lo, _ in table(n, sign, a, b, k)
+                }
+                expected = {kappa(n, sign) % 4}
+                assert classes == expected, (table.__name__, n, sign, classes)

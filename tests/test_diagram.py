@@ -9,19 +9,11 @@ import pytest
 
 from braidjones.braid import BraidWord, parse
 from braidjones.diagram import OVER, UNDER, build
+from words import rand_braid
 
 
 def weaving(m: int) -> BraidWord:
     return BraidWord(3, (-1, 2) * m)
-
-
-def rand_braid(rng: random.Random, max_strands=4, max_len=8) -> BraidWord:
-    s = rng.randint(2, max_strands)
-    letters = tuple(
-        rng.choice([1, -1]) * rng.randint(1, s - 1)
-        for _ in range(rng.randint(1, max_len))
-    )
-    return BraidWord(s, letters)
 
 
 def test_sample_knot_table():
@@ -65,7 +57,7 @@ def test_tau_bijection_on_alternating():
 def test_tau_preimages_partition():
     rng = random.Random(7)
     for _ in range(40):
-        d = build(rand_braid(rng))
+        d = build(rand_braid(rng, max_len=8))
         seen = [c for order in d.tau_preimage_order for c in order]
         with_target = [c for c in range(d.crossing_count) if d.tau[c] is not None]
         assert sorted(seen) == sorted(with_target)
@@ -76,7 +68,7 @@ def test_tau_preimages_partition():
 def test_sigma_cycles_are_components():
     rng = random.Random(8)
     for _ in range(40):
-        b = rand_braid(rng)
+        b = rand_braid(rng, max_len=8)
         d = build(b)
         assert sorted(d.sigma) == list(range(d.crossing_count))
         seen: set[int] = set()
@@ -100,7 +92,7 @@ def test_sigma_cycles_are_components():
 def test_each_crossing_once_over_once_under():
     rng = random.Random(9)
     for _ in range(40):
-        d = build(rand_braid(rng))
+        d = build(rand_braid(rng, max_len=8))
         overs = sorted(c for steps in d.steps for c, role in steps if role == OVER)
         unders = sorted(c for steps in d.steps for c, role in steps if role == UNDER)
         assert overs == list(range(d.crossing_count))
@@ -137,7 +129,7 @@ def test_chord_graph_round_trip():
     # sigma, tau, and the jump orders are recoverable from the circles
     rng = random.Random(10)
     for _ in range(40):
-        d = build(rand_braid(rng))
+        d = build(rand_braid(rng, max_len=8))
         for steps in d.steps:
             under_at = [i for i, (_, role) in enumerate(steps) if role == UNDER]
             m = len(steps)
@@ -175,7 +167,7 @@ def _rank(rels: list[dict[int, int]], ncols: int) -> int:
 def test_cycle_relations_structure():
     rng = random.Random(11)
     for _ in range(50):
-        b = rand_braid(rng)
+        b = rand_braid(rng, max_len=8)
         d = build(b)
         rels = d.cycle_relations()
         assert len(rels) == d.component_count
@@ -249,7 +241,7 @@ def test_weaving_relations_equal_sums():
 def test_eliminated_jumps():
     rng = random.Random(12)
     for _ in range(50):
-        d = build(rand_braid(rng))
+        d = build(rand_braid(rng, max_len=8))
         solved = d.eliminated_jumps()
         pivots = [p for p, _ in solved]
         assert len(pivots) == len(set(pivots))
@@ -271,7 +263,7 @@ def test_eliminated_jumps():
 def test_solve_jumps():
     rng = random.Random(14)
     for _ in range(50):
-        d = build(rand_braid(rng))
+        d = build(rand_braid(rng, max_len=8))
         pivots = {p for p, _ in d.eliminated_jumps()}
         free = [c for c in range(d.crossing_count) if c not in pivots]
         values = [rng.randint(-5, 5) for _ in free]

@@ -21,15 +21,7 @@ from braidjones.oracle import (
 from braidjones.qalgebra import ONE, LaurentQ
 from braidjones.states import MINUS, PLUS, Potential, enumerate_z_potentials
 from braidjones.statesum import colored_jones_framed, colored_jones_unframed
-
-
-def rand_braid(rng: random.Random, max_strands=4, max_len=6) -> BraidWord:
-    s = rng.randint(2, max_strands)
-    letters = tuple(
-        rng.choice([1, -1]) * rng.randint(1, s - 1)
-        for _ in range(rng.randint(1, max_len))
-    )
-    return BraidWord(s, letters)
+from words import rand_braid
 
 
 def test_bracket_values():

@@ -35,16 +35,8 @@ from braidjones.statesum import (
     state_count,
     state_sum,
 )
-from packing import gl_step, packed, rmatrix_step
-
-
-def rand_braid(rng: random.Random, max_strands=4, max_len=6) -> BraidWord:
-    s = rng.randint(2, max_strands)
-    letters = tuple(
-        rng.choice([1, -1]) * rng.randint(1, s - 1)
-        for _ in range(rng.randint(1, max_len))
-    )
-    return BraidWord(s, letters)
+from packing import assert_exponent_class_law, gl_step, packed, rmatrix_step
+from words import rand_braid
 
 
 def test_anchor_values():
@@ -373,19 +365,23 @@ def test_free_cancellation():
 
 
 def test_input_validation():
-    # Every entry refuses a color below 1 with the one message check_work
-    # gives, whatever the word, model or convention.
-    for n in (0, -1):
+    # Every entry refuses a color below 1, and one that is not exactly an
+    # int, with the one message check_work gives, whatever the word, model
+    # or convention.  Unrefused, a float fails in range(), a str in a
+    # comparison, and True computes n = 1.
+    refused = [(n, ValueError, "color n must be >= 1") for n in (0, -1)]
+    refused += [(n, TypeError, f"color {n!r} is not an int") for n in (2.0, "2", True)]
+    for n, error, message in refused:
         for word in (parse("1"), parse("-1 -1"), BraidWord(1, ())):
             for model in ("rmatrix", "gl", "both"):
-                with pytest.raises(ValueError, match="color n must be >= 1"):
+                with pytest.raises(error, match=message):
                     colored_jones_framed(word, n, model)
             for convention in (MINUS, PLUS):
-                with pytest.raises(ValueError, match="color n must be >= 1"):
+                with pytest.raises(error, match=message):
                     state_count(word, n, convention)
-                with pytest.raises(ValueError, match="color n must be >= 1"):
+                with pytest.raises(error, match=message):
                     state_sum(build(word), n, convention)
-                with pytest.raises(ValueError, match="color n must be >= 1"):
+                with pytest.raises(error, match=message):
                     enumerate_states(build(word), n, convention)
     with pytest.raises(ValueError):
         colored_jones_framed(parse("1"), 1, "quantum")
@@ -626,14 +622,28 @@ def _mixing_table(n, sign, a, b):
     return (LaurentQ.t_quarter(a), ONE)[: _max_jump(n, sign, a, b) + 1]
 
 
-def test_sweep_keeps_residues_apart():
-    # At n = 1 with anchor 1, the paths with jumps (0, 0) and (1, 1) from
-    # (1, 0) both return to (1, 0), with weights t**(1/4) and 1 times the
-    # closure weight t**(-1/2); start (1, 1) returns with t**(1/2) times
-    # t**(1/2).  The closed total keeps both residues of start (1, 0) only
-    # if the sweep keeps them apart.
-    closed, _ = _sweep(BraidWord(2, (1, 1)), 1, packed(_mixing_table), 1)
-    assert closed == LaurentQ({-2: 1, -1: 1, 4: 1})
+def test_exponent_class_law():
+    # The law that keys the sweep's layer on colors alone holds on every
+    # row of the three tables; CI checks it at every color up to n = 26.
+    assert_exponent_class_law(range(1, 9))
+
+
+def test_sweep_refuses_mixed_exponent_classes():
+    # _mixing_table breaks the exponent-class law, so partial states of two
+    # classes mod 4 meet, which no packed sum can hold: the sweep must raise
+    # rather than sum them wrong.  At n = 1 on 1 1 with anchor 1, the paths
+    # with jumps (0, 0) and (1, 1) from (1, 0) both return to (1, 0), with
+    # weights t**(1/4) and 1.  On -1 -1 with anchor 0 two classes meet in one
+    # key while the closed states share one; on 1 with anchor 1 no key
+    # merges, but the closed states weigh t**(-1/2) and t**(3/4).
+    table = packed(_mixing_table)
+    for letters, anchor, message in (
+        ((1, 1), 1, "meet at"),
+        ((-1, -1), 0, "meet at"),
+        ((1,), 1, "closed states in two"),
+    ):
+        with pytest.raises(ArithmeticError, match=message):
+            _sweep(BraidWord(2, letters), 1, table, anchor)
 
 
 def _cancelling_table(n, sign, a, b):
