@@ -1,6 +1,7 @@
 """Independent cross-checks: a Kauffman-bracket Jones oracle at n=1, the
-Rosso-Jones formula for torus knots at every color, two chord-level
-color identities, and a skew-symmetric matrix lemma.
+Rosso-Jones formula for torus knots and the Habiro-Masbaum formula for
+twist knots at every color, two chord-level color identities, and a
+skew-symmetric matrix lemma.
 
 The bracket oracle shares nothing with the state models beyond the
 braid word itself: it enumerates all 2**c smoothings, counts loops with
@@ -18,7 +19,7 @@ from math import gcd
 
 from .braid import BraidWord
 from .diagram import Diagram
-from .qalgebra import ZERO, LaurentQ, pochhammer, qint
+from .qalgebra import ONE, ZERO, LaurentQ, pochhammer, qint
 from .states import PLUS, Potential, derive_colors
 
 _LOOP = LaurentQ({2: -1, -2: -1})
@@ -121,6 +122,52 @@ def rosso_jones(p: int, q: int, n: int) -> LaurentQ:
             quarter = -q * (l * (l + 2) - p * n * (n + 2)) // p
             total = total + LaurentQ.monomial(m[l] - m[l + 2], quarter) * qint(l + 1)
     return total.exact_div(qint(n + 1))
+
+
+def habiro_masbaum(p: int, n: int) -> LaurentQ:
+    """Colored Jones polynomial of the twist knot K_p at color n, unknot 1
+    and framing-independent, in q = t, by Habiro's cyclotomic formula as
+    Masbaum derived it for twist knots: with N = n + 1 and (x; q)_k the
+    q-Pochhammer symbol (1 - x)(1 - xq)...(1 - xq**(k-1)),
+
+        J = sum over k = 0..N-1 of q**k (q**(1-N); q)_k (q**(1+N); q)_k I_k,
+        I_k = sum over j = 0..k of (-1)**j q**(j(j+1)p + j(j-1)/2)
+              (1 - q**(2j+1)) (q; q)_k / ((q; q)_{k+j+1} (q; q)_{k-j}).
+
+    I_k is a Laurent polynomial only as a whole: its terms are put over
+    (q; q)_{2k+1}, whose quotients by (q; q)_{k+j+1} and (q; q)_{k-j} over
+    (q; q)_k are the products (q**(k+j+2); q)_{k-j} (q**(k-j+1); q)_j, and
+    divided once.  A few q-Pochhammer products, independent of the state
+    models and the sweep.  p = 1 is the trefoil 3_1, p = -1 the figure-eight
+    4_1, p = 2 the knot 5_2; p = -2 is the mirror of 6_1, so 6_1 is the
+    value with q = t**-1 (substitute_inverse).
+
+    Refs: K. Habiro, RIMS Kokyuroku 1172 (2000); G. Masbaum, Algebr. Geom.
+    Topol. 3 (2003) 537-556.
+    """
+    if n < 1:
+        raise ValueError("color n must be >= 1")
+
+    def power(m: int) -> LaurentQ:
+        return LaurentQ.t_quarter(4 * m)
+
+    def rising(first: int, length: int) -> LaurentQ:
+        # (q**first; q)_length
+        out = ONE
+        for m in range(first, first + length):
+            out = out * (ONE - power(m))
+        return out
+
+    total = ZERO
+    for k in range(n + 1):
+        inner = ZERO
+        for j in range(k + 1):
+            term = power(j * (j + 1) * p + j * (j - 1) // 2) * (ONE - power(2 * j + 1))
+            term = term * rising(k + j + 2, k - j) * rising(k - j + 1, j)
+            inner = inner - term if j % 2 else inner + term
+        inner = inner.exact_div(rising(1, 2 * k + 1))
+        total = total + power(k) * rising(-n, k) * rising(n + 2, k) * inner
+    return total
 
 
 def _out_colors(d: Diagram, p: Potential) -> tuple[list[int], list[int]]:

@@ -86,7 +86,8 @@ same test runs early, right after the last earlier letter on generators
 g-1, g or g+1, the only letters that change its inputs P_{g-2} (0 for
 g = 1), P_{g-1} and P_g: an entry whose required jump is not allowed is
 dropped there.  No contributing state is lost, and every entry left
-after the last letter closes.
+after the last letter closes.  The sweep keys an entry by its start and
+current prefix sums as bit fields of one int (see _sweep).
 
 R-matrix model, (-) convention.  With i, j the colors entering a
 crossing on the left and right, r its jump, and v = t**(1/2), the
@@ -416,10 +417,24 @@ def _closing_checks(
 
 # (lo, N, count): a value Kronecker-packed as in qalgebra.pack, and the
 # number of partial states summed into it.  Keyed by (start, cur), which fix
-# lo mod 4 (see the module docstring).
+# lo mod 4 (see the module docstring), as bit fields of one int (_sweep).
 Entry = tuple[int, int, int]
-Key = tuple[tuple[int, ...], tuple[int, ...]]
+Key = int
 Limits = dict[int, tuple[tuple[int, ...], ...]]
+
+
+def _width(strands: int, n: int) -> int:
+    """Bits per field of a layer key: every prefix sum is at most strands*n."""
+    return (strands * n).bit_length()
+
+
+def _decode(
+    key: Key, strands: int, width: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The (start, cur) prefix-sum vectors a layer key holds."""
+    mask = (1 << width) - 1
+    fields = [key >> (j * width) & mask for j in range(2 * strands)]
+    return tuple(fields[strands:]), tuple(fields[:strands])
 
 
 # _max_jump(n, sign, a, b) as limits[a][b], for the closing test.  Read after
@@ -452,21 +467,25 @@ def _can_close(
 # Bounded: perfbench's corpus reads 84 distinct first layers in one process.
 #
 # A sweep's first layer: every start vector, by its prefix sums with position
-# 0 at anchor, that passes the closing checks due before any letter, seeded
-# with its closure weight t**(sum((2c - n)/2)) over the non-anchor colors c
-# as one monomial (N = 1 at any K) and a count of 1.  Shared by every sweep
-# with these arguments, so it must not be mutated.
+# 0 at anchor, that passes the closing checks due before any letter, keyed
+# with cur = start, seeded with its closure weight t**(sum((2c - n)/2)) over
+# the non-anchor colors c as one monomial (N = 1 at any K) and a count of 1.
+# Shared by every sweep with these arguments, so it must not be mutated.
 @lru_cache(maxsize=128)
 def _seed(
     strands: int, n: int, anchor: int, checks: tuple[tuple[int, int], ...]
 ) -> dict[Key, Entry]:
     limits = {sign: _jump_limits(n, sign) for _, sign in checks}
+    width = _width(strands, n)
     layer: dict[Key, Entry] = {}
     for rest in product(range(n + 1), repeat=strands - 1):
         start = (*accumulate((anchor,) + rest),)
         if _can_close(limits, start, start, checks):
+            half = 0
+            for p in reversed(start):
+                half = half << width | p
             quarter = sum(2 * (2 * c - n) for c in rest)
-            layer[start, start] = (quarter, 1, 1)
+            layer[half << (strands * width) | half] = (quarter, 1, 1)
     return layer
 
 
@@ -480,19 +499,23 @@ def _sweep(
     below it and their number.  start and cur are color vectors by their
     prefix sums (P_0, ..., P_{s-1}), position 0 anchored at color anchor;
     any anchor gives the same value, through a different number of
-    partial states (see the module docstring).  Each start vector is
-    seeded with its closure weight t**(sum((2c - n)/2)) over the
-    non-anchor colors c, the same for both models.  A letter on
-    generator g reads x, y, z = cur[g-2] (0 for g = 1), cur[g-1], cur[g],
-    entering colors (a, b) = (y - x, z - y), and jump r rewrites cur[g-1]
-    alone, to x + b + sign*r.  The table gives weights only; every jump
-    it lists counts as a path, whatever its weight.  A value is carried
-    Kronecker-packed as (lo, N) with one K-bit slot per power of t
-    (qalgebra.pack).  A product is (lo + wlo, N * W) and a sum shifts the
-    value with the higher lo up to the other by whole slots, since the key
-    fixes lo mod 4 (see the module docstring); a sum of two classes raises
-    ArithmeticError.  An entry whose value cancels to 0 keeps its lo and
-    its count.
+    partial states (see the module docstring).  The key is one int, P_j
+    of cur at bit j*width and of start at (s + j)*width, with
+    width = (s*n).bit_length() since no P_j exceeds s*n.  Each start vector
+    is seeded with its closure weight t**(sum((2c - n)/2)) over the
+    non-anchor colors c, the same for both models.  A letter on generator
+    g reads x, y, z = cur[g-2] (0 for g = 1), cur[g-1], cur[g] by shift
+    and mask, entering colors (a, b) = (y - x, z - y), and jump r rewrites
+    the field cur[g-1] alone, to x + b + sign*r, by adding the row's left
+    color b + sign*r to the key with that field set to x.  The table gives
+    weights only; every jump it lists counts as a path, whatever its
+    weight.  A value is carried Kronecker-packed as (lo, N) with one K-bit
+    slot per power of t (qalgebra.pack).  A product is (lo + wlo, N * W)
+    and a sum shifts the value with the higher lo up to the other by whole
+    slots, since the key fixes lo mod 4 (see the module docstring); a sum
+    of two classes raises ArithmeticError naming the key decoded to
+    (start, cur).  An entry whose value cancels to 0 keeps its lo and its
+    count.
 
     Exactness: every coefficient is bounded by the layer's summed L1 norm,
     which one letter multiplies by at most _growth, and K is one bit over
@@ -517,7 +540,10 @@ def _sweep(
     chunk holds the rows it reads in a grid, rows[sign][a][b], so it
     fetches each row at most once.  A weight packed as 1 (N = 1, as every
     jump-0 weight is) skips the product.  One closing check due after a
-    letter, the usual case, is _can_close inlined; two or more call it.
+    letter, the usual case, is _can_close inlined: the letter, on h - 1, h
+    or h + 1 for a check on h, moves one of its inputs P_{h-2}, P_{h-1},
+    P_h, so each entry reads the other two and start[h-1] once.  Two or
+    more checks decode the key and call _can_close.
 
     Returns the summed weight of the closed states and their number.
     """
@@ -527,6 +553,8 @@ def _sweep(
     last, early = _closing_checks(letters)
     limits = {sign: _jump_limits(n, sign) for checks in early for _, sign in checks}
     layer = _seed(s, n, anchor, tuple(early[0]))
+    width = _width(s, n)
+    mask = (1 << width) - 1
     bound = len(layer)
     k = bound.bit_length() + 1
     for at in range(0, len(letters), REPACK_LETTERS):
@@ -554,47 +582,63 @@ def _sweep(
             grid = rows[sign]
             closing = last[i]
             ahead = early[i + 1]
-            # h = 0 unless exactly one check is due, which is tested inline.
+            # Offsets of cur[g-1], cur[g], start[g-1] and cur[g-2] (0 when g = 1).
+            shift = (g - 1) * width
+            zshift, sshift = shift + width, shift + s * width
+            xshift, xmask = (shift - width, mask) if g > 1 else (0, 0)
+            # h = 0 unless exactly one check is due, which is tested inline;
+            # the letter moves its input at index moved of (x2, y2, z2).
             h, hsign = ahead[0] if len(ahead) == 1 else (0, 0)
             hlimits = limits.get(hsign)
+            hshift = (h - 1) * width
+            hxshift, hxmask = (hshift - width, mask) if h > 1 else (0, 0)
+            hsshift, moved = hshift + s * width, g - h + 1
             nxt: dict[Key, Entry] = {}
-            for (start, cur), (lo, v, c) in layer.items():
-                x = cur[g - 2] if g > 1 else 0
-                y, z = cur[g - 1], cur[g]
-                a, b = y - x, z - y
+            for key, (lo, v, c) in layer.items():
+                x = key >> xshift & xmask
+                y = key >> shift & mask
+                a, b = y - x, (key >> zshift & mask) - y
                 steps = grid[a][b]
                 if steps is None:
                     steps = grid[a][b] = table(n, sign, a, b, k)
                 if closing:
-                    steps = (steps[sign * (start[g - 1] - x - b)],)
-                head, tail = cur[: g - 1], cur[g:]
+                    steps = (steps[sign * ((key >> sshift & mask) - x - b)],)
+                # The key with cur[g-1] at x; a jump adds its left color.
+                base = key - (a << shift)
+                if h:
+                    hstart = key >> hsshift & mask
+                    inputs = [
+                        key >> hxshift & hxmask,
+                        key >> hshift & mask,
+                        key >> (hshift + width) & mask,
+                    ]
                 for left, wlo, w in steps:
-                    new = head + (x + left,) + tail
+                    new = base + (left << shift)
                     if ahead:
                         if h:
-                            x2 = new[h - 2] if h > 1 else 0
-                            y2 = new[h - 1]
-                            b2 = new[h] - y2
-                            jump = hsign * (start[h - 1] - x2 - b2)
+                            inputs[moved] = x + left
+                            x2, y2, z2 = inputs
+                            b2 = z2 - y2
+                            jump = hsign * (hstart - x2 - b2)
                             if not 0 <= jump <= hlimits[y2 - x2][b2]:
                                 continue
-                        elif not _can_close(limits, start, new, ahead):
+                        elif not _can_close(limits, *_decode(new, s, width), ahead):
                             continue
                     qlo = lo + wlo
-                    key = (start, new)
                     # Every jump-0 weight, and every unit-table weight, is 1.
                     term = v if w == 1 else v * w
-                    old = nxt.get(key)
+                    old = nxt.get(new)
                     if old is None:
-                        nxt[key] = (qlo, term, c)
+                        nxt[new] = (qlo, term, c)
                         continue
                     olo, acc, oc = old
                     if (qlo - olo) & 3:
-                        raise ArithmeticError(f"exponent classes mod 4 meet at {key}")
+                        where = _decode(new, s, width)
+                        raise ArithmeticError(f"exponent classes mod 4 meet at {where}")
                     if olo <= qlo:
-                        nxt[key] = (olo, acc + (term << (k * (qlo - olo) >> 2)), oc + c)
+                        nxt[new] = (olo, acc + (term << (k * (qlo - olo) >> 2)), oc + c)
                     else:
-                        nxt[key] = (qlo, term + (acc << (k * (olo - qlo) >> 2)), oc + c)
+                        nxt[new] = (qlo, term + (acc << (k * (olo - qlo) >> 2)), oc + c)
             layer = nxt
     base = min((lo for lo, _, _ in layer.values()), default=0)
     packed = count = 0

@@ -1,5 +1,5 @@
-"""The bracket and Rosso-Jones oracles and the chord-level identities
-they cross-check."""
+"""The bracket, Rosso-Jones and Habiro-Masbaum oracles and the
+chord-level identities they cross-check."""
 
 import random
 from math import gcd
@@ -10,6 +10,7 @@ from braidjones.braid import BraidWord, parse
 from braidjones.diagram import build
 from braidjones.oracle import (
     _out_colors,
+    habiro_masbaum,
     kauffman_jones,
     rosso_jones,
     torus_braid,
@@ -103,6 +104,28 @@ def test_rosso_jones_matches_sweep():
     for args in ((2, 4, 1), (0, 1, 1), (2, 3, 0)):
         with pytest.raises(ValueError):
             rosso_jones(*args)
+
+
+def test_habiro_masbaum_matches_sweep():
+    # The twist-knot formula shares nothing with the state models or the
+    # sweep: an oracle above n = 1 on 3 and 4 strands, off the torus family.
+    # (braid word, strands, twist p, whether q = t**-1)
+    knots = (
+        ("1 1 1", 2, 1, False),  # 3_1
+        ("-1 2 -1 2", 3, -1, False),  # 4_1
+        ("1 1 1 2 -1 2", 3, 2, False),  # 5_2
+        ("1 1 2 -1 -3 2 -3", 4, -2, True),  # 6_1
+    )
+    for text, strands, p, inverse in knots:
+        b = parse(text, strands)
+        for n in (1, 2, 3, 4):
+            value = habiro_masbaum(p, n)
+            if inverse:
+                value = value.substitute_inverse()
+            assert colored_jones_unframed(b, n) == value, (text, n)
+    assert habiro_masbaum(0, 3) == ONE  # K_0 is the unknot
+    with pytest.raises(ValueError):
+        habiro_masbaum(1, 0)
 
 
 def test_prop_identities_zero_potential():

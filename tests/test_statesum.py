@@ -2,21 +2,24 @@
 totals must satisfy: framing, reflection, skein, exponent parity."""
 
 import random
+import re
 import time
 from collections import Counter
+from itertools import accumulate, product
 
 import pytest
 
 from braidjones import statesum
 from braidjones.braid import BraidWord, parse
 from braidjones.diagram import build
-from braidjones.oracle import rosso_jones, torus_braid
+from braidjones.oracle import kauffman_jones, rosso_jones, torus_braid
 from braidjones.qalgebra import ONE, LaurentQ, qbinom, qint, unpack
 from braidjones.states import MINUS, PLUS, enumerate_states, flow_bijection
 from braidjones.statesum import (
     REPACK_LETTERS,
     ModelMismatchError,
     _closing_checks,
+    _decode,
     _exact_k,
     _gl_row,
     _growth,
@@ -25,7 +28,9 @@ from braidjones.statesum import (
     _seed,
     _sweep,
     _unit_row,
+    _width,
     certify_correspondence,
+    check_work,
     colored_jones_framed,
     colored_jones_unframed,
     framed_and_count,
@@ -637,13 +642,55 @@ def test_sweep_refuses_mixed_exponent_classes():
     # key while the closed states share one; on 1 with anchor 1 no key
     # merges, but the closed states weigh t**(-1/2) and t**(3/4).
     table = packed(_mixing_table)
+    # The message names the key decoded to its (start, cur) prefix sums.
     for letters, anchor, message in (
-        ((1, 1), 1, "meet at"),
-        ((-1, -1), 0, "meet at"),
-        ((1,), 1, "closed states in two"),
+        ((1, 1), 1, "exponent classes mod 4 meet at ((1, 1), (1, 1))"),
+        ((-1, -1), 0, "exponent classes mod 4 meet at ((0, 1), (0, 1))"),
+        ((1,), 1, "closed states in two exponent classes mod 4"),
     ):
-        with pytest.raises(ArithmeticError, match=message):
+        with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}$"):
             _sweep(BraidWord(2, letters), 1, table, anchor)
+
+
+@pytest.mark.parametrize(
+    "strands, n, text", ((3, 5, "-1 2 -1 2"), (2, 8, "1 1 1"), (4, 4, "-1 2 -3 2 1"))
+)
+def test_layer_key_fields_at_their_width(strands, n, text):
+    # A layer key holds each prefix sum, at most strands*n, in a field of
+    # _width bits: here strands*n is 2**width - 1 (15 in 4 bits) or
+    # 2**(width - 1) (16 in 5 bits).  Anchored at n, the all-n start vector
+    # reaches strands*n in the top field of both halves.
+    width = _width(strands, n)
+    assert strands * n in ((1 << width) - 1, 1 << (width - 1))
+    keys = [_decode(key, strands, width) for key in _seed(strands, n, n, ())]
+    assert all(start == cur for start, cur in keys)
+    rests = product(range(n + 1), repeat=strands - 1)
+    assert sorted(start for start, _ in keys) == sorted(
+        tuple(accumulate((n,) + rest)) for rest in rests
+    )
+    b = parse(text, strands)
+    d = build(b)
+    value = state_sum(d, n, MINUS)
+    assert state_sum(d, n, PLUS) == value
+    for anchor, convention in ((0, MINUS), (n, PLUS)):
+        count = len(enumerate_states(d, n, convention))
+        for table in (_rmatrix_row, _gl_row):
+            assert _sweep(b, n, table, anchor) == (value, count), (table, anchor)
+        assert _sweep(b, n, _unit_row, anchor)[1] == count, anchor
+
+
+def test_widest_layer_key_against_the_bracket():
+    # Thirteen strands at n = 1, the most the work limit admits: a key of
+    # 26 fields, 4 bits each.
+    check_work(13, 1)
+    with pytest.raises(ValueError, match="too large"):
+        check_work(14, 1)
+    assert _width(13, 1) == 4
+    b = BraidWord(13, (-1, 2, -3, 4, -5, 6, -7, 8, -9, 10, -11, 12, 2))
+    sign = 1 if b.component_count() % 2 else -1
+    oracle = kauffman_jones(b).substitute_inverse() * sign
+    for model in ("rmatrix", "gl", "both"):
+        assert colored_jones_unframed(b, 1, model) == oracle, model
 
 
 def _cancelling_table(n, sign, a, b):
