@@ -23,19 +23,19 @@ slot per whole power of t) as a single integer by Kronecker substitution,
 t -> 2**K: the product of two packed values is their integer product, and
 unpacking is exact while every coefficient lies in (-2**(K-1), 2**(K-1)).
 
-Substituting t -> 2**K is a ring homomorphism from Z[t] to Z, and (lo, N)
-extends it to t**(lo/4) Z[t]: the lo of a product is the sum of the lo's
-and its N the product of the N's, exactly, whatever the size of the
-coefficients.  So the packed symbols below are built as integers without
-building the polynomials: {a} and 1 - t**m in closed form, the Pochhammer
-symbols as integer products of those, and both q-binomials as integer
-quotients.  A quotient is exact because the polynomial quotient is: if
-P = Q D then N(P) = N(Q) N(D), so N(Q) = N(P) // N(D) with no remainder,
-and lo(Q) = lo(P) - lo(D) since lowest terms multiply.  Each lo is the
-symbol's lowest exponent, so a packed symbol equals pack(symbol, K)
-whenever its coefficients fit K-bit slots, and otherwise it is still the
-symbol's image at t = 2**K, which is all a product of packed values needs
-until its result is decoded.
+Substituting t -> 2**K is a ring homomorphism from Z[t] to Z: the image
+of a product is the product of the images, whatever the size of the
+coefficients.  Every weight of both vertex tables is +-t**(lo/4) times a
+Gaussian binomial [a, b]_t and a falling product
+(1 - t**m)(1 - t**(m-1)) ... (1 - t**(m-r+1)), with lo in closed form
+(statesum), so only those two symbols are packed here, as integers built
+without the polynomials: packed_gauss as the integer quotient
+[a-1, b-1] (2**(K a) - 1) // (2**(K b) - 1), exact because the polynomial
+quotient is (P = Q D gives P(2**K) = Q(2**K) D(2**K)), and packed_falling
+as an integer product.  Both have constant term 1, so lo = 0, and each
+equals pack(symbol, K)[1] whenever its coefficients fit K-bit slots;
+otherwise it is still the symbol's image at t = 2**K, which is all a
+product of packed values needs until its result is decoded.
 """
 
 from __future__ import annotations
@@ -378,86 +378,28 @@ def qbinom_signed(a: int, b: int, eps: int) -> LaurentQ:
     return num.exact_div(den)
 
 
-# Packed symbols: (lo, N) as pack returns them, at K = k (see the module
-# docstring).  The recursive ones are cached per K, bounded like the packed
-# vertex rows that read them; each new entry costs one product, and one
-# quotient for a q-binomial.
-Packed = tuple[int, int]
-
-
-def _times(x: Packed, y: Packed) -> Packed:
-    n = x[1] * y[1]
-    return (x[0] + y[0], n) if n else (0, 0)
-
-
-def packed_div(x: Packed, y: Packed) -> Packed:
-    """The exact quotient x / y of packed values; raises ExactDivisionError
-    when the integer quotient leaves a remainder."""
-    if not y[1]:
-        raise ZeroDivisionError("division by the zero polynomial")
-    n, rem = divmod(x[1], y[1])
+# Packed symbols at K = k: plain ints, each the image at t = 2**K of a
+# polynomial in t with constant term 1, so lo = 0 (see the module
+# docstring).  Cached per K, bounded like the packed vertex rows that read
+# them; each new entry costs one product, and one quotient for [a, b].
+@lru_cache(maxsize=4096)
+def packed_gauss(a: int, b: int, k: int) -> int:
+    """The Gaussian binomial [a, b]_t at t = 2**k, for 0 <= b <= a:
+    [a-1, b-1] (t**a - 1) / (t**b - 1), 1 for b = 0.  Raises
+    ExactDivisionError when the integer quotient leaves a remainder."""
+    if not b:
+        return 1
+    num = packed_gauss(a - 1, b - 1, k) * ((1 << (k * a)) - 1)
+    n, rem = divmod(num, (1 << (k * b)) - 1)
     if rem:
-        raise ExactDivisionError(f"non-exact packed division of {x} by {y}")
-    return (x[0] - y[0], n) if n else (0, 0)
-
-
-def packed_qbrace(a: int, k: int) -> Packed:
-    """{a} = v**a - v**(-a) packed at K = k, in closed form."""
-    if a == 0:
-        return 0, 0
-    if a > 0:
-        return -2 * a, (1 << (k * a)) - 1
-    return 2 * a, 1 - (1 << (-k * a))
-
-
-def packed_one_minus(m: int, k: int) -> Packed:
-    """1 - t**m packed at K = k, in closed form."""
-    if m == 0:
-        return 0, 0
-    if m > 0:
-        return 0, 1 - (1 << (k * m))
-    return 4 * m, (1 << (-k * m)) - 1
+        raise ExactDivisionError(f"non-exact packed division in [{a}, {b}] at K = {k}")
+    return n
 
 
 @lru_cache(maxsize=4096)
-def packed_pochhammer(a: int, b: int, k: int) -> Packed:
-    """{a}_b packed at K = k: {a} times {a-1}_{b-1}."""
-    if b <= 0:
-        return (0, 1) if b == 0 else (0, 0)
-    return _times(packed_qbrace(a, k), packed_pochhammer(a - 1, b - 1, k))
-
-
-@lru_cache(maxsize=4096)
-def packed_pochhammer_signed(a: int, b: int, eps: int, k: int) -> Packed:
-    """{a}_{b,t^eps} packed at K = k: (1 - t**(eps*a)) times
-    {a-1}_{b-1,t^eps}."""
-    if eps not in (1, -1):
-        raise ValueError("eps must be +1 or -1")
-    if b <= 0:
-        return (0, 1) if b == 0 else (0, 0)
-    return _times(
-        packed_one_minus(eps * a, k), packed_pochhammer_signed(a - 1, b - 1, eps, k)
-    )
-
-
-@lru_cache(maxsize=4096)
-def packed_qbinom(a: int, b: int, k: int) -> Packed:
-    """(a choose b) packed at K = k: (a-1 choose b-1) {a} / {b}."""
-    if b <= 0:
-        return (0, 1) if b == 0 else (0, 0)
-    step = _times(packed_qbinom(a - 1, b - 1, k), packed_qbrace(a, k))
-    return packed_div(step, packed_qbrace(b, k))
-
-
-@lru_cache(maxsize=4096)
-def packed_qbinom_signed(a: int, b: int, eps: int, k: int) -> Packed:
-    """(a choose b)_{t^eps} packed at K = k: (a-1 choose b-1)_{t^eps}
-    (1 - t**(eps*a)) / (1 - t**(eps*b))."""
-    if eps not in (1, -1):
-        raise ValueError("eps must be +1 or -1")
-    if b <= 0:
-        return (0, 1) if b == 0 else (0, 0)
-    step = _times(
-        packed_qbinom_signed(a - 1, b - 1, eps, k), packed_one_minus(eps * a, k)
-    )
-    return packed_div(step, packed_one_minus(eps * b, k))
+def packed_falling(m: int, r: int, k: int) -> int:
+    """(1 - t**m)(1 - t**(m-1)) ... (1 - t**(m-r+1)) at t = 2**k, for
+    0 <= r <= m; 1 for r = 0."""
+    if not r:
+        return 1
+    return (1 - (1 << (k * m))) * packed_falling(m - 1, r - 1, k)

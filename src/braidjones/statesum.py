@@ -56,19 +56,20 @@ decoded and K sized afresh every REPACK_LETTERS letters so that K does
 not grow with the word.  Requests whose first layer and vertex table
 would exceed WORK_LIMIT are refused before anything is built.
 
-The vertex tables build their rows already packed at the sweep's K, as
-products and exact quotients of packed quantum symbols (qalgebra), with
-no polynomial in between.  Substituting t -> 2**K is a ring homomorphism,
-so a row built at any K is the image of its weights, and a layer's sums
-and products are the image of the layer's value; only the values decoded
-need to fit their K-bit slots, which the bound above proves.
+The vertex tables build their rows already packed at the sweep's K, each
+weight a monomial with its lowest exponent in closed form times a packed
+Gaussian binomial and falling product (qalgebra), with no polynomial in
+between.  Substituting t -> 2**K is a ring homomorphism, so a row built
+at any K is the image of its weights, and a layer's sums and products are
+the image of the layer's value; only the values decoded need to fit their
+K-bit slots, which the bound above proves.
 
 Set-up that depends on the color, the table and K alone is cached per
 process and shared by every sweep: packed rows (_rmatrix_row, _gl_row,
 _unit_row, each keyed on n, sign, entering colors and K; 4096 at most
-each) and the packed symbols they read (4096 at most per kind), first
-layers (_seed, keyed on strands, n, anchor and the checks due before any
-letter; 128 at most), jump limits (_jump_limits), and per n and sign the
+each) and the two packed symbols both tables share (4096 at most each),
+first layers (_seed, keyed on strands, n, anchor and the checks due before
+any letter; 128 at most), jump limits (_jump_limits), and per n and sign the
 certificate's K (_exact_k) and each table's growth (_growth), read from
 the packed weights' slot magnitudes (qalgebra.packed_l1).  K is still the
 exact proved bound, not rounded to share rows.  Within a chunk, where K is
@@ -160,11 +161,9 @@ from .braid import BraidWord
 from .qalgebra import (
     LaurentQ,
     pack,
+    packed_falling,
+    packed_gauss,
     packed_l1,
-    packed_pochhammer,
-    packed_pochhammer_signed,
-    packed_qbinom,
-    packed_qbinom_signed,
     pochhammer,
     pochhammer_signed,
     qbinom,
@@ -298,25 +297,24 @@ def _max_jump(n: int, sign: int, a: int, b: int) -> int:
     return min(a, n - b) if sign > 0 else min(b, n - a)
 
 
-# The two model tables build each weight as a product of packed symbols
-# (qalgebra), with no polynomial in between.  They are written apart from
-# _rmatrix_vertex and _gl_vertex, so the sweep and the reference weigh with
-# independent code.  Rows are cached per K, bounded as the symbols are.
+# Each weight of the two model tables is +-t**(lo/4) times a packed Gaussian
+# binomial and falling product (qalgebra), with lo in closed form (README
+# "Packed values and caches") and no polynomial in between.  Written apart
+# from _rmatrix_vertex and _gl_vertex, so the sweep and the reference weigh
+# with independent code.  Rows are cached per K, bounded as the symbols are.
 @lru_cache(maxsize=4096)
 def _rmatrix_row(n: int, sign: int, i: int, j: int, k: int) -> Row:
     steps = []
     for r in range(_max_jump(n, sign, i, j) + 1):
         if sign > 0:
-            quarter = -((n - 2 * i) * (n - 2 * j) + r * (r - 1))
-            blo, bn = packed_qbinom(j + r, r, k)
-            plo, pn = packed_pochhammer(n + r - i, r, k)
-            if r % 2:
-                bn = -bn
+            lo = -(n - 2 * i) * (n - 2 * j) - 2 * r * (n + r - i + j)
+            w = packed_gauss(j + r, r, k) * packed_falling(n + r - i, r, k)
         else:
-            quarter = (n - 2 * i - 2 * r) * (n - 2 * j + 2 * r) + r * (r - 1)
-            blo, bn = packed_qbinom(i + r, r, k)
-            plo, pn = packed_pochhammer(n + r - j, r, k)
-        steps.append((j + sign * r, quarter + blo + plo, bn * pn))
+            lo = (n - 2 * i - 2 * r) * (n - 2 * j + 2 * r) - 2 * r * (n + 1 + i - j)
+            w = packed_gauss(i + r, r, k) * packed_falling(n + r - j, r, k)
+            if r % 2:
+                w = -w
+        steps.append((j + sign * r, lo, w))
     return tuple(steps)
 
 
@@ -329,10 +327,16 @@ def _gl_row(n: int, sign: int, a: int, b: int, k: int) -> Row:
     steps = []
     for r in range(_max_jump(n, sign, a, b) + 1):
         i = under - r
-        blo, bn = packed_qbinom_signed(under, i, -sign, k)
-        plo, pn = packed_pochhammer_signed(n - tld, r, sign, k)
-        quarter = sign * (4 * n * i - 4 * i * tld - n * n)
-        steps.append((b + sign * r, quarter + blo + plo, bn * pn))
+        lo = sign * (4 * n * i - 4 * i * tld - n * n)
+        # [under, i] = [under, r] by symmetry: the form the R-matrix rows read.
+        w = packed_gauss(under, r, k) * packed_falling(n - tld, r, k)
+        if sign > 0:
+            lo -= 4 * i * r
+        else:
+            lo += 2 * r * (r - 1) - 4 * r * (n - tld)
+            if r % 2:
+                w = -w
+        steps.append((b + sign * r, lo, w))
     return tuple(steps)
 
 
@@ -679,7 +683,8 @@ def _certificate(gl_table: Table, rm_table: Table, n: int, sign: int) -> None:
     so is never cached.
     """
     k = _exact_k(n, sign)
-    binoms = [packed_qbinom(n, x, k) for x in range(n + 1)]
+    # [n, x] = t**(-x(n-x)/2) [n, x]_t.
+    binoms = [(-2 * x * (n - x), packed_gauss(n, x, k)) for x in range(n + 1)]
     pairs = {
         (x, y): (xlo + ylo, xn * yn)
         for (x, (xlo, xn)), (y, (ylo, yn)) in product(enumerate(binoms), repeat=2)

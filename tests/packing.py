@@ -3,11 +3,12 @@
 The sweep and the certificate read tables whose rows are already packed at
 K (statesum.Table).  A test that needs its own table, healthy, custom or
 broken, writes its rows as LaurentQ weights and packs them with packed().
-assert_exponent_class_law checks the packed tables against the law that
+assert_rows_decode checks the packed model tables against these reference
+weights, and assert_exponent_class_law checks them against the law that
 lets the sweep key its layer on colors alone (statesum module docstring).
 """
 
-from braidjones.qalgebra import pack
+from braidjones.qalgebra import pack, unpack
 from braidjones.statesum import (
     _exact_k,
     _gl_row,
@@ -44,6 +45,29 @@ def gl_step(n, sign, a, b):
     tld, under = (n - a, n - b) if sign > 0 else (n - b, n - a)
     top = _max_jump(n, sign, a, b)
     return tuple(_gl_vertex(n, sign, under - r, r, tld) for r in range(top + 1))
+
+
+def assert_rows_decode(colors):
+    """Assert, at each color n and both signs, that every row of _rmatrix_row
+    and _gl_row, packed at the certificate's K, decodes to rmatrix_step and
+    gl_step, each weight after the left color it leaves: this pins each
+    weight's closed-form lowest exponent and sign."""
+    for n in colors:
+        for sign in (1, -1):
+            k = _exact_k(n, sign)
+            for a in range(n + 1):
+                for b in range(n + 1):
+                    for row, step in (
+                        (_rmatrix_row, rmatrix_step),
+                        (_gl_row, gl_step),
+                    ):
+                        weights = step(n, sign, a, b)
+                        expected = [(b + sign * r, w) for r, w in enumerate(weights)]
+                        got = [
+                            (left, unpack(lo, w, k))
+                            for left, lo, w in row(n, sign, a, b, k)
+                        ]
+                        assert got == expected, (row.__name__, n, sign, a, b)
 
 
 # Each table's potential Phi(n, c) on a color vector c, and its class kappa

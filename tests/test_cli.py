@@ -422,10 +422,8 @@ def test_counting_reads_no_weights(monkeypatch, capsys):
         "_gl_vertex",
         "_rmatrix_row",
         "_gl_row",
-        "packed_pochhammer",
-        "packed_pochhammer_signed",
-        "packed_qbinom",
-        "packed_qbinom_signed",
+        "packed_gauss",
+        "packed_falling",
     ):
         monkeypatch.setattr(statesum, name, forbidden)
     monkeypatch.setattr(statesum, "_unit_row", statesum._unit_row.__wrapped__)

@@ -108,21 +108,23 @@ def test_rosso_jones_matches_sweep():
 
 def test_habiro_masbaum_matches_sweep():
     # The twist-knot formula shares nothing with the state models or the
-    # sweep: an oracle above n = 1 on 3 and 4 strands, off the torus family.
-    # (braid word, strands, twist p, whether q = t**-1)
+    # sweep: an oracle above n = 1 on 3 and 4 strands, off the torus family,
+    # under all three models.  6_1 stops where the work limit stops 4 strands.
+    # (braid word, strands, twist p, whether q = t**-1, colors)
     knots = (
-        ("1 1 1", 2, 1, False),  # 3_1
-        ("-1 2 -1 2", 3, -1, False),  # 4_1
-        ("1 1 1 2 -1 2", 3, 2, False),  # 5_2
-        ("1 1 2 -1 -3 2 -3", 4, -2, True),  # 6_1
+        ("1 1 1", 2, 1, False, range(1, 9)),  # 3_1
+        ("-1 2 -1 2", 3, -1, False, range(1, 9)),  # 4_1
+        ("1 1 1 2 -1 2", 3, 2, False, range(1, 9)),  # 5_2
+        ("1 1 2 -1 -3 2 -3", 4, -2, True, range(1, 7)),  # 6_1
     )
-    for text, strands, p, inverse in knots:
+    for text, strands, p, inverse, colors in knots:
         b = parse(text, strands)
-        for n in (1, 2, 3, 4):
+        for n in colors:
             value = habiro_masbaum(p, n)
             if inverse:
                 value = value.substitute_inverse()
-            assert colored_jones_unframed(b, n) == value, (text, n)
+            for model in ("rmatrix", "gl", "both"):
+                assert colored_jones_unframed(b, n, model) == value, (text, n, model)
     assert habiro_masbaum(0, 3) == ONE  # K_0 is the unknot
     with pytest.raises(ValueError):
         habiro_masbaum(1, 0)

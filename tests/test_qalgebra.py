@@ -5,19 +5,15 @@ import random
 
 import pytest
 
+from braidjones import qalgebra
 from braidjones.qalgebra import (
     ONE,
     ExactDivisionError,
     LaurentQ,
     pack,
-    packed_div,
+    packed_falling,
+    packed_gauss,
     packed_l1,
-    packed_one_minus,
-    packed_pochhammer,
-    packed_pochhammer_signed,
-    packed_qbinom,
-    packed_qbinom_signed,
-    packed_qbrace,
     pochhammer,
     pochhammer_signed,
     qbinom,
@@ -269,28 +265,23 @@ def _image(poly: LaurentQ, k: int) -> tuple[int, int]:
     return lo, sum(c << (k * ((q - lo) >> 2)) for q, c in terms)
 
 
-def _packed_symbol_cases(k: int) -> list[tuple[tuple[int, int], LaurentQ]]:
-    # (packed symbol at K = k, its dict symbol) for every kind of symbol.
-    cases = [(packed_qbrace(a, k), qbrace(a)) for a in range(-12, 13)]
-    cases += [
-        (packed_one_minus(m, k), ONE - LaurentQ.t_quarter(4 * m))
-        for m in range(-12, 13)
-    ]
-    for a in range(-12, 13):
-        for b in range(-1, 13):
-            cases.append((packed_pochhammer(a, b, k), pochhammer(a, b)))
-            cases.append((packed_qbinom(a, b, k), qbinom(a, b)))
-            for e in (1, -1):
-                poch, binom = pochhammer_signed(a, b, e), qbinom_signed(a, b, e)
-                cases.append((packed_pochhammer_signed(a, b, e, k), poch))
-                cases.append((packed_qbinom_signed(a, b, e, k), binom))
+def _packed_symbol_cases(k: int) -> list[tuple[int, LaurentQ]]:
+    # (packed symbol at K = k, its dict symbol) for both symbols: [a, b]_t
+    # is the signed binomial at t**1 and the falling product the signed
+    # Pochhammer symbol at t**1, for 0 <= b <= a <= 12.
+    cases = []
+    for a in range(13):
+        for b in range(a + 1):
+            cases.append((packed_gauss(a, b, k), qbinom_signed(a, b, 1)))
+            cases.append((packed_falling(a, b, k), pochhammer_signed(a, b, 1)))
     return cases
 
 
 def test_packed_symbols():
-    # Each packed symbol is its dict symbol's image at t = 2**K: what pack
-    # gives when every coefficient fits K-bit slots, and the term-by-term
-    # evaluation when one does not (K = 2 and 3 leave most of them out).
+    # Each packed symbol is its dict symbol's image at t = 2**K, with lo = 0:
+    # what pack gives when every coefficient fits K-bit slots, and the
+    # term-by-term evaluation when one does not (K = 2 and 3 leave most of
+    # them out).
     fitted = overflowed = 0
     for k in (2, 3, 8, 40):
         for got, symbol in _packed_symbol_cases(k):
@@ -300,12 +291,8 @@ def test_packed_symbols():
             except ArithmeticError:
                 expected = _image(symbol, k)
                 overflowed += 1
-            assert got == expected, (symbol, k)
+            assert (0, got) == expected, (symbol, k)
     assert fitted and overflowed
-    with pytest.raises(ValueError):
-        packed_pochhammer_signed(2, 1, 0, 8)
-    with pytest.raises(ValueError):
-        packed_qbinom_signed(2, 1, 2, 8)
 
 
 def test_packed_l1_reads_the_decoded_norm():
@@ -316,7 +303,7 @@ def test_packed_l1_reads_the_decoded_norm():
     negative = chained = 0
     for k in (2, 3, 8, 40):
         edge = (1 << (k - 1)) - 1
-        cases = [got for got, _ in _packed_symbol_cases(k)]
+        cases = [(0, got) for got, _ in _packed_symbol_cases(k)]
         cases += [
             pack(LaurentQ({0: -edge, 4: -1, 8: 0, 12: -edge, 16: edge}), k),
             pack(LaurentQ({-8: -1, -4: 0, 0: -1}), k),
@@ -334,16 +321,13 @@ def test_packed_l1_reads_the_decoded_norm():
     assert negative and chained
 
 
-def test_packed_division_is_exact():
+def test_packed_division_is_exact(monkeypatch):
+    # packed_gauss divides (t**a - 1) [a-1, b-1] by t**b - 1 as integers;
+    # test_packed_symbols checks every quotient it keeps.  An inner value
+    # that is not [a-1, b-1] leaves a remainder, which raises.
     k = 8
-    three = packed_qbrace(3, k)
-    product = (three[0] + three[0], three[1] * three[1])
-    assert packed_div(product, three) == three
-    assert packed_div((0, 0), three) == (0, 0)
-    # {2} / {1} = [2] = v + v**-1, but {1} / {2} and {3} / {2} leave remainders
-    assert unpack(*packed_div(packed_qbrace(2, k), packed_qbrace(1, k)), k) == qint(2)
-    for a, b in ((1, 2), (3, 2)):
-        with pytest.raises(ExactDivisionError):
-            packed_div(packed_qbrace(a, k), packed_qbrace(b, k))
-    with pytest.raises(ZeroDivisionError):
-        packed_div(three, (0, 0))
+    assert packed_gauss(2, 1, k) == 1 + (1 << k)  # [2, 1] = 1 + t
+    divide = packed_gauss.__wrapped__
+    monkeypatch.setattr(qalgebra, "packed_gauss", lambda a, b, k: 2)
+    with pytest.raises(ExactDivisionError):
+        divide(3, 2, k)
