@@ -56,26 +56,28 @@ decoded and K sized afresh every REPACK_LETTERS letters so that K does
 not grow with the word.  Requests whose first layer and vertex table
 would exceed WORK_LIMIT are refused before anything is built.
 
-The vertex tables build their rows already packed at the sweep's K, each
-weight a monomial with its lowest exponent in closed form times a packed
-Gaussian binomial and falling product (qalgebra), with no polynomial in
-between.  Substituting t -> 2**K is a ring homomorphism, so a row built
-at any K is the image of its weights, and a layer's sums and products are
-the image of the layer's value; only the values decoded need to fit their
-K-bit slots, which the bound above proves.
+The vertex tables build their rows already packed at the sweep's K.  Each
+model has one descriptor (_rmatrix_shape, _gl_shape) giving every weight as
++-t**(lo/4) times a Gaussian binomial and a falling product, lo in closed
+form, and one packer (_packer) builds either table's rows from it with the
+two packed symbols of qalgebra, with no polynomial in between.
+Substituting t -> 2**K is a ring homomorphism, so a row built at any K is
+the image of its weights, and a layer's sums and products are the image of
+the layer's value; only the values decoded need to fit their K-bit slots,
+which the bound above proves.
 
 Set-up that depends on the color, the table and K alone is cached per
-process and shared by every sweep: packed rows (_rmatrix_row, _gl_row,
-_unit_row, each keyed on n, sign, entering colors and K; 4096 at most
-each) and the two packed symbols both tables share (4096 at most each),
-first layers (_seed, keyed on strands, n, anchor and the checks due before
-any letter; 128 at most), jump limits (_jump_limits), and per n and sign the
-certificate's K (_exact_k) and each table's growth (_growth), read from
-the packed weights' slot magnitudes (qalgebra.packed_l1).  K is still the
-exact proved bound, not rounded to share rows.  Within a chunk, where K is
-fixed, the sweep holds the rows it reads in a grid indexed by sign and
-entering colors, and a weight packed as 1 (every jump-0 weight and every
-unit weight) skips its product.
+process and shared by every sweep: packed rows (each table's, and _unit_row,
+keyed on n, sign, entering colors and K; 4096 at most each) and the two
+packed symbols both tables share (4096 at most each), first layers (_seed,
+keyed on strands, n, anchor and the checks due before any letter; 128 at
+most), jump limits (_jump_limits), and per n and sign each table's growth
+(_growth), read from the slot magnitudes of its weights packed at
+K = 2n + 2 (qalgebra.packed_l1).  K is still the exact proved bound, not
+rounded to share rows.  Within a chunk, where K is fixed, the sweep holds
+the rows it reads in a grid indexed by sign and entering colors, and a
+weight packed as 1 (every jump-0 weight and every unit weight) skips its
+product.
 
 Most partial states can never close up, and the sweep drops them as
 soon as that is certain.  It carries a color vector c by its prefix
@@ -135,14 +137,15 @@ the color vector, since color is conserved) cancel.
 So model="both" sweeps once, with the R-matrix table, and checks the
 arc-transition model by the identity instead of a second sweep: a
 certificate (certify_correspondence) tests it on every entry of both
-tables of each crossing sign in the word, once per color, sign and pair
-of tables in a process, and raises ModelMismatchError naming the first
-entry that breaks it.  It compares Kronecker-packed integer products of
-the tables' own packed rows, at a K proved from the L1 norms of the
-weights' factors (_exact_k); _growth reads the R-matrix norms from
-those same rows.  Its cost depends on n alone.  It reads every entry of
-those signs, where a second sweep read only the entries its states
-reach; --model gl still sweeps the other table.  The enumeration state
+descriptors of each crossing sign in the word, once per color, sign and
+pair of descriptors in a process, and raises ModelMismatchError naming the
+first entry that breaks it.  Each side of the identity is a sign, a
+monomial and a product of factors 1 - t**m, compared by their exponents in
+small integers (_certificate), with no row built and no product; the rows
+the sweep reads are the descriptors' images by construction.  Its cost
+depends on n alone.  It reads every entry of those signs, where a second
+sweep read only the entries its states reach; --model gl still sweeps the
+other table.  The enumeration state
 sums (state_sum) remain the independent reference: they weigh every
 contributing state in each model's own convention, with the weights
 _rmatrix_vertex and _gl_vertex, written apart from the packed tables,
@@ -153,8 +156,7 @@ tests.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, product, zip_longest
-from math import comb
+from itertools import accumulate, product
 from typing import TYPE_CHECKING, Callable, Iterable, Literal
 
 from .braid import BraidWord
@@ -290,6 +292,12 @@ def state_sum(d: Diagram, n: int, convention: int) -> LaurentQ:
 # to that row.
 Row = tuple[tuple[int, int, int], ...]
 Table = Callable[[int, int, int, int, int], Row]
+# A model weight (s, lo, A, B, m, r): s*t**(lo/4) times the Gaussian binomial
+# [A, B]_t and the falling product (1 - t**m)...(1 - t**(m-r+1)), with s = +-1,
+# 0 <= B <= A and 0 <= r <= m.  A model's descriptor maps (n, sign, a, b,
+# jump) to the weight of that entry.
+Shape = tuple[int, int, int, int, int, int]
+Descriptor = Callable[[int, int, int, int, int], Shape]
 
 
 def _max_jump(n: int, sign: int, a: int, b: int) -> int:
@@ -297,47 +305,50 @@ def _max_jump(n: int, sign: int, a: int, b: int) -> int:
     return min(a, n - b) if sign > 0 else min(b, n - a)
 
 
-# Each weight of the two model tables is +-t**(lo/4) times a packed Gaussian
-# binomial and falling product (qalgebra), with lo in closed form (README
-# "Packed values and caches") and no polynomial in between.  Written apart
-# from _rmatrix_vertex and _gl_vertex, so the sweep and the reference weigh
-# with independent code.  Rows are cached per K, bounded as the symbols are.
-@lru_cache(maxsize=4096)
-def _rmatrix_row(n: int, sign: int, i: int, j: int, k: int) -> Row:
-    steps = []
-    for r in range(_max_jump(n, sign, i, j) + 1):
-        if sign > 0:
-            lo = -(n - 2 * i) * (n - 2 * j) - 2 * r * (n + r - i + j)
-            w = packed_gauss(j + r, r, k) * packed_falling(n + r - i, r, k)
-        else:
-            lo = (n - 2 * i - 2 * r) * (n - 2 * j + 2 * r) - 2 * r * (n + 1 + i - j)
-            w = packed_gauss(i + r, r, k) * packed_falling(n + r - j, r, k)
-            if r % 2:
-                w = -w
-        steps.append((j + sign * r, lo, w))
-    return tuple(steps)
+# The two models' descriptors, with lo in closed form (README "Packed values
+# and caches").  Written apart from _rmatrix_vertex and _gl_vertex, so the
+# sweep and the reference weigh with independent code.
+def _rmatrix_shape(n: int, sign: int, i: int, j: int, r: int) -> Shape:
+    if sign > 0:
+        lo = -(n - 2 * i) * (n - 2 * j) - 2 * r * (n + r - i + j)
+        return 1, lo, j + r, r, n + r - i, r
+    lo = (n - 2 * i - 2 * r) * (n - 2 * j + 2 * r) - 2 * r * (n + 1 + i - j)
+    return -1 if r % 2 else 1, lo, i + r, r, n + r - j, r
 
 
-@lru_cache(maxsize=4096)
-def _gl_row(n: int, sign: int, a: int, b: int, k: int) -> Row:
+def _gl_shape(n: int, sign: int, a: int, b: int, r: int) -> Shape:
     # Read in the R-matrix frame, where the model's own colors are n minus
     # the sweep's: tld enters on the overpass and the underpass strand
-    # leaves with i = under - r.
+    # leaves with i = under - r.  [under, i] = [under, r] by symmetry.
     tld, under = (n - a, n - b) if sign > 0 else (n - b, n - a)
-    steps = []
-    for r in range(_max_jump(n, sign, a, b) + 1):
-        i = under - r
-        lo = sign * (4 * n * i - 4 * i * tld - n * n)
-        # [under, i] = [under, r] by symmetry: the form the R-matrix rows read.
-        w = packed_gauss(under, r, k) * packed_falling(n - tld, r, k)
-        if sign > 0:
-            lo -= 4 * i * r
-        else:
-            lo += 2 * r * (r - 1) - 4 * r * (n - tld)
-            if r % 2:
-                w = -w
-        steps.append((b + sign * r, lo, w))
-    return tuple(steps)
+    i = under - r
+    lo = sign * (4 * n * i - 4 * i * tld - n * n)
+    if sign > 0:
+        return 1, lo - 4 * i * r, under, r, n - tld, r
+    lo += 2 * r * (r - 1) - 4 * r * (n - tld)
+    return -1 if r % 2 else 1, lo, under, r, n - tld, r
+
+
+# The one packer: the table whose rows hold a descriptor's weights, each
+# packed at K from the two packed symbols (qalgebra) with no polynomial in
+# between.  One table per descriptor, so a model's table is one object; its
+# rows are cached per K, bounded as the symbols are.
+@lru_cache(maxsize=None)
+def _packer(shape: Descriptor) -> Table:
+    @lru_cache(maxsize=4096)
+    def row(n: int, sign: int, a: int, b: int, k: int) -> Row:
+        steps = []
+        for r in range(_max_jump(n, sign, a, b) + 1):
+            s, lo, top, bottom, m, length = shape(n, sign, a, b, r)
+            w = packed_gauss(top, bottom, k) * packed_falling(m, length, k)
+            steps.append((b + sign * r, lo, -w if s < 0 else w))
+        return tuple(steps)
+
+    return row
+
+
+_rmatrix_row = _packer(_rmatrix_shape)
+_gl_row = _packer(_gl_shape)
 
 
 @lru_cache(maxsize=4096)
@@ -346,30 +357,9 @@ def _unit_row(n: int, sign: int, a: int, b: int, k: int) -> Row:
     return tuple((b + sign * r, 0, 1) for r in range(_max_jump(n, sign, a, b) + 1))
 
 
-# One bit over the largest coefficient bound, at any entry of this sign, of
-# either model's weight times the q-binomials [n, x][n, y] its side of the
-# correspondence carries, so that every weight of either table, alone or
-# times those, fits K-bit slots.  A product's L1 norm is at most the product
-# of its factors' norms: a q-binomial of either kind has nonnegative
-# coefficients, so its norm is the binomial, and each factor of a Pochhammer
-# symbol ({x} or 1 - t**m) has norm at most 2.  Tables built otherwise (say,
-# broken ones in a test) are bounded by the same K only if their weights are.
-@lru_cache(maxsize=None)
-def _exact_k(n: int, sign: int) -> int:
-    binom = [comb(n, x) for x in range(n + 1)]
-    bound = 0
-    for a in range(n + 1):
-        for b in range(n + 1):
-            rm_top, gl_top = (b, n - b) if sign > 0 else (a, n - a)
-            for r in range(_max_jump(n, sign, a, b) + 1):
-                l, right = b + sign * r, a - sign * r
-                gl = comb(gl_top, r) * binom[a] * binom[b]
-                rm = comb(rm_top + r, r) * binom[l] * binom[right]
-                bound = max(bound, max(gl, rm) << r)
-    return bound.bit_length() + 1
-
-
-_TABLES: dict[int, Table] = {MINUS: _rmatrix_row, PLUS: _gl_row}
+# Each convention's model, by its descriptor: the value sweeps read its
+# packed table and the certificate the descriptor itself.
+_TABLES: dict[int, Descriptor] = {MINUS: _rmatrix_shape, PLUS: _gl_shape}
 
 # Letters swept between two re-packs of the layer (see _sweep).  Never
 # re-packing made T(2,40) at n = 8 1.6-2.2x slower (CHANGES.md).
@@ -380,9 +370,10 @@ REPACK_LETTERS = 32
 def _growth(table: Table, n: int, sign: int) -> int:
     """The most one crossing can multiply a layer's summed L1 norm by: the
     largest summed L1 norm of its weights over the entering colors, each
-    read slot by slot (packed_l1) from its row packed at _exact_k(n, sign),
-    where every weight fits (the rows the certificate reads)."""
-    k = _exact_k(n, sign)
+    read slot by slot (packed_l1) from its row packed at K = 2n + 2.  Every
+    coefficient of a model weight is at most C(A, B) * 2**r <= 2**(2n),
+    with A, r <= n, so it fits those slots."""
+    k = 2 * n + 2
     return max(
         sum(packed_l1(w, k) for _, _, w in table(n, sign, a, b, k))
         for a in range(n + 1)
@@ -666,64 +657,71 @@ def state_count(b: BraidWord, n: int, convention: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _certificate(gl_table: Table, rm_table: Table, n: int, sign: int) -> None:
+def _certificate(gl: Descriptor, rm: Descriptor, n: int, sign: int) -> None:
     """Check the per-crossing correspondence (see the module docstring) on
-    every entry of the two tables of this sign, or raise ModelMismatchError
-    naming the first entry that breaks it, with both weights.  The jumps of
-    the two tables are walked side by side: a jump one table lacks weighs 0
-    there, and one past _max_jump breaks it.
+    every entry of the two descriptors of this sign, or raise
+    ModelMismatchError naming the first entry that breaks it, with both
+    weights.
 
-    Both sides are compared as Kronecker-packed integer products, read
-    straight from the tables' rows packed at _exact_k(n, sign), a K proved
-    from the factors' L1 norms to fit every coefficient of either side;
-    packed products of K-bit fitting values are equal exactly when the
-    polynomials are.  The q-binomial products are packed once per pair.
-    Weights are decoded only to print a failure.  Keyed on the tables, so
-    a table swapped into _TABLES is checked afresh; a failure raises and
-    so is never cached.
+    With [n, x] = t**(-x(n-x)/2) [n, x]_t, each side is a sign, a monomial
+    and a product of factors (1 - t**m)**e_m: [A, B]_t adds 1 to e_m on
+    [A-B+1, A] and -1 on [1, B], and the falling product (m, r) adds 1 on
+    [m-r+1, m].  1 - t**m is the first of 1 - t, 1 - t**2, ... that the
+    cyclotomic polynomial Phi_m divides, so no such product with nonzero
+    exponents is a monomial: the sides are equal exactly when their signs,
+    lo and e agree, a proof in small integers with no product.  Weights are
+    decoded only to print a failure.  Keyed on the descriptors, so one
+    swapped into _TABLES is checked afresh; a failure raises and so is
+    never cached.
     """
-    k = _exact_k(n, sign)
-    # [n, x] = t**(-x(n-x)/2) [n, x]_t.
-    binoms = [(-2 * x * (n - x), packed_gauss(n, x, k)) for x in range(n + 1)]
-    pairs = {
-        (x, y): (xlo + ylo, xn * yn)
-        for (x, (xlo, xn)), (y, (ylo, yn)) in product(enumerate(binoms), repeat=2)
-    }
+    # e as one int: an interval [u, v] adds 256**v - 256**(u-1), so the int
+    # is the sum of (e_j - e_(j+1)) 256**j, whose digits, each far below 128
+    # in size, fix e.
+    def side(shape: Shape, lo: int, e: int) -> tuple[int, int, int] | None:
+        s, wlo, top, bottom, m, r = shape
+        if s not in (1, -1) or not 0 <= bottom <= top or not 0 <= r <= m:
+            return None
+        e += (1 << 8 * top) - (1 << 8 * (top - bottom)) - (1 << 8 * bottom) + 1
+        return s, wlo + lo, e + (1 << 8 * m) - (1 << 8 * (m - r))
 
-    def broken(a: int, b: int, exit_: str, why: object) -> ModelMismatchError:
-        return ModelMismatchError(
-            f"models disagree at n={n}: sign {sign:+d} entry ({a}, {b}) -> "
-            f"{exit_} breaks the correspondence: {why}"
-        )
+    # The weight as a LaurentQ, for a failure report.  Every coefficient is
+    # at most C(A, B) * 2**r <= 2**(A + r), so K = A + r + 2 holds it.
+    def decoded(shape: Shape) -> object:
+        if side(shape, 0, 0) is None:
+            return f"no weight {shape}"
+        s, lo, top, bottom, m, r = shape
+        k = top + r + 2
+        return unpack(lo, s * packed_gauss(top, bottom, k) * packed_falling(m, r, k), k)
 
+    # [n, x] as (lo, e).
+    binoms = [
+        (-2 * x * (n - x), (1 << 8 * n) - (1 << 8 * (n - x)) - (1 << 8 * x) + 1)
+        for x in range(n + 1)
+    ]
     for a in range(n + 1):
         for b in range(n + 1):
-            try:
-                gl, rm = gl_table(n, sign, a, b, k), rm_table(n, sign, a, b, k)
-            except ArithmeticError as exc:
-                # A weight with exponents in two classes mod 4 packs in no
-                # row, and no weight of either model has them.
-                raise broken(a, b, "any exit", exc) from exc
-            top = _max_jump(n, sign, a, b)
-            alo, an = pairs[a, b]
-            for jump, (w, v) in enumerate(zip_longest(gl, rm, fillvalue=(0, 0, 0))):
+            (alo, ae), (blo, be) = binoms[a], binoms[b]
+            for jump in range(_max_jump(n, sign, a, b) + 1):
                 l, r = b + sign * jump, a - sign * jump
-                (_, wlo, wn), (_, vlo, vn) = w, v
-                if jump <= top:
-                    llo, ln = pairs[l, r]
-                    lhs, rhs = wn * an, vn * ln
-                    shift = 2 * n * (a - l) - 2 * (l * r - a * b)
-                    if lhs == rhs and (not lhs or wlo + alo == vlo + llo + shift):
-                        continue
-                w, v = unpack(wlo, wn, k), unpack(vlo, vn, k)
-                raise broken(a, b, f"({l}, {r})", f"arc-transition {w} vs r-matrix {v}")
+                w, v = gl(n, sign, a, b, jump), rm(n, sign, a, b, jump)
+                (llo, le), (rlo, rte) = binoms[l], binoms[r]
+                shift = 2 * n * (a - l) - 2 * (l * r - a * b)
+                lhs = side(w, alo + blo, ae + be)
+                if lhs is not None and lhs == side(v, llo + rlo + shift, le + rte):
+                    continue
+                raise ModelMismatchError(
+                    f"models disagree at n={n}: sign {sign:+d} entry ({a}, {b}) -> "
+                    f"({l}, {r}) breaks the correspondence: "
+                    f"arc-transition {decoded(w)} vs r-matrix {decoded(v)}"
+                )
 
 
 def certify_correspondence(n: int, signs: Iterable[int]) -> None:
-    """Run the cached certificate (_certificate) on the vertex tables the
-    sweeps read, for each of these crossing signs: every entry satisfying
-    the per-crossing correspondence makes the two models' values equal on
-    every word of those signs at color n.  The cost depends on n alone."""
+    """Run the cached certificate (_certificate) on the descriptors the
+    sweeps' tables are packed from, for each of these crossing signs: every
+    entry satisfying the per-crossing correspondence makes the two models'
+    values equal on every word of those signs at color n.  The cost
+    depends on n alone."""
     for sign in signs:
         _certificate(_TABLES[PLUS], _TABLES[MINUS], n, sign)
 
@@ -738,7 +736,7 @@ def _value_table(b: BraidWord, n: int, model: Model) -> Table:
         certify_correspondence(
             n, [s for s in (1, -1) if any(s * k > 0 for k in b.letters)]
         )
-    return _TABLES[PLUS if model == "gl" else MINUS]
+    return _packer(_TABLES[PLUS if model == "gl" else MINUS])
 
 
 def colored_jones_framed(b: BraidWord, n: int, model: Model = "both") -> LaurentQ:

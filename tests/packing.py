@@ -1,16 +1,18 @@
 """Vertex tables for the tests, written as rows of LaurentQ weights.
 
-The sweep and the certificate read tables whose rows are already packed at
-K (statesum.Table).  A test that needs its own table, healthy, custom or
-broken, writes its rows as LaurentQ weights and packs them with packed().
-assert_rows_decode checks the packed model tables against these reference
-weights, and assert_exponent_class_law checks them against the law that
-lets the sweep key its layer on colors alone (statesum module docstring).
+The sweep reads tables whose rows are already packed at K (statesum.Table).
+A test that needs its own table, healthy or custom, writes its rows as
+LaurentQ weights and packs them with packed(); one that needs a broken
+model replaces weights of its descriptor (statesum.Descriptor) with
+replaced().  assert_rows_decode checks the packed model tables against
+these reference weights, and assert_exponent_class_law checks them against
+the law that lets the sweep key its layer on colors alone (statesum module
+docstring).  Both read rows at _growth's K = 2n + 2, which holds every
+coefficient of a model weight.
 """
 
 from braidjones.qalgebra import pack, unpack
 from braidjones.statesum import (
-    _exact_k,
     _gl_row,
     _gl_vertex,
     _max_jump,
@@ -33,6 +35,17 @@ def packed(step):
     return table
 
 
+def replaced(shape, weights):
+    """The descriptor that reads shape, except at the entries (n, sign, a,
+    b, jump) that weights maps to a weight of its own."""
+
+    def descriptor(*entry):
+        weight = weights.get(entry)
+        return shape(*entry) if weight is None else weight
+
+    return descriptor
+
+
 def rmatrix_step(n, sign, i, j):
     """The R-matrix row of the reference weights, by jump."""
     top = _max_jump(n, sign, i, j)
@@ -49,17 +62,17 @@ def gl_step(n, sign, a, b):
 
 def assert_rows_decode(colors):
     """Assert, at each color n and both signs, that every row of _rmatrix_row
-    and _gl_row, packed at the certificate's K, decodes to rmatrix_step and
-    gl_step, each weight after the left color it leaves: this pins each
-    weight's closed-form lowest exponent and sign."""
+    and _gl_row, packed at K = 2n + 2, decodes to rmatrix_step and gl_step,
+    each weight after the left color it leaves: this pins each weight's
+    closed-form lowest exponent and sign."""
     for n in colors:
+        k = 2 * n + 2
         for sign in (1, -1):
-            k = _exact_k(n, sign)
             for a in range(n + 1):
                 for b in range(n + 1):
-                    for row, step in (
-                        (_rmatrix_row, rmatrix_step),
-                        (_gl_row, gl_step),
+                    for name, row, step in (
+                        ("rmatrix", _rmatrix_row, rmatrix_step),
+                        ("gl", _gl_row, gl_step),
                     ):
                         weights = step(n, sign, a, b)
                         expected = [(b + sign * r, w) for r, w in enumerate(weights)]
@@ -67,7 +80,7 @@ def assert_rows_decode(colors):
                             (left, unpack(lo, w, k))
                             for left, lo, w in row(n, sign, a, b, k)
                         ]
-                        assert got == expected, (row.__name__, n, sign, a, b)
+                        assert got == expected, (name, n, sign, a, b)
 
 
 # Each table's potential Phi(n, c) on a color vector c, and its class kappa
@@ -75,26 +88,28 @@ def assert_rows_decode(colors):
 # read on strands 0 and 1: the change of Phi at a crossing does not depend
 # on its generator.
 LAWS = {
-    _rmatrix_row: (
+    "rmatrix": (
+        _rmatrix_row,
         lambda n, c: sum(x * x + 2 * n * p * x for p, x in enumerate(c)),
         lambda n, sign: -sign * n * n,
     ),
-    _gl_row: (
+    "gl": (
+        _gl_row,
         lambda n, c: -2 * sum(x * (n - x) for x in c),
         lambda n, sign: -sign * n * n,
     ),
-    _unit_row: (lambda n, c: 0, lambda n, sign: 0),
+    "unit": (_unit_row, lambda n, c: 0, lambda n, sign: 0),
 }
 
 
 def assert_exponent_class_law(colors):
     """Assert, for every table in LAWS at each color n and both signs, that
-    every step of every row, packed at the certificate's K, has its lowest
-    quarter exponent lo in the class the law gives."""
+    every step of every row, packed at K = 2n + 2, has its lowest quarter
+    exponent lo in the class the law gives."""
     for n in colors:
+        k = 2 * n + 2
         for sign in (1, -1):
-            k = _exact_k(n, sign)
-            for table, (phi, kappa) in LAWS.items():
+            for name, (table, phi, kappa) in LAWS.items():
                 classes = {
                     (lo - phi(n, (left, a + b - left)) + phi(n, (a, b))) % 4
                     for a in range(n + 1)
@@ -102,4 +117,4 @@ def assert_exponent_class_law(colors):
                     for left, lo, _ in table(n, sign, a, b, k)
                 }
                 expected = {kappa(n, sign) % 4}
-                assert classes == expected, (table.__name__, n, sign, classes)
+                assert classes == expected, (name, n, sign, classes)

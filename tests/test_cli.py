@@ -20,7 +20,7 @@ from braidjones.qalgebra import LaurentQ
 from braidjones.diagram import build
 from braidjones.states import MINUS, PLUS, enumerate_states
 from braidjones.statesum import WORK_LIMIT, ModelMismatchError
-from packing import gl_step, packed, rmatrix_step
+from packing import gl_step, rmatrix_step
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -223,14 +223,18 @@ def test_model_mismatch_exit_code(capsys):
 
 
 def _corrupt_jump_one(monkeypatch, model="gl"):
-    # Double one model's weights at jump 1, in a table swapped in for the
-    # model's own so that no other test sees it.
-    step, convention = {"gl": (gl_step, PLUS), "rmatrix": (rmatrix_step, MINUS)}[model]
+    # Multiply one model's weights at jump 1 by t, raising lo in a
+    # descriptor swapped in for the model's own so that no other test sees
+    # it.  A descriptor holds a sign, a monomial and factors 1 - t**m, so a
+    # broken weight must be one of those too: a doubled weight is not.
+    convention = {"gl": PLUS, "rmatrix": MINUS}[model]
+    shape = statesum._TABLES[convention]
 
-    def corrupted(n, sign, a, b):
-        return tuple(w * 2 if r == 1 else w for r, w in enumerate(step(n, sign, a, b)))
+    def corrupted(n, sign, a, b, r):
+        s, lo, *symbols = shape(n, sign, a, b, r)
+        return (s, lo + 4 if r == 1 else lo, *symbols)
 
-    monkeypatch.setitem(statesum._TABLES, convention, packed(corrupted))
+    monkeypatch.setitem(statesum._TABLES, convention, corrupted)
 
 
 def _forbid_diagrams(monkeypatch):
@@ -251,12 +255,16 @@ def test_model_mismatch_report(monkeypatch, capsys):
     # The cross-check must trip and the report must name the corrupted
     # vertex-table entry.  The words start with a positive and a negative
     # letter on generator 1, so both anchors of the sweep (0 and n) read
-    # the corrupted jump-1 weights.
+    # the corrupted jump-1 weights.  The report ends with both weights,
+    # decoded.
     _corrupt_jump_one(monkeypatch)
+    gl, rm = gl_step(2, 1, 1, 0)[1], rmatrix_step(2, 1, 1, 0)[1]
+    weights = f": arc-transition {gl * LaurentQ.t_quarter(4)} vs r-matrix {rm}"
     for word in ("1 1 1", "-1 2 -1 2"):
         with pytest.raises(ModelMismatchError) as exc:
             colored_jones_framed(parse(word, 3), 2, "both")
         assert BROKEN_ENTRY in str(exc.value)
+        assert str(exc.value).endswith(weights)
         code, out, err = run_cli(capsys, "--braid", word, "--strands", "3", "--n", "2")
         assert code == 1 and out == ""
         assert err.startswith("error: models disagree")
@@ -274,8 +282,8 @@ def test_mismatch_report_names_corrupted_rmatrix_weight(monkeypatch):
 
 
 def test_table_corrupted_after_healthy_call_trips(monkeypatch):
-    # The certificate is cached per pair of tables: a healthy call must not
-    # let a table swapped in later in the process pass unchecked.
+    # The certificate is cached per pair of descriptors: a healthy call must
+    # not let a descriptor swapped in later in the process pass unchecked.
     b = parse("1 1 1")
     healthy = colored_jones_framed(b, 2, "both")
     _corrupt_jump_one(monkeypatch)
@@ -298,14 +306,14 @@ def test_mismatch_report_on_long_word(monkeypatch):
 
 
 def test_mismatch_report_names_missing_writhe_share(monkeypatch):
-    # An arc-transition table whose weights drop the writhe share
+    # An arc-transition descriptor whose weights drop the writhe share
     # t**(-sign*n^2/4) breaks the identity at every entry, so the report
     # names the first one rather than blaming the sweep.
-    def without_writhe_share(n, sign, a, b):
-        share = LaurentQ.t_quarter(sign * n * n)
-        return tuple(w * share for w in gl_step(n, sign, a, b))
+    def without_writhe_share(n, sign, a, b, r):
+        s, lo, *symbols = statesum._gl_shape(n, sign, a, b, r)
+        return (s, lo + sign * n * n, *symbols)
 
-    monkeypatch.setitem(statesum._TABLES, PLUS, packed(without_writhe_share))
+    monkeypatch.setitem(statesum._TABLES, PLUS, without_writhe_share)
     with pytest.raises(ModelMismatchError) as exc:
         colored_jones_framed(parse("1 1 1"), 2, "both")
     assert "sign +1 entry (0, 0) -> (0, 0) breaks the correspondence" in str(exc.value)
@@ -420,6 +428,9 @@ def test_counting_reads_no_weights(monkeypatch, capsys):
     for name in (
         "_rmatrix_vertex",
         "_gl_vertex",
+        "_rmatrix_shape",
+        "_gl_shape",
+        "_packer",
         "_rmatrix_row",
         "_gl_row",
         "packed_gauss",
@@ -427,8 +438,8 @@ def test_counting_reads_no_weights(monkeypatch, capsys):
     ):
         monkeypatch.setattr(statesum, name, forbidden)
     monkeypatch.setattr(statesum, "_unit_row", statesum._unit_row.__wrapped__)
-    monkeypatch.setitem(statesum._TABLES, MINUS, statesum._rmatrix_row)
-    monkeypatch.setitem(statesum._TABLES, PLUS, statesum._gl_row)
+    monkeypatch.setitem(statesum._TABLES, MINUS, statesum._rmatrix_shape)
+    monkeypatch.setitem(statesum._TABLES, PLUS, statesum._gl_shape)
     assert {c: statesum.state_count(b, 3, c) for c in (MINUS, PLUS)} == expected
     for model, convention in ((), PLUS), (("--model", "rmatrix"), MINUS):
         argv = ("--braid", "-1 2 -1 2", "--n", "3", "--states", "count", *model)

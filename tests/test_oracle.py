@@ -19,9 +19,10 @@ from braidjones.oracle import (
     verify_prop_61,
     verify_prop_62,
 )
-from braidjones.qalgebra import ONE, LaurentQ
+from braidjones.qalgebra import ONE, ExactDivisionError, LaurentQ
 from braidjones.states import MINUS, PLUS, Potential, enumerate_z_potentials
 from braidjones.statesum import colored_jones_framed, colored_jones_unframed
+from habiro import KNOTS, habiro_coefficients
 from words import rand_braid
 
 
@@ -128,6 +129,29 @@ def test_habiro_masbaum_matches_sweep():
     assert habiro_masbaum(0, 3) == ONE  # K_0 is the unknot
     with pytest.raises(ValueError):
         habiro_masbaum(1, 0)
+
+
+def test_habiro_cyclotomic_integrality():
+    # Every knot's values at n = 1..6 invert to integral Habiro
+    # coefficients, under all three models; the bracket oracle pins n = 1,
+    # since a fault at every color, such as the mirror, can stay integral.
+    for name, (text, strands) in KNOTS.items():
+        b = parse(text, strands)
+        assert b.component_count() == 1, name
+        for model in ("rmatrix", "gl", "both"):
+            values = [colored_jones_unframed(b, n, model) for n in range(1, 7)]
+            assert values[0] == kauffman_jones(b).substitute_inverse(), name
+            habiro_coefficients(values)
+    # The inversion is a check: one coefficient off at one color, or one
+    # color mirrored, leaves a remainder, and so does a link.
+    values = [colored_jones_unframed(parse(*KNOTS["8_19"]), n) for n in range(1, 7)]
+    for n in range(6):
+        for fault in (values[n] + ONE, values[n].substitute_inverse()):
+            with pytest.raises(ExactDivisionError):
+                habiro_coefficients(values[:n] + [fault] + values[n + 1 :])
+    hopf = [colored_jones_unframed(parse("1 1"), n) for n in range(1, 4)]
+    with pytest.raises(ExactDivisionError):
+        habiro_coefficients(hopf)
 
 
 def test_prop_identities_zero_potential():

@@ -13,7 +13,14 @@ from braidjones import statesum
 from braidjones.braid import BraidWord, parse
 from braidjones.diagram import build
 from braidjones.oracle import kauffman_jones, rosso_jones, torus_braid
-from braidjones.qalgebra import ONE, LaurentQ, qbinom, qint
+from braidjones.qalgebra import (
+    ONE,
+    LaurentQ,
+    pochhammer_signed,
+    qbinom,
+    qbinom_signed,
+    qint,
+)
 from braidjones.states import MINUS, PLUS, enumerate_states, flow_bijection
 from braidjones.statesum import (
     REPACK_LETTERS,
@@ -21,9 +28,11 @@ from braidjones.statesum import (
     _closing_checks,
     _decode,
     _gl_row,
+    _gl_shape,
     _growth,
     _max_jump,
     _rmatrix_row,
+    _rmatrix_shape,
     _seed,
     _sweep,
     _unit_row,
@@ -44,6 +53,7 @@ from packing import (
     assert_rows_decode,
     gl_step,
     packed,
+    replaced,
     rmatrix_step,
 )
 from words import rand_braid
@@ -139,30 +149,111 @@ def test_vertex_tables_correspond_entry_by_entry(monkeypatch):
                             * v
                         )
         certify_correspondence(n, (1, -1))
-    # Tables that allow different jump counts break the entry, whichever
-    # table has the extra jump, and the certificate names it; so does a
-    # weight whose exponents differ by a quarter, which no packing holds.
-    extra = LaurentQ.t_quarter(4)
-    for convention, step in ((PLUS, gl_step), (MINUS, rmatrix_step)):
+        # Both rows have _max_jump + 1 steps by construction: the packer
+        # reads the flow rule, so tables allowing different jumps cannot be
+        # built.
+        for s, a, b in product((1, -1), range(n + 1), range(n + 1)):
+            top = _max_jump(n, s, a, b) + 1
+            rows = _gl_row(n, s, a, b, 2 * n + 2), _rmatrix_row(n, s, a, b, 2 * n + 2)
+            assert [len(row) for row in rows] == [top, top]
+    # A descriptor whose jump-1 weight at (1, 0) is off by a quarter power,
+    # of the wrong sign, with a Gaussian binomial argument one too large, or
+    # with arguments that give no weight ([A, B] with B > A) breaks that
+    # entry, in either model, and the certificate names it.
+    at = (2, 1, 1, 0, 1)
+    for convention in (PLUS, MINUS):
         healthy = statesum._TABLES[convention]
-        for table in (
-            lambda n, s, a, b, step=step: step(n, s, a, b) + (extra,),
-            lambda n, s, a, b, step=step: step(n, s, a, b)[:-1],
-            lambda n, s, a, b, step=step: tuple(
-                w + LaurentQ.t_quarter(1) for w in step(n, s, a, b)
-            ),
-        ):
-            monkeypatch.setitem(statesum._TABLES, convention, packed(table))
-            with pytest.raises(ModelMismatchError, match=r"entry \(0, 0\) -> "):
+        for field, delta in ((1, 1), (0, -2), (2, 1), (3, 5)):
+            weight = list(healthy(*at))
+            weight[field] += delta
+            broken = replaced(healthy, {at: tuple(weight)})
+            monkeypatch.setitem(statesum._TABLES, convention, broken)
+            named = r"entry \(1, 0\) -> \(1, 0\) breaks"
+            with pytest.raises(ModelMismatchError, match=named) as exc:
                 certify_correspondence(2, (1,))
-            with pytest.raises(ModelMismatchError, match=r"entry \(0, 0\) -> "):
+            assert (f"no weight {tuple(weight)}" in str(exc.value)) == (field == 3)
+            with pytest.raises(ModelMismatchError, match=named):
                 colored_jones_framed(parse("1 1 1"), 2, "both")
         monkeypatch.setitem(statesum._TABLES, convention, healthy)
 
 
+def _shape_weight(shape):
+    # A descriptor's weight from the reference symbols, apart from the
+    # packed ones the tables and the failure report read.
+    s, lo, top, bottom, m, r = shape
+    return (
+        LaurentQ.monomial(s, lo)
+        * qbinom_signed(top, bottom, 1)
+        * pochhammer_signed(m, r, 1)
+    )
+
+
+def _moves(weight):
+    # Every weight one field away: the sign flipped, lo moved by +-1 and +-4,
+    # and each Gaussian binomial or falling product argument by +-1 where
+    # the arguments stay valid.
+    moves = [(0, -2 * weight[0])] + [(1, d) for d in (1, -1, 4, -4)]
+    for field, delta in moves + [(f, d) for f in (2, 3, 4, 5) for d in (1, -1)]:
+        moved = list(weight)
+        moved[field] += delta
+        _, _, top, bottom, m, r = moved
+        if 0 <= bottom <= top and 0 <= r <= m:
+            yield tuple(moved)
+
+
+def test_certificate_catches_every_perturbed_field(monkeypatch):
+    # At n = 1..5, both signs and every entry of either model, one field of
+    # one weight is moved (_moves).  The certificate must name that entry
+    # whenever the weight changed, and pass the moves that keep it, such as
+    # [A, 0] -> [A + 1, 0]; those are checked every entry's i-th at once.
+    # A healthy run decodes no weight.
+    for name in ("unpack", "packed_gauss", "packed_falling"):
+        monkeypatch.setattr(statesum, name, None)
+    statesum._certificate.cache_clear()
+    certify_correspondence(5, (1, -1))
+    monkeypatch.undo()
+    caught = kept = 0
+    for n, sign in product(range(1, 6), (1, -1)):
+        entries = [
+            (n, sign, a, b, jump)
+            for a, b in product(range(n + 1), repeat=2)
+            for jump in range(_max_jump(n, sign, a, b) + 1)
+        ]
+        for model in (_gl_shape, _rmatrix_shape):
+
+            def certify(broken):
+                # The broken descriptor against the other model's own.
+                if model is _gl_shape:
+                    statesum._certificate(broken, _rmatrix_shape, n, sign)
+                else:
+                    statesum._certificate(_gl_shape, broken, n, sign)
+
+            same = {}
+            for at in entries:
+                _, _, a, b, jump = at
+                exit_ = f"({b + sign * jump}, {a - sign * jump})"
+                named = f"sign {sign:+d} entry ({a}, {b}) -> {exit_} breaks"
+                weight = model(*at)
+                healthy = _shape_weight(weight)
+                for moved in _moves(weight):
+                    if _shape_weight(moved) == healthy:
+                        same.setdefault(at, []).append(moved)
+                        continue
+                    with pytest.raises(ModelMismatchError) as exc:
+                        certify(replaced(model, {at: moved}))
+                    assert named in str(exc.value), (at, moved)
+                    caught += 1
+            for i in range(max(map(len, same.values()))):
+                weights = {at: moved[i] for at, moved in same.items() if i < len(moved)}
+                certify(replaced(model, weights))
+                kept += len(weights)
+    statesum._certificate.cache_clear()
+    assert caught > kept > 0
+
+
 def test_growth_is_the_largest_reference_row_norm():
-    # _growth decodes the packed rows at the certificate's K; it must read
-    # the true norms, which set every sweep's K.
+    # _growth decodes the packed rows at K = 2n + 2; it must read the true
+    # norms, which set every sweep's K.
     for n in range(1, 11):
         for s in (1, -1):
             for row, step in ((_rmatrix_row, rmatrix_step), (_gl_row, gl_step)):
@@ -546,7 +637,7 @@ def test_unit_weight_shortcut_skips_only_one(monkeypatch):
 def test_rows_read_once_per_chunk():
     # The sweep holds each chunk's rows in a grid by entering colors, so a
     # row (sign, a, b, K) is requested at most once per chunk.  _growth reads
-    # every row at the certificate's K first, outside the count.
+    # every row at K = 2n + 2 first, outside the count.
     requests = Counter()
 
     def counting(n, sign, a, b, k):
