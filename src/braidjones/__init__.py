@@ -23,7 +23,6 @@ from .statesum import (
     ModelMismatchError,
     colored_jones_framed,
     colored_jones_unframed,
-    parity_halfinteger_check,
 )
 
 # The diagram, the state enumeration and the oracle serve as references and
@@ -35,7 +34,6 @@ _LAZY = {
     "StateColors": "states",
     "derive_colors": "states",
     "enumerate_states": "states",
-    "enumerate_z_potentials": "states",
     "flow_bijection": "states",
     "kauffman_jones": "oracle",
 }
@@ -72,10 +70,8 @@ __all__ = [
     "colored_jones_unframed",
     "derive_colors",
     "enumerate_states",
-    "enumerate_z_potentials",
     "flow_bijection",
     "kauffman_jones",
-    "parity_halfinteger_check",
     "parse",
     "pochhammer",
     "pochhammer_signed",

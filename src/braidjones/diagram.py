@@ -29,7 +29,6 @@ along the arc ending at v: the jumps-into column of --dump-diagram.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .braid import BraidWord
 
@@ -90,94 +89,6 @@ class Diagram:
     @property
     def component_count(self) -> int:
         return len(self.components)
-
-    def cycle_relations(self) -> list[dict[int, int]]:
-        """One relation per component: sum of +-1-weighted mixed jumps = 0.
-
-        A crossing whose underpass lies on component l enters l's
-        relation with +1, one whose overpass lies on l with -1; self
-        crossings cancel and are omitted.  The relations sum to zero.
-        """
-        rels: list[dict[int, int]] = [dict() for _ in self.components]
-        for c in range(self.crossing_count):
-            lu, lo = self.under_component[c], self.over_component[c]
-            if lu == lo:
-                continue
-            rels[lu][c] = rels[lu].get(c, 0) + 1
-            rels[lo][c] = rels[lo].get(c, 0) - 1
-        return [{c: k for c, k in rel.items() if k} for rel in rels]
-
-    def eliminated_jumps(self) -> list[tuple[int, dict[int, int]]]:
-        """Pivot jumps solved from the cycle relations.
-
-        Returns (pivot, expression) pairs meaning r(pivot) = sum of
-        coeff * r(c) over the expression; every expression index is
-        smaller than its pivot, so values can be filled in braid order.
-        The first component's relation is dropped (the relations sum to
-        zero) and empty rows from split diagrams are skipped.
-        """
-        rows = [dict(rel) for rel in self.cycle_relations()[1:]]
-        solved: list[tuple[int, dict[int, int]]] = []
-        for i, row in enumerate(rows):
-            if not row:
-                continue
-            pivot = max(row)
-            coeff = row[pivot]
-            # Relations are node-set sums of a graph incidence system, so
-            # every surviving coefficient is a unit.
-            if abs(coeff) != 1:
-                raise ArithmeticError(
-                    f"cycle relation pivot {pivot} has non-unit coefficient {coeff}"
-                )
-            expr = {c: -k * coeff for c, k in row.items() if c != pivot}
-            solved.append((pivot, expr))
-            for other in rows[i + 1 :]:
-                if pivot in other:
-                    mult = -other[pivot] * coeff
-                    for c, k in row.items():
-                        s = other.get(c, 0) + mult * k
-                        if s:
-                            other[c] = s
-                        else:
-                            other.pop(c, None)
-        return solved
-
-    def solve_jumps(self, free: Iterable[int]) -> tuple[int, ...]:
-        """Jumps satisfying every cycle relation.
-
-        The values of free go, in braid order, to the crossings that are
-        not pivots of eliminated_jumps; each pivot is computed from the
-        jumps before it.  free is drawn from lazily, one value per
-        non-pivot crossing.
-        """
-        dependent = dict(self.eliminated_jumps())
-        values = iter(free)
-        jumps: list[int] = []
-        for c in range(self.crossing_count):
-            expr = dependent.get(c)
-            if expr is None:
-                jumps.append(next(values))
-            else:
-                jumps.append(sum(k * jumps[cc] for cc, k in expr.items()))
-        return tuple(jumps)
-
-    def cyclic_labels(self) -> dict[int, tuple[int, int]]:
-        """crossing -> (component, position along the component's sigma cycle).
-
-        The base vertex of each component gets position 0 and sigma
-        advances the position by 1; components without underpasses have
-        no entries.
-        """
-        labels: dict[int, tuple[int, int]] = {}
-        for comp, base in enumerate(self.base_vertices):
-            if base is None:
-                continue
-            v, k = base, 0
-            while v not in labels:
-                labels[v] = (comp, k)
-                v = self.sigma[v]
-                k += 1
-        return labels
 
     def dump_table(self) -> str:
         lines = ["index  gen  sign  sigma  tau  jumps-into"]

@@ -1,7 +1,8 @@
 """Independent cross-checks: a Kauffman-bracket Jones oracle at n=1, the
 Rosso-Jones formula for torus knots and the Habiro-Masbaum formula for
-twist knots at every color, two chord-level color identities, and a
-skew-symmetric matrix lemma.
+twist knots at every color.  None of them imports the closure diagram or
+the state models; the paper's identities on integer potentials, which do,
+are checked by the tests (tests/identities.py).
 
 The bracket oracle shares nothing with the state models beyond the
 braid word itself: it enumerates all 2**c smoothings, counts loops with
@@ -18,9 +19,7 @@ from collections import Counter
 from math import gcd
 
 from .braid import BraidWord
-from .diagram import Diagram
-from .qalgebra import ONE, ZERO, LaurentQ, pochhammer, qint
-from .states import PLUS, Potential, derive_colors
+from .qalgebra import ONE, ZERO, LaurentQ, qint
 
 _LOOP = LaurentQ({2: -1, -2: -1})
 
@@ -168,70 +167,3 @@ def habiro_masbaum(p: int, n: int) -> LaurentQ:
         inner = inner.exact_div(rising(1, 2 * k + 1))
         total = total + power(k) * rising(-n, k) * rising(n + 2, k) * inner
     return total
-
-
-def _out_colors(d: Diagram, p: Potential) -> tuple[list[int], list[int]]:
-    """(overpass exit, underpass exit) colors per crossing for a
-    (+)-convention integer potential."""
-    if p.convention != PLUS:
-        raise ValueError("color identities are stated for (+) potentials")
-    colors = derive_colors(d, p)
-    over_out = [colors.arc_colors[cr.over_out] for cr in d.crossings]
-    under_out = [colors.arc_colors[cr.under_out] for cr in d.crossings]
-    return over_out, under_out
-
-
-def verify_prop_61(d: Diagram, p: Potential) -> bool:
-    """sum of r*(a - b - r) over crossings vanishes, where a and b are
-    the overpass and underpass exit colors."""
-    over_out, under_out = _out_colors(d, p)
-    total = sum(
-        p.jumps[c] * (over_out[c] - under_out[c] - p.jumps[c])
-        for c in range(d.crossing_count)
-    )
-    return total == 0
-
-
-def verify_prop_62(d: Diagram, p: Potential) -> bool:
-    """sum of sign*(a - b) equals sum of sign*r over crossings."""
-    over_out, under_out = _out_colors(d, p)
-    lhs = sum(
-        d.crossings[c].sign * (over_out[c] - under_out[c])
-        for c in range(d.crossing_count)
-    )
-    rhs = sum(d.crossings[c].sign * p.jumps[c] for c in range(d.crossing_count))
-    return lhs == rhs
-
-
-def verify_matrix_lemma(a: list[list[int]]) -> bool:
-    """For skew-symmetric A with zero column sums,
-    sum over j<k of a[j][k]*s[j][k] vanishes, where
-    s[j][k] = sum_{i<j} a[i][k] - sum_{i>k} a[j][i]."""
-    mu = len(a)
-    for row in a:
-        if len(row) != mu:
-            raise ValueError("matrix must be square")
-    for j in range(mu):
-        for k in range(mu):
-            if a[j][k] != -a[k][j]:
-                raise ValueError("matrix must be skew-symmetric")
-    for k in range(mu):
-        if sum(a[j][k] for j in range(mu)) != 0:
-            raise ValueError("column sums must vanish")
-    total = 0
-    for j in range(mu):
-        for k in range(j + 1, mu):
-            s_jk = sum(a[i][k] for i in range(j)) - sum(
-                a[j][i] for i in range(k + 1, mu)
-            )
-            total += a[j][k] * s_jk
-    return total == 0
-
-
-def verify_pochhammer_identity(n: int) -> bool:
-    """sum over 0 <= r <= n of v**(r(2-n) + r(r-1)/2) {n}_r = v**(2n)."""
-    total = LaurentQ.zero()
-    for r in range(n + 1):
-        quarter = 2 * r * (2 - n) + r * (r - 1)
-        total = total + LaurentQ.t_quarter(quarter) * pochhammer(n, r)
-    return total == LaurentQ.t_quarter(4 * n)

@@ -8,14 +8,16 @@ convention swaps the two.  Cycle relations are exactly the condition
 that the colors close up around each component.
 
 A state is n-contributing when every jump, base, and part-arc color
-lies in [0, n].  The enumerators anchor the first component: the
-closure arc of strand position 0 carries the fixed anchor color.
+lies in [0, n].  The enumeration anchors the first component: the
+closure arc of strand position 0 carries the fixed anchor color.  The
+integer potentials of any sign that the paper's color identities take,
+and the cycle relations solved for them, belong to the tests
+(tests/identities.py).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .diagram import Diagram, UNDER
 # The sign conventions and the work limit live on the value path; they are
@@ -172,24 +174,3 @@ def flow_bijection(
         -p.convention,
     )
     return q, derive_colors(d, q)
-
-
-def enumerate_z_potentials(d: Diagram, bound: int) -> list[Potential]:
-    """All integer potentials within [-bound, bound] satisfying the
-    cycle relations, with the first component's base fixed to 0.
-
-    Dependent jumps falling outside the box are dropped.  Used by the
-    randomized identity checks, which need arbitrary-sign jumps.
-    """
-    if bound < 0:
-        raise ValueError("bound must be >= 0")
-    box = range(-bound, bound + 1)
-    free = d.crossing_count - len(d.eliminated_jumps())
-    out: list[Potential] = []
-    for values in product(box, repeat=free):
-        jumps = d.solve_jumps(values)
-        if any(abs(v) > bound for v in jumps):
-            continue
-        for rest in product(box, repeat=d.component_count - 1):
-            out.append(Potential(jumps, (0,) + rest, PLUS))
-    return out

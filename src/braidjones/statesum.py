@@ -149,8 +149,9 @@ other table.  The enumeration state
 sums (state_sum) remain the independent reference: they weigh every
 contributing state in each model's own convention, with the weights
 _rmatrix_vertex and _gl_vertex, written apart from the packed tables,
-at a cost exponential in the crossing count, and serve --states and the
-tests.
+at a cost exponential in the crossing count, and only the tests call
+them.  --states count is state_count's sweep, and --states dump lists
+the states (states.enumerate_states) without weighing them.
 """
 
 from __future__ import annotations
@@ -792,31 +793,3 @@ def unframing(b: BraidWord, n: int) -> LaurentQ:
 def colored_jones_unframed(b: BraidWord, n: int, model: Model = "both") -> LaurentQ:
     """Framing-independent normalization: framed value times unframing."""
     return colored_jones_framed(b, n, model) * unframing(b, n)
-
-
-def parity_halfinteger_check(b: BraidWord, n: int) -> str:
-    """Classify the unframed value's exponents and assert the parity law.
-
-    Exponents are all integral when n is even or the closure has an odd
-    number of components, and all half-integral otherwise; a mix of the
-    two classes signals a bug.  The value is never 0: at t = 1 it is
-    (n+1)^(components-1).
-    """
-    value = colored_jones_unframed(b, n, "rmatrix")
-    mu = b.component_count()
-    expected = "integer" if n % 2 == 0 or mu % 2 == 1 else "half-integer"
-    residues = {q % 4 for q, _ in value.terms()}
-    if residues == {0}:
-        seen = "integer"
-    elif residues == {2}:
-        seen = "half-integer"
-    else:
-        raise ValueError(
-            f"mixed exponent classes for braid '{b.text()}' at n={n}: {value}"
-        )
-    if seen != expected:
-        raise ValueError(
-            f"parity law violated for braid '{b.text()}' at n={n}: "
-            f"got {seen}, expected {expected}"
-        )
-    return seen

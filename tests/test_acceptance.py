@@ -12,13 +12,7 @@ from collections import Counter
 from braidjones.braid import BraidWord, parse
 from braidjones.cli import PRESETS
 from braidjones.diagram import build
-from braidjones.oracle import (
-    kauffman_jones,
-    verify_matrix_lemma,
-    verify_pochhammer_identity,
-    verify_prop_61,
-    verify_prop_62,
-)
+from braidjones.oracle import kauffman_jones
 from braidjones.qalgebra import (
     ONE,
     LaurentQ,
@@ -33,9 +27,17 @@ from braidjones.states import MINUS, PLUS, Potential, enumerate_states
 from braidjones.statesum import (
     colored_jones_framed,
     colored_jones_unframed,
-    parity_halfinteger_check,
     state_count,
     state_sum,
+)
+from identities import (
+    cyclic_labels,
+    parity_halfinteger_check,
+    solve_jumps,
+    verify_matrix_lemma,
+    verify_pochhammer_identity,
+    verify_prop_61,
+    verify_prop_62,
 )
 
 
@@ -108,7 +110,7 @@ def test_criterion_4_jump_map_closed_forms():
     for ell in (1, 2):
         for m, shift in ((3 * ell + 1, 4 * ell + 2), (3 * ell + 2, 2 * ell + 2)):
             d = build(BraidWord(3, (-1, 2) * m))
-            rho = {c: k for c, (_, k) in d.cyclic_labels().items()}
+            rho = {c: k for c, (_, k) in cyclic_labels(d).items()}
             for c in range(d.crossing_count):
                 assert rho[d.tau[c]] == (rho[c] + shift) % d.crossing_count
     d = build(parse("-1 -1 -1 2 1 2 2 -1"))
@@ -154,7 +156,7 @@ def test_criterion_5_identity_suites():
         for _ in range(4):
             free = (rng.randint(-5, 5) for _ in range(d.crossing_count))
             bases = [0] + [rng.randint(-5, 5) for _ in range(d.component_count - 1)]
-            p = Potential(d.solve_jumps(free), tuple(bases), PLUS)
+            p = Potential(solve_jumps(d, free), tuple(bases), PLUS)
             assert verify_prop_61(d, p) and verify_prop_62(d, p)
     print("PASS criterion 5: q-identities, matrix lemma, color identities")
 

@@ -1,28 +1,33 @@
-"""The bracket, Rosso-Jones and Habiro-Masbaum oracles and the
-chord-level identities they cross-check."""
+"""The bracket, Rosso-Jones and Habiro-Masbaum oracles, and the paper's
+chord-level identities (tests/identities.py) they cross-check."""
 
+import os
 import random
+import subprocess
+import sys
 from math import gcd
+from pathlib import Path
 
 import pytest
 
+import braidjones
 from braidjones.braid import BraidWord, parse
 from braidjones.diagram import build
-from braidjones.oracle import (
-    _out_colors,
-    habiro_masbaum,
-    kauffman_jones,
-    rosso_jones,
-    torus_braid,
+from braidjones.oracle import habiro_masbaum, kauffman_jones, rosso_jones, torus_braid
+from braidjones.qalgebra import ONE, ExactDivisionError, LaurentQ
+from braidjones.states import MINUS, PLUS, Potential
+from braidjones.statesum import colored_jones_framed, colored_jones_unframed
+from habiro import KNOTS, habiro_coefficients
+from identities import (
+    cycle_relations,
+    enumerate_z_potentials,
+    out_colors,
+    solve_jumps,
     verify_matrix_lemma,
     verify_pochhammer_identity,
     verify_prop_61,
     verify_prop_62,
 )
-from braidjones.qalgebra import ONE, ExactDivisionError, LaurentQ
-from braidjones.states import MINUS, PLUS, Potential, enumerate_z_potentials
-from braidjones.statesum import colored_jones_framed, colored_jones_unframed
-from habiro import KNOTS, habiro_coefficients
 from words import rand_braid
 
 
@@ -36,6 +41,34 @@ def test_bracket_values():
     # Markov moves leave the oracle alone
     assert kauffman_jones(parse("1", 2)) == ONE
     assert kauffman_jones(parse("-1", 2)) == ONE
+
+
+def test_oracles_load_no_state_model():
+    # In a fresh interpreter: the three oracles evaluate without loading the
+    # closure diagram or the state enumeration, so they stay independent of
+    # the models they check.
+    src = str(Path(braidjones.__file__).resolve().parents[1])
+    probe = "\n".join(
+        [
+            "import sys",
+            "from braidjones.braid import parse",
+            "from braidjones.oracle import habiro_masbaum, kauffman_jones, rosso_jones",
+            "print(kauffman_jones(parse('1 1 1')))",
+            "print(rosso_jones(2, 3, 2))",
+            "print(habiro_masbaum(1, 2))",
+            "print([m for m in ('braidjones.diagram', 'braidjones.states') if m in sys.modules])",
+        ]
+    )
+    values = (kauffman_jones(parse("1 1 1")), rosso_jones(2, 3, 2), habiro_masbaum(1, 2))
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines() == [*map(str, values), "[]"]
 
 
 def test_bracket_mirror():
@@ -181,14 +214,14 @@ def test_signed_jump_sum_example():
     d = build(b)
     assert [cr.sign for cr in d.crossings] == [1, -1, -1, -1, 1]
     assert b.components() == [(0,), (1, 2)]
-    rels = [rel for rel in d.cycle_relations() if rel]
+    rels = [rel for rel in cycle_relations(d) if rel]
     assert rels[0] == {0: -1, 1: 1, 2: -1, 3: -1}
     assert rels[1] == {0: 1, 1: -1, 2: 1, 3: 1}
     signs = [1, -1, -1, -1, 1]
     for p in enumerate_z_potentials(d, 2):
         assert verify_prop_61(d, p)
         assert verify_prop_62(d, p)
-        over_out, under_out = _out_colors(d, p)
+        over_out, under_out = out_colors(d, p)
         lhs = sum(s * (a - bb) for s, a, bb in zip(signs, over_out, under_out))
         r = p.jumps
         assert lhs == r[0] - r[1] - r[2] - r[3] + r[4]
@@ -211,7 +244,7 @@ def test_prop_identities_random():
         for _ in range(5):
             free = (rng.randint(-5, 5) for _ in range(d.crossing_count))
             bases = [0] + [rng.randint(-5, 5) for _ in range(d.component_count - 1)]
-            p = Potential(d.solve_jumps(free), tuple(bases), PLUS)
+            p = Potential(solve_jumps(d, free), tuple(bases), PLUS)
             assert verify_prop_61(d, p)
             assert verify_prop_62(d, p)
 
@@ -219,7 +252,7 @@ def test_prop_identities_random():
 def test_out_colors_convention():
     d = build(parse("1 1"))
     with pytest.raises(ValueError):
-        _out_colors(d, Potential((0, 0), (0, 0), MINUS))
+        out_colors(d, Potential((0, 0), (0, 0), MINUS))
 
 
 def _triangle(mu: int, i: int, j: int, k: int, w: int) -> list[list[int]]:

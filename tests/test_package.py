@@ -46,3 +46,16 @@ def test_states_reexports():
 
     assert (MINUS, PLUS, WORK_LIMIT) == (-1, 1, statesum.WORK_LIMIT)
     assert check_work is statesum.check_work
+
+
+def test_identity_checks_are_not_exported():
+    # The paper's identity checks are test helpers (tests/identities.py), not
+    # names of the package; the bijection of the two conventions still is one.
+    from braidjones.states import flow_bijection
+
+    for name in ("parity_halfinteger_check", "enumerate_z_potentials"):
+        assert name not in braidjones.__all__
+        assert name not in dir(braidjones)
+        assert not hasattr(braidjones, name)
+    assert "flow_bijection" in braidjones.__all__
+    assert braidjones.flow_bijection is flow_bijection

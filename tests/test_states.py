@@ -15,9 +15,9 @@ from braidjones.states import (
     Potential,
     derive_colors,
     enumerate_states,
-    enumerate_z_potentials,
     flow_bijection,
 )
+from identities import cycle_relations, enumerate_z_potentials
 from words import rand_braid
 
 
@@ -116,7 +116,7 @@ def test_flow_equation_and_ranges():
                     assert all(0 <= v <= n for v in pot.jumps)
                     assert all(0 <= v <= n for v in pot.bases)
                     assert all(0 <= v <= n for v in colors.arc_colors.values())
-                    for rel in d.cycle_relations():
+                    for rel in cycle_relations(d):
                         assert sum(k * pot.jumps[c] for c, k in rel.items()) == 0
                     for v in range(d.crossing_count):
                         inflow = sum(
@@ -178,7 +178,7 @@ def test_z_potentials():
         d = build(rand_braid(rng, max_len=4))
         for p in enumerate_z_potentials(d, 2):
             assert all(-2 <= v <= 2 for v in p.jumps)
-            for rel in d.cycle_relations():
+            for rel in cycle_relations(d):
                 assert sum(k * p.jumps[c] for c, k in rel.items()) == 0
 
 

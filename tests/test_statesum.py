@@ -43,11 +43,11 @@ from braidjones.statesum import (
     colored_jones_unframed,
     framed_and_count,
     gl_contribution,
-    parity_halfinteger_check,
     rmatrix_contribution,
     state_count,
     state_sum,
 )
+from identities import parity_halfinteger_check
 from packing import (
     assert_exponent_class_law,
     assert_rows_decode,
