@@ -1,22 +1,13 @@
 """Exact colored Jones polynomials of braid closures.
 
 Two state models as vertex tables read by one sweep and checked against
-each other crossing by crossing, state enumeration as their independent
-reference, an exact Laurent ring in quarter powers of t, and the
-Kauffman-bracket oracle at color 1.
+each other crossing by crossing, state enumeration and its state sums as
+their independent reference, an exact Laurent ring in quarter powers of
+t, and the Kauffman-bracket oracle at color 1.
 """
 
 from .braid import BraidWord, parse
-from .qalgebra import (
-    ExactDivisionError,
-    LaurentQ,
-    pochhammer,
-    pochhammer_signed,
-    qbinom,
-    qbinom_signed,
-    qbrace,
-    qint,
-)
+from .qalgebra import ExactDivisionError, LaurentQ, qint
 from .statesum import (
     MINUS,
     PLUS,
@@ -25,8 +16,9 @@ from .statesum import (
     colored_jones_unframed,
 )
 
-# The diagram, the state enumeration and the oracle serve as references and
-# for inspection only; a value never needs them, so they load on first use.
+# The diagram, the state enumeration with its weights and quantum symbols,
+# and the oracle serve as references and for inspection only; a value never
+# needs them, so they load on first use.
 _LAZY = {
     "Diagram": "diagram",
     "build": "diagram",
@@ -35,6 +27,11 @@ _LAZY = {
     "derive_colors": "states",
     "enumerate_states": "states",
     "flow_bijection": "states",
+    "pochhammer": "states",
+    "pochhammer_signed": "states",
+    "qbinom": "states",
+    "qbinom_signed": "states",
+    "qbrace": "states",
     "kauffman_jones": "oracle",
 }
 

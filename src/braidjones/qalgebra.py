@@ -1,22 +1,12 @@
-"""Exact Laurent polynomial arithmetic in t**(1/4) and quantum symbols.
+"""Exact Laurent polynomial arithmetic in t**(1/4) and packed symbols.
 
 Every value the state sums produce lives in Z[t**(1/4), t**(-1/4)].  A
 polynomial is stored as a dict mapping the exponent, counted in integer
 quarter units, to an arbitrary-precision integer coefficient.  Writing
-v = t**(1/2), the quantum symbols are
-
-    {a}   = v**a - v**(-a)
-    [a]   = {a} / {1}
-    {a}_b = {a} {a-1} ... {a-b+1}        ({a}_0 = 1, {a}_b = 0 for b < 0)
-
-together with their sign-dependent variants
-
-    {a}_{b,t^e}      = prod_{s=0}^{b-1} (1 - t**(e*(a-s)))
-    (a choose b)_t^e = prod_{s=0}^{b-1} (t**(e*(a-s)) - 1) / (t**(e*s') - 1)
-
-and the quantum binomial (a choose b) = {a}_b / {b}_b, computed by exact
-division.  The signed variants are implemented independently of the plain
-ones so the conversion identities can be tested rather than assumed.
+v = t**(1/2) and {a} = v**a - v**(-a), the quantum integer [a] = {a} / {1}
+is qint, which the oracles read.  The other quantum symbols, as
+polynomials, belong to the enumeration reference (states), which the
+value path never loads.
 
 pack and unpack carry a polynomial whose exponents all agree mod 4 (one
 slot per whole power of t) as a single integer by Kronecker substitution,
@@ -314,68 +304,11 @@ def packed_l1(packed: int, k: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def qbrace(a: int) -> LaurentQ:
-    """{a} = v**a - v**(-a)."""
-    if a == 0:
-        return ZERO
-    return LaurentQ({2 * a: 1, -2 * a: -1})
-
-
-@lru_cache(maxsize=None)
 def qint(a: int) -> LaurentQ:
     """[a] = {a}/{1} = v**(a-1) + v**(a-3) + ... + v**(1-a)."""
     if a < 0:
         return -qint(-a)
     return LaurentQ({2 * (a - 1) - 4 * k: 1 for k in range(a)})
-
-
-@lru_cache(maxsize=None)
-def pochhammer(a: int, b: int) -> LaurentQ:
-    """{a}_b = {a}{a-1}...{a-b+1}; 1 for b = 0, 0 for b < 0."""
-    if b < 0:
-        return ZERO
-    out = ONE
-    for s in range(b):
-        out = out * qbrace(a - s)
-    return out
-
-
-@lru_cache(maxsize=None)
-def pochhammer_signed(a: int, b: int, eps: int) -> LaurentQ:
-    """{a}_{b,t^eps} = prod_{s=0}^{b-1} (1 - t**(eps*(a-s)))."""
-    if eps not in (1, -1):
-        raise ValueError("eps must be +1 or -1")
-    if b < 0:
-        return ZERO
-    out = ONE
-    for s in range(b):
-        out = out * (ONE - LaurentQ.t_quarter(4 * eps * (a - s)))
-    return out
-
-
-@lru_cache(maxsize=None)
-def qbinom(a: int, b: int) -> LaurentQ:
-    """(a choose b) = {a}_b / {b}_b, by exact division."""
-    if b < 0:
-        return ZERO
-    if b == 0:
-        return ONE
-    return pochhammer(a, b).exact_div(pochhammer(b, b))
-
-@lru_cache(maxsize=None)
-def qbinom_signed(a: int, b: int, eps: int) -> LaurentQ:
-    """(a choose b)_{t^eps} = prod (t**(eps*(a-s)) - 1) / prod (t**(eps*s) - 1)."""
-    if eps not in (1, -1):
-        raise ValueError("eps must be +1 or -1")
-    if b < 0:
-        return ZERO
-    num = ONE
-    for s in range(b):
-        num = num * (LaurentQ.t_quarter(4 * eps * (a - s)) - ONE)
-    den = ONE
-    for s in range(1, b + 1):
-        den = den * (LaurentQ.t_quarter(4 * eps * s) - ONE)
-    return num.exact_div(den)
 
 
 # Packed symbols at K = k: plain ints, each the image at t = 2**K of a

@@ -1,4 +1,4 @@
-"""State enumeration for the two sign conventions of the state models.
+"""Enumerates and weighs the states of both models: the sweep's reference.
 
 A potential assigns a jump j(c) to every crossing and a base color to
 every component; together they determine all part-arc colors by walking
@@ -13,13 +13,31 @@ closure arc of strand position 0 carries the fixed anchor color.  The
 integer potentials of any sign that the paper's color identities take,
 and the cycle relations solved for them, belong to the tests
 (tests/identities.py).
+
+Each state is weighed in its own model's convention (the statesum
+docstring gives both weights): a (-)-state by _rmatrix_vertex, a
+(+)-state by _gl_vertex, and state_sum adds them up.  Written apart from
+statesum's packed tables, from quantum symbols as polynomials in
+v = t**(1/2), this is the sweep's independent reference; only the tests
+call it.  The symbols are
+
+    {a}   = v**a - v**(-a)
+    {a}_b = {a} {a-1} ... {a-b+1}        ({a}_0 = 1, {a}_b = 0 for b < 0)
+    {a}_{b,t^e}      = prod_{s=0}^{b-1} (1 - t**(e*(a-s)))
+    (a choose b)_t^e = prod_{s=0}^{b-1} (t**(e*(a-s)) - 1) / (t**(e*s') - 1)
+
+and (a choose b) = {a}_b / {b}_b, by exact division.  The signed variants
+are implemented apart from the plain ones, so the conversion identities
+are tested rather than assumed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .diagram import Diagram, UNDER
+from .qalgebra import ONE, ZERO, LaurentQ
 # The sign conventions and the work limit live on the value path; they are
 # re-exported here for the enumeration's callers.
 from .statesum import MINUS, PLUS, WORK_LIMIT, check_work  # noqa: F401
@@ -174,3 +192,130 @@ def flow_bijection(
         -p.convention,
     )
     return q, derive_colors(d, q)
+
+
+@lru_cache(maxsize=None)
+def qbrace(a: int) -> LaurentQ:
+    """{a} = v**a - v**(-a)."""
+    if a == 0:
+        return ZERO
+    return LaurentQ({2 * a: 1, -2 * a: -1})
+
+
+@lru_cache(maxsize=None)
+def pochhammer(a: int, b: int) -> LaurentQ:
+    """{a}_b = {a}{a-1}...{a-b+1}; 1 for b = 0, 0 for b < 0."""
+    if b < 0:
+        return ZERO
+    out = ONE
+    for s in range(b):
+        out = out * qbrace(a - s)
+    return out
+
+
+@lru_cache(maxsize=None)
+def pochhammer_signed(a: int, b: int, eps: int) -> LaurentQ:
+    """{a}_{b,t^eps} = prod_{s=0}^{b-1} (1 - t**(eps*(a-s)))."""
+    if eps not in (1, -1):
+        raise ValueError("eps must be +1 or -1")
+    if b < 0:
+        return ZERO
+    out = ONE
+    for s in range(b):
+        out = out * (ONE - LaurentQ.t_quarter(4 * eps * (a - s)))
+    return out
+
+
+@lru_cache(maxsize=None)
+def qbinom(a: int, b: int) -> LaurentQ:
+    """(a choose b) = {a}_b / {b}_b, by exact division."""
+    if b < 0:
+        return ZERO
+    if b == 0:
+        return ONE
+    return pochhammer(a, b).exact_div(pochhammer(b, b))
+
+
+@lru_cache(maxsize=None)
+def qbinom_signed(a: int, b: int, eps: int) -> LaurentQ:
+    """(a choose b)_{t^eps} = prod (t**(eps*(a-s)) - 1) / prod (t**(eps*s) - 1)."""
+    if eps not in (1, -1):
+        raise ValueError("eps must be +1 or -1")
+    if b < 0:
+        return ZERO
+    num = ONE
+    for s in range(b):
+        num = num * (LaurentQ.t_quarter(4 * eps * (a - s)) - ONE)
+    den = ONE
+    for s in range(1, b + 1):
+        den = den * (LaurentQ.t_quarter(4 * eps * s) - ONE)
+    return num.exact_div(den)
+
+
+@lru_cache(maxsize=None)
+def _rmatrix_vertex(n: int, sign: int, i: int, j: int, r: int) -> LaurentQ:
+    if sign > 0:
+        quarter = -((n - 2 * i) * (n - 2 * j) + r * (r - 1))
+        coeff = -1 if r % 2 else 1
+        return (
+            LaurentQ.monomial(coeff, quarter)
+            * qbinom(j + r, r)
+            * pochhammer(n + r - i, r)
+        )
+    quarter = (n - 2 * i - 2 * r) * (n - 2 * j + 2 * r) + r * (r - 1)
+    return LaurentQ.t_quarter(quarter) * qbinom(i + r, r) * pochhammer(n + r - j, r)
+
+
+@lru_cache(maxsize=None)
+def _gl_vertex(n: int, sign: int, i: int, j: int, tld: int) -> LaurentQ:
+    return (
+        LaurentQ.t_quarter(sign * (4 * n * i - 4 * i * tld - n * n))
+        * qbinom_signed(i + j, i, -sign)
+        * pochhammer_signed(n - tld, j, sign)
+    )
+
+
+def rmatrix_contribution(
+    d: Diagram,
+    p: Potential,
+    colors: StateColors,
+    n: int,
+) -> LaurentQ:
+    """Weight of one (-)-state, closure weight included."""
+    quarter = sum(2 * (2 * b - n) for b in colors.closure[1:])
+    value = LaurentQ.t_quarter(quarter)
+    for c, cr in enumerate(d.crossings):
+        value = value * _rmatrix_vertex(
+            n,
+            cr.sign,
+            colors.arc_colors[cr.in_left],
+            colors.arc_colors[cr.in_right],
+            p.jumps[c],
+        )
+    return value
+
+
+def gl_contribution(
+    d: Diagram,
+    p: Potential,
+    colors: StateColors,
+    n: int,
+) -> LaurentQ:
+    """Weight of one (+)-state, closure weight included: the weight of its
+    partner (-)-state under the flow bijection."""
+    quarter = sum(2 * (n - 2 * b) for b in colors.closure[1:])
+    value = LaurentQ.t_quarter(quarter)
+    for c, cr in enumerate(d.crossings):
+        value = value * _gl_vertex(n, cr.sign, colors.i[c], p.jumps[c], colors.tilde[c])
+    return value
+
+
+def state_sum(d: Diagram, n: int, convention: int) -> LaurentQ:
+    """The model's state sum by enumerating and weighing every
+    contributing state, with no global factor: the reference for the
+    sweep."""
+    weigh = rmatrix_contribution if convention == MINUS else gl_contribution
+    total = LaurentQ.zero()
+    for p, colors in enumerate_states(d, n, convention):
+        total = total + weigh(d, p, colors, n)
+    return total

@@ -145,20 +145,21 @@ small integers (_certificate), with no row built and no product; the rows
 the sweep reads are the descriptors' images by construction.  Its cost
 depends on n alone.  It reads every entry of those signs, where a second
 sweep read only the entries its states reach; --model gl still sweeps the
-other table.  The enumeration state
-sums (state_sum) remain the independent reference: they weigh every
-contributing state in each model's own convention, with the weights
-_rmatrix_vertex and _gl_vertex, written apart from the packed tables,
-at a cost exponential in the crossing count, and only the tests call
-them.  --states count is state_count's sweep, and --states dump lists
-the states (states.enumerate_states) without weighing them.
+other table.  The enumeration state sums (states.state_sum) remain the
+independent reference: they weigh every contributing state in each
+model's own convention, with weights written apart from the packed
+tables, at a cost exponential in the crossing count, and only the tests
+call them.  The reference imports this module, never the other way, so
+no value request loads it.  --states count is state_count's sweep, and
+--states dump lists the states (states.enumerate_states) without
+weighing them.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate, product
-from typing import TYPE_CHECKING, Callable, Iterable, Literal
+from typing import Callable, Iterable, Literal
 
 from .braid import BraidWord
 from .qalgebra import (
@@ -167,16 +168,8 @@ from .qalgebra import (
     packed_falling,
     packed_gauss,
     packed_l1,
-    pochhammer,
-    pochhammer_signed,
-    qbinom,
-    qbinom_signed,
     unpack,
 )
-
-if TYPE_CHECKING:
-    from .diagram import Diagram
-    from .states import Potential, StateColors
 
 Model = Literal["rmatrix", "gl", "both"]
 
@@ -216,77 +209,6 @@ class ModelMismatchError(AssertionError):
     """The two state models disagreed; always an implementation bug."""
 
 
-@lru_cache(maxsize=None)
-def _rmatrix_vertex(n: int, sign: int, i: int, j: int, r: int) -> LaurentQ:
-    if sign > 0:
-        quarter = -((n - 2 * i) * (n - 2 * j) + r * (r - 1))
-        coeff = -1 if r % 2 else 1
-        return (
-            LaurentQ.monomial(coeff, quarter)
-            * qbinom(j + r, r)
-            * pochhammer(n + r - i, r)
-        )
-    quarter = (n - 2 * i - 2 * r) * (n - 2 * j + 2 * r) + r * (r - 1)
-    return LaurentQ.t_quarter(quarter) * qbinom(i + r, r) * pochhammer(n + r - j, r)
-
-
-@lru_cache(maxsize=None)
-def _gl_vertex(n: int, sign: int, i: int, j: int, tld: int) -> LaurentQ:
-    return (
-        LaurentQ.t_quarter(sign * (4 * n * i - 4 * i * tld - n * n))
-        * qbinom_signed(i + j, i, -sign)
-        * pochhammer_signed(n - tld, j, sign)
-    )
-
-
-def rmatrix_contribution(
-    d: Diagram,
-    p: Potential,
-    colors: StateColors,
-    n: int,
-) -> LaurentQ:
-    """Weight of one (-)-state, closure weight included."""
-    quarter = sum(2 * (2 * b - n) for b in colors.closure[1:])
-    value = LaurentQ.t_quarter(quarter)
-    for c, cr in enumerate(d.crossings):
-        value = value * _rmatrix_vertex(
-            n,
-            cr.sign,
-            colors.arc_colors[cr.in_left],
-            colors.arc_colors[cr.in_right],
-            p.jumps[c],
-        )
-    return value
-
-
-def gl_contribution(
-    d: Diagram,
-    p: Potential,
-    colors: StateColors,
-    n: int,
-) -> LaurentQ:
-    """Weight of one (+)-state, closure weight included: the weight of its
-    partner (-)-state under the flow bijection."""
-    quarter = sum(2 * (n - 2 * b) for b in colors.closure[1:])
-    value = LaurentQ.t_quarter(quarter)
-    for c, cr in enumerate(d.crossings):
-        value = value * _gl_vertex(n, cr.sign, colors.i[c], p.jumps[c], colors.tilde[c])
-    return value
-
-
-def state_sum(d: Diagram, n: int, convention: int) -> LaurentQ:
-    """The model's state sum by enumerating and weighing every
-    contributing state, with no global factor: the reference for the
-    sweep."""
-    from .states import enumerate_states
-
-    weigh = rmatrix_contribution if convention == MINUS else gl_contribution
-    total = LaurentQ.zero()
-    for p, colors in enumerate_states(d, n, convention):
-        total = total + weigh(d, p, colors, n)
-    return total
-
-
 # A row of a vertex table: for each jump r = 0.._max_jump a crossing entered
 # by (a, b) allows, the left color b + sign*r it leaves and its weight packed
 # at K as (lo, N) (qalgebra.pack).  A vertex table maps (n, sign, a, b, K)
@@ -307,8 +229,9 @@ def _max_jump(n: int, sign: int, a: int, b: int) -> int:
 
 
 # The two models' descriptors, with lo in closed form (README "Packed values
-# and caches").  Written apart from _rmatrix_vertex and _gl_vertex, so the
-# sweep and the reference weigh with independent code.
+# and caches").  Written apart from the reference's weights
+# (states._rmatrix_vertex and _gl_vertex), so the sweep and the reference
+# weigh with independent code.
 def _rmatrix_shape(n: int, sign: int, i: int, j: int, r: int) -> Shape:
     if sign > 0:
         lo = -(n - 2 * i) * (n - 2 * j) - 2 * r * (n + r - i + j)

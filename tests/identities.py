@@ -22,8 +22,8 @@ from typing import Iterable
 
 from braidjones.braid import BraidWord
 from braidjones.diagram import Diagram
-from braidjones.qalgebra import LaurentQ, pochhammer
-from braidjones.states import PLUS, Potential, derive_colors
+from braidjones.qalgebra import LaurentQ
+from braidjones.states import PLUS, Potential, derive_colors, pochhammer
 from braidjones.statesum import colored_jones_unframed
 
 

@@ -12,14 +12,8 @@ coefficient of a model weight.
 """
 
 from braidjones.qalgebra import pack, unpack
-from braidjones.statesum import (
-    _gl_row,
-    _gl_vertex,
-    _max_jump,
-    _rmatrix_row,
-    _rmatrix_vertex,
-    _unit_row,
-)
+from braidjones.states import _gl_vertex, _rmatrix_vertex
+from braidjones.statesum import _gl_row, _max_jump, _rmatrix_row, _unit_row
 
 
 def packed(step):

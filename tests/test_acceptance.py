@@ -13,22 +13,23 @@ from braidjones.braid import BraidWord, parse
 from braidjones.cli import PRESETS
 from braidjones.diagram import build
 from braidjones.oracle import kauffman_jones
-from braidjones.qalgebra import (
-    ONE,
-    LaurentQ,
+from braidjones.qalgebra import ONE, LaurentQ, qint
+from braidjones.states import (
+    MINUS,
+    PLUS,
+    Potential,
+    enumerate_states,
     pochhammer,
     pochhammer_signed,
     qbinom,
     qbinom_signed,
     qbrace,
-    qint,
+    state_sum,
 )
-from braidjones.states import MINUS, PLUS, Potential, enumerate_states
 from braidjones.statesum import (
     colored_jones_framed,
     colored_jones_unframed,
     state_count,
-    state_sum,
 )
 from identities import (
     cyclic_labels,

@@ -425,9 +425,9 @@ def test_counting_reads_no_weights(monkeypatch, capsys):
     def forbidden(*args):
         raise AssertionError("counting must not build a weight")
 
+    for name in ("_rmatrix_vertex", "_gl_vertex"):
+        monkeypatch.setattr(states, name, forbidden, raising=True)
     for name in (
-        "_rmatrix_vertex",
-        "_gl_vertex",
         "_rmatrix_shape",
         "_gl_shape",
         "_packer",

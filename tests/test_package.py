@@ -59,3 +59,42 @@ def test_identity_checks_are_not_exported():
         assert not hasattr(braidjones, name)
     assert "flow_bijection" in braidjones.__all__
     assert braidjones.flow_bijection is flow_bijection
+
+
+def test_value_path_compiles_no_reference():
+    # In a fresh interpreter: a --json request loads neither the enumeration
+    # reference (its weights, state sum and quantum symbols) nor the diagram
+    # or the oracles; the value path defines none of the reference's names,
+    # and the package resolves a quantum symbol by loading states.
+    src = str(Path(braidjones.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "\n".join(
+        [
+            "import contextlib, io, json, sys",
+            "import braidjones, braidjones.cli",
+            "out = io.StringIO()",
+            "with contextlib.redirect_stdout(out):",
+            "    code = braidjones.cli.main(['--preset', 'trefoil', '--n', '2', '--json'])",
+            "print(code, 'framed' in json.loads(out.getvalue()))",
+            "mods = ('braidjones.states', 'braidjones.diagram', 'braidjones.oracle')",
+            "print([m for m in mods if m in sys.modules])",
+            "names = ('_rmatrix_vertex', '_gl_vertex', 'rmatrix_contribution',",
+            "         'gl_contribution', 'state_sum', 'qbrace', 'pochhammer',",
+            "         'pochhammer_signed', 'qbinom', 'qbinom_signed')",
+            "from braidjones import qalgebra, statesum",
+            "print(sorted(n for m in (qalgebra, statesum) for n in names if n in vars(m)))",
+            "qbinom = braidjones.qbinom",
+            "print('braidjones.states' in sys.modules)",
+            "from braidjones import states",
+            "print(qbinom is states.qbinom, all(n in vars(states) for n in names))",
+        ]
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "0 True\n[]\n[]\nTrue\nTrue True\n"

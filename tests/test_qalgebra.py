@@ -14,13 +14,15 @@ from braidjones.qalgebra import (
     packed_falling,
     packed_gauss,
     packed_l1,
+    qint,
+    unpack,
+)
+from braidjones.states import (
     pochhammer,
     pochhammer_signed,
     qbinom,
     qbinom_signed,
     qbrace,
-    qint,
-    unpack,
 )
 
 

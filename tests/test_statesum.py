@@ -13,15 +13,19 @@ from braidjones import statesum
 from braidjones.braid import BraidWord, parse
 from braidjones.diagram import build
 from braidjones.oracle import kauffman_jones, rosso_jones, torus_braid
-from braidjones.qalgebra import (
-    ONE,
-    LaurentQ,
+from braidjones.qalgebra import ONE, LaurentQ, qint
+from braidjones.states import (
+    MINUS,
+    PLUS,
+    enumerate_states,
+    flow_bijection,
+    gl_contribution,
     pochhammer_signed,
     qbinom,
     qbinom_signed,
-    qint,
+    rmatrix_contribution,
+    state_sum,
 )
-from braidjones.states import MINUS, PLUS, enumerate_states, flow_bijection
 from braidjones.statesum import (
     REPACK_LETTERS,
     ModelMismatchError,
@@ -42,10 +46,7 @@ from braidjones.statesum import (
     colored_jones_framed,
     colored_jones_unframed,
     framed_and_count,
-    gl_contribution,
-    rmatrix_contribution,
     state_count,
-    state_sum,
 )
 from identities import parity_halfinteger_check
 from packing import (
