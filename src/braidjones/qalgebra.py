@@ -5,8 +5,8 @@ polynomial is stored as a dict mapping the exponent, counted in integer
 quarter units, to an arbitrary-precision integer coefficient.  Writing
 v = t**(1/2) and {a} = v**a - v**(-a), the quantum integer [a] = {a} / {1}
 is qint, which the oracles read.  The other quantum symbols, as
-polynomials, belong to the enumeration reference (states), which the
-value path never loads.
+polynomials, belong to the enumeration reference (states), which no
+value request loads.
 
 pack and unpack carry a polynomial whose exponents all agree mod 4 (one
 slot per whole power of t) as a single integer by Kronecker substitution,

@@ -65,7 +65,8 @@ def test_value_path_compiles_no_reference():
     # In a fresh interpreter: a --json request loads neither the enumeration
     # reference (its weights, state sum and quantum symbols) nor the diagram
     # or the oracles; the value path defines none of the reference's names,
-    # and the package resolves a quantum symbol by loading states.
+    # and the package resolves a quantum symbol by loading states.  statesum
+    # still resolves the two state weights, from states, without keeping them.
     src = str(Path(braidjones.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     probe = "\n".join(
@@ -87,6 +88,8 @@ def test_value_path_compiles_no_reference():
             "print('braidjones.states' in sys.modules)",
             "from braidjones import states",
             "print(qbinom is states.qbinom, all(n in vars(states) for n in names))",
+            "weight = statesum.gl_contribution",
+            "print(weight is states.gl_contribution, 'gl_contribution' in vars(statesum))",
         ]
     )
     done = subprocess.run(
@@ -97,4 +100,4 @@ def test_value_path_compiles_no_reference():
         timeout=60,
     )
     assert (done.returncode, done.stderr) == (0, "")
-    assert done.stdout == "0 True\n[]\n[]\nTrue\nTrue True\n"
+    assert done.stdout == "0 True\n[]\n[]\nTrue\nTrue True\nTrue False\n"
