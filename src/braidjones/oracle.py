@@ -46,6 +46,15 @@ class _UnionFind:
         return sum(1 for x in self.parent if self.parent[x] == x)
 
 
+def _check_color(n: int) -> None:
+    # The color checks of statesum.check_work, which the oracles share
+    # without loading the state models.
+    if type(n) is not int:
+        raise TypeError(f"color {n!r} is not an int")
+    if n < 1:
+        raise ValueError("color n must be >= 1")
+
+
 def kauffman_jones(b: BraidWord) -> LaurentQ:
     """Jones polynomial of the braid closure from the Kauffman bracket.
 
@@ -111,8 +120,7 @@ def rosso_jones(p: int, q: int, n: int) -> LaurentQ:
     """
     if p < 1 or gcd(p, q) != 1:
         raise ValueError("the torus knot T(p, q) needs p >= 1 and gcd(p, q) = 1")
-    if n < 1:
-        raise ValueError("color n must be >= 1")
+    _check_color(n)
     m = Counter(p * (n - 2 * i) for i in range(n + 1))
     total = ZERO
     for l in range(p * n + 1):
@@ -144,8 +152,7 @@ def habiro_masbaum(p: int, n: int) -> LaurentQ:
     Refs: K. Habiro, RIMS Kokyuroku 1172 (2000); G. Masbaum, Algebr. Geom.
     Topol. 3 (2003) 537-556.
     """
-    if n < 1:
-        raise ValueError("color n must be >= 1")
+    _check_color(n)
 
     def power(m: int) -> LaurentQ:
         return LaurentQ.t_quarter(4 * m)

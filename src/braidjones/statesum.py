@@ -70,8 +70,7 @@ Set-up that depends on the color, the table and K alone is cached per
 process and shared by every sweep: packed rows (each table's, and _unit_row,
 keyed on n, sign, entering colors and K; 4096 at most each) and the two
 packed symbols both tables share (4096 at most each), first layers (_seed,
-keyed on strands, n, anchor and the checks due before any letter; 128 at
-most), jump limits (_jump_limits), and per n and sign each table's growth
+keyed on strands, n and anchor; 128 at most), jump limits (_jump_limits), and per n and sign each table's growth
 (_growth), read from the slot magnitudes of its weights packed at
 K = 2n + 2 (qalgebra.packed_l1).  K is still the exact proved bound, not
 rounded to share rows.  Within a chunk, where K is fixed, the sweep holds
@@ -79,18 +78,23 @@ the rows it reads in a grid indexed by sign and entering colors, and a
 weight packed as 1 (every jump-0 weight and every unit weight) skips its
 product.
 
-Most partial states can never close up, and the sweep drops them as
-soon as that is certain.  It carries a color vector c by its prefix
-sums P_j = c_0 + ... + c_j.  A crossing on generator g keeps
-c_{g-1} + c_g, so of these it moves P_{g-1} alone, and a state closes
-exactly when every P_{g-1} is back at its start value after the last
-letter on g; by the flow rule that fixes the last letter's jump.  The
-same test runs early, right after the last earlier letter on generators
-g-1, g or g+1, the only letters that change its inputs P_{g-2} (0 for
-g = 1), P_{g-1} and P_g: an entry whose required jump is not allowed is
-dropped there.  No contributing state is lost, and every entry left
-after the last letter closes.  The sweep keys an entry by its start and
-current prefix sums as bit fields of one int (see _sweep).
+The sweep carries a color vector c by its prefix sums
+P_j = c_0 + ... + c_j.  A crossing on generator g keeps c_{g-1} + c_g,
+so of these it moves P_{g-1} alone, and a state closes exactly when
+every P_{g-1} is back at its start value after the last letter on g.
+By the flow rule that fixes the last letter's jump at
+sign*(start[g-1] - x - b), with x = P_{g-2} (0 for g = 1) and b the
+right entering color.  The last letter closes: it takes that jump alone,
+and drops the entry when the jump is not in 0.._max_jump.  So every
+entry left after the last letter is closed, and no contributing state
+is lost.  Early tests only prune.  Most partial states can never close
+up, and the same test, run right after the last earlier letter on
+generators g-1, g or g+1 (the only letters that change its inputs
+P_{g-2}, P_{g-1} and P_g), drops them there; at most one test follows a
+letter (_closing_checks).  The sweep keys an entry by its start and
+current prefix sums as bit fields of one int: P_j of cur at bit j*width
+and of start at (s + j)*width for s strands, with
+width = (s*n).bit_length() since no P_j exceeds s*n.
 
 R-matrix model, (-) convention.  With i, j the colors entering a
 crossing on the left and right, r its jump, and v = t**(1/2), the
@@ -307,18 +311,20 @@ def _growth(table: Table, n: int, sign: int) -> int:
 
 def _closing_checks(
     letters: tuple[int, ...],
-) -> tuple[list[bool], list[list[tuple[int, int]]]]:
-    """Where the sweep tests whether an entry can still close (see the
-    module docstring).
+) -> tuple[list[bool], list[tuple[int, int] | None]]:
+    """Where the sweep closes each generator and where it prunes early
+    (see the module docstring).
 
-    Returns (last, early).  last[i] tells whether letter i is the last on
+    Returns (last, after).  last[i] tells whether letter i is the last on
     its generator g, which must then leave the prefix sum cur[g-1] at
-    start[g-1].  early[m] lists (g, sign) for the last letters whose
-    inputs cur[g-2], cur[g-1] and cur[g] are final once m letters are
-    swept: only letters on generators g-1, g and g+1 change them.
+    start[g-1].  after[i] is the (g, sign) of a last letter whose inputs
+    cur[g-2], cur[g-1] and cur[g] are final once letter i is swept (only
+    letters on generators g-1, g and g+1 change them), or None.  At most
+    one test follows a letter, the one whose last letter comes later, and
+    none precedes the first.
     """
     last = [False] * len(letters)
-    early: list[list[tuple[int, int]]] = [[] for _ in range(len(letters) + 1)]
+    after: list[tuple[int, int] | None] = [None] * len(letters)
     later: set[int] = set()
     for i in reversed(range(len(letters))):
         g = abs(letters[i])
@@ -330,8 +336,9 @@ def _closing_checks(
             m = i
             while m and abs(abs(letters[m - 1]) - g) > 1:
                 m -= 1
-            early[m].append((g, 1 if letters[i] > 0 else -1))
-    return last, early
+            if m and after[m - 1] is None:
+                after[m - 1] = (g, 1 if letters[i] > 0 else -1)
+    return last, after
 
 
 # (lo, N, count): a value Kronecker-packed as in qalgebra.pack, and the
@@ -339,7 +346,6 @@ def _closing_checks(
 # lo mod 4 (see the module docstring), as bit fields of one int (_sweep).
 Entry = tuple[int, int, int]
 Key = int
-Limits = dict[int, tuple[tuple[int, ...], ...]]
 
 
 def _width(strands: int, n: int) -> int:
@@ -356,7 +362,7 @@ def _decode(
     return tuple(fields[strands:]), tuple(fields[:strands])
 
 
-# _max_jump(n, sign, a, b) as limits[a][b], for the closing test.  Read after
+# _max_jump(n, sign, a, b) as limits[a][b], for the early tests.  Read after
 # check_work, which bounds n, so the cache stays small.
 @lru_cache(maxsize=None)
 def _jump_limits(n: int, sign: int) -> tuple[tuple[int, ...], ...]:
@@ -364,116 +370,50 @@ def _jump_limits(n: int, sign: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple([_max_jump(n, sign, a, b) for b in colors]) for a in colors)
 
 
-# Whether the last letter of each (g, sign) in checks can bring the prefix
-# sum cur[g-1] back to start[g-1]: whether the jump that needs,
-# sign*(start[g-1] - x - b) with x = cur[g-2] (0 for g = 1) and b the right
-# entering color, is allowed.  limits[sign] is _jump_limits(n, sign).
-def _can_close(
-    limits: Limits,
-    start: tuple[int, ...],
-    cur: tuple[int, ...],
-    checks: Iterable[tuple[int, int]],
-) -> bool:
-    for g, sign in checks:
-        x = cur[g - 2] if g > 1 else 0
-        y, z = cur[g - 1], cur[g]
-        b = z - y
-        if not 0 <= sign * (start[g - 1] - x - b) <= limits[sign][y - x][b]:
-            return False
-    return True
-
-
-# Bounded: perfbench's corpus reads 84 distinct first layers in one process.
+# Bounded: perfbench's corpus reads 18 distinct first layers in one process.
 #
 # A sweep's first layer: every start vector, by its prefix sums with position
-# 0 at anchor, that passes the closing checks due before any letter, keyed
-# with cur = start, seeded with its closure weight t**(sum((2c - n)/2)) over
-# the non-anchor colors c as one monomial (N = 1 at any K) and a count of 1.
-# Shared by every sweep with these arguments, so it must not be mutated.
+# 0 at anchor, keyed with cur = start, seeded with its closure weight
+# t**(sum((2c - n)/2)) over the non-anchor colors c as one monomial (N = 1 at
+# any K) and a count of 1.  Shared by every sweep with these arguments, so it
+# must not be mutated.
 @lru_cache(maxsize=128)
-def _seed(
-    strands: int, n: int, anchor: int, checks: tuple[tuple[int, int], ...]
-) -> dict[Key, Entry]:
-    limits = {sign: _jump_limits(n, sign) for _, sign in checks}
+def _seed(strands: int, n: int, anchor: int) -> dict[Key, Entry]:
     width = _width(strands, n)
     layer: dict[Key, Entry] = {}
     for rest in product(range(n + 1), repeat=strands - 1):
-        start = (*accumulate((anchor,) + rest),)
-        if _can_close(limits, start, start, checks):
-            half = 0
-            for p in reversed(start):
-                half = half << width | p
-            quarter = sum(2 * (2 * c - n) for c in rest)
-            layer[half << (strands * width) | half] = (quarter, 1, 1)
+        half = 0
+        for p in reversed((*accumulate((anchor,) + rest),)):
+            half = half << width | p
+        quarter = sum(2 * (2 * c - n) for c in rest)
+        layer[half << (strands * width) | half] = (quarter, 1, 1)
     return layer
 
 
 def _sweep(
     word: BraidWord, n: int, table: Table, anchor: int
 ) -> tuple[LaurentQ, int]:
-    """Sum the weights of every contributing state, one letter at a time,
-    and count the states.
+    """Sum the weights of the contributing states of word at color n and
+    count them, with position 0 of every color vector anchored at color
+    anchor (see the module docstring).
 
-    A layer maps (start, cur) to the summed weight of the partial states
-    below it and their number.  start and cur are color vectors by their
-    prefix sums (P_0, ..., P_{s-1}), position 0 anchored at color anchor;
-    any anchor gives the same value, through a different number of
-    partial states (see the module docstring).  The key is one int, P_j
-    of cur at bit j*width and of start at (s + j)*width, with
-    width = (s*n).bit_length() since no P_j exceeds s*n.  Each start vector
-    is seeded with its closure weight t**(sum((2c - n)/2)) over the
-    non-anchor colors c, the same for both models.  A letter on generator
-    g reads x, y, z = cur[g-2] (0 for g = 1), cur[g-1], cur[g] by shift
-    and mask, entering colors (a, b) = (y - x, z - y), and jump r rewrites
-    the field cur[g-1] alone, to x + b + sign*r, by adding the row's left
-    color b + sign*r to the key with that field set to x.  The table gives
-    weights only; every jump it lists counts as a path, whatever its
-    weight.  A value is carried Kronecker-packed as (lo, N) with one K-bit
-    slot per power of t (qalgebra.pack).  A product is (lo + wlo, N * W)
-    and a sum shifts the value with the higher lo up to the other by whole
-    slots, since the key fixes lo mod 4 (see the module docstring); a sum
-    of two classes raises ArithmeticError naming the key decoded to
-    (start, cur).  An entry whose value cancels to 0 keeps its lo and its
-    count.
-
-    Exactness: every coefficient is bounded by the layer's summed L1 norm,
-    which one letter multiplies by at most _growth, and K is one bit over
-    that norm times the growth of the next REPACK_LETTERS letters.  The
-    first chunk's norm is the start count (one monomial each, N = 1 at any
-    K, so no re-pack); later ones decode the layer to take it.  The closed
-    entries, of one class or ArithmeticError, are summed packed, within the
-    bound, and decoded once.
-    The table's rows come packed at K, built as the weights' images at
-    t = 2**K, which is what pack gives for weights that fit, as they do
-    since K exceeds _growth.
-
-    Pruning (see _closing_checks): the last letter on g must leave
-    cur[g-1] at start[g-1], so its jump is sign*(start[g-1] - x - b).
-    Right after the last letter that can change x, y or z (before any
-    letter if there is none) an entry is dropped unless that jump is in
-    0.._max_jump, and the last letter takes that jump alone.  Neither
-    test drops an entry that can close, and every entry left closes.
-
-    The first layer (_seed) and the table's rows are cached per process,
-    keyed as the module docstring says; the sweep only reads them.  Each
-    chunk holds the rows it reads in a grid, rows[sign][a][b], so it
-    fetches each row at most once.  A weight packed as 1 (N = 1, as every
-    jump-0 weight is) skips the product.  One closing check due after a
-    letter, the usual case, is _can_close inlined: the letter, on h - 1, h
-    or h + 1 for a check on h, moves one of its inputs P_{h-2}, P_{h-1},
-    P_h, so each entry reads the other two and start[h-1] once.  Two or
-    more checks decode the key and call _can_close.
-
-    Returns the summed weight of the closed states and their number.
+    table(n, sign, a, b, K) gives each crossing's row packed at the sweep's
+    K; every jump it lists counts as a path, whatever its weight.  Returns
+    the summed weight of the closed states and their number.  Raises
+    ArithmeticError when partial states of two exponent classes mod 4 meet
+    in one key, naming the key decoded to its (start, cur) prefix sums, or
+    when the closed states fall in two classes: a table that breaks the
+    exponent-class law.
     """
     s = word.strands
     check_work(s, n)
     letters = word.letters
-    last, early = _closing_checks(letters)
-    limits = {sign: _jump_limits(n, sign) for checks in early for _, sign in checks}
-    layer = _seed(s, n, anchor, tuple(early[0]))
+    last, after = _closing_checks(letters)
+    layer = _seed(s, n, anchor)
     width = _width(s, n)
     mask = (1 << width) - 1
+    # The first chunk's L1 norm is the start count: one monomial each, N = 1
+    # at any K, so no re-pack.
     bound = len(layer)
     k = bound.bit_length() + 1
     for at in range(0, len(letters), REPACK_LETTERS):
@@ -500,15 +440,14 @@ def _sweep(
             sign = 1 if letter > 0 else -1
             grid = rows[sign]
             closing = last[i]
-            ahead = early[i + 1]
             # Offsets of cur[g-1], cur[g], start[g-1] and cur[g-2] (0 when g = 1).
             shift = (g - 1) * width
             zshift, sshift = shift + width, shift + s * width
             xshift, xmask = (shift - width, mask) if g > 1 else (0, 0)
-            # h = 0 unless exactly one check is due, which is tested inline;
-            # the letter moves its input at index moved of (x2, y2, z2).
-            h, hsign = ahead[0] if len(ahead) == 1 else (0, 0)
-            hlimits = limits.get(hsign)
+            # The early test on h due after this letter, if any (h = 0 if
+            # none); the letter moves its input at index moved of (x2, y2, z2).
+            h, hsign = after[i] or (0, 0)
+            hlimits = _jump_limits(n, hsign) if h else ()
             hshift = (h - 1) * width
             hxshift, hxmask = (hshift - width, mask) if h > 1 else (0, 0)
             hsshift, moved = hshift + s * width, g - h + 1
@@ -521,7 +460,9 @@ def _sweep(
                 if steps is None:
                     steps = grid[a][b] = table(n, sign, a, b, k)
                 if closing:
-                    steps = (steps[sign * ((key >> sshift & mask) - x - b)],)
+                    # The one jump that brings cur[g-1] back to start[g-1].
+                    r = sign * ((key >> sshift & mask) - x - b)
+                    steps = (steps[r],) if 0 <= r < len(steps) else ()
                 # The key with cur[g-1] at x; a jump adds its left color.
                 base = key - (a << shift)
                 if h:
@@ -533,15 +474,12 @@ def _sweep(
                     ]
                 for left, wlo, w in steps:
                     new = base + (left << shift)
-                    if ahead:
-                        if h:
-                            inputs[moved] = x + left
-                            x2, y2, z2 = inputs
-                            b2 = z2 - y2
-                            jump = hsign * (hstart - x2 - b2)
-                            if not 0 <= jump <= hlimits[y2 - x2][b2]:
-                                continue
-                        elif not _can_close(limits, *_decode(new, s, width), ahead):
+                    if h:
+                        inputs[moved] = x + left
+                        x2, y2, z2 = inputs
+                        b2 = z2 - y2
+                        jump = hsign * (hstart - x2 - b2)
+                        if not 0 <= jump <= hlimits[y2 - x2][b2]:
                             continue
                     qlo = lo + wlo
                     # Every jump-0 weight, and every unit-table weight, is 1.

@@ -138,6 +138,10 @@ def test_rosso_jones_matches_sweep():
     for args in ((2, 4, 1), (0, 1, 1), (2, 3, 0)):
         with pytest.raises(ValueError):
             rosso_jones(*args)
+    # A color that is not exactly an int is refused as check_work refuses it.
+    for color in (True, 2.0):
+        with pytest.raises(TypeError, match=rf"^color {color!r} is not an int$"):
+            rosso_jones(2, 3, color)
 
 
 def test_habiro_masbaum_matches_sweep():
@@ -162,6 +166,9 @@ def test_habiro_masbaum_matches_sweep():
     assert habiro_masbaum(0, 3) == ONE  # K_0 is the unknot
     with pytest.raises(ValueError):
         habiro_masbaum(1, 0)
+    for color in (True, 2.0):
+        with pytest.raises(TypeError, match=rf"^color {color!r} is not an int$"):
+            habiro_masbaum(1, color)
 
 
 def test_habiro_cyclotomic_integrality():

@@ -528,51 +528,73 @@ def test_sweep_pruning_on_random_braids():
                 assert value == state_sum(d, n, convention)
 
 
-def test_sweep_pruning_edge_words():
+# Words at the edges of the closing schedule, with the colors they are
+# checked at.
+_EDGE_WORDS = (
     # The last 3 reads P_1, P_2 and P_3, which letters on generator 1 do not
-    # move: its early check runs after the second -2, before the -1.
-    _check_against_state_sums(BraidWord(4, (1, -2, -2, -1, 3, 2)), (1, 2, 3))
-    # The early check of the last 1 follows the third letter, in the chunk
+    # move: its early test runs after the second -2, before the -1.
+    (BraidWord(4, (1, -2, -2, -1, 3, 2)), (1, 2, 3)),
+    # The early test of the last 1 follows the third letter, in the chunk
     # before the one that holds the last 1 itself.
-    b = BraidWord(4, (1, -2, 1) + (3, -3) * 16 + (1, 2))
-    assert 3 <= REPACK_LETTERS <= len(b.letters) - 2
-    _check_against_state_sums(b, (1, 2))
+    (BraidWord(4, (1, -2, 1) + (3, -3) * 16 + (1, 2)), (1, 2)),
     # The last -3 reads P_1, which last changes at the 2 on generator 2,
     # four letters in; the letters on 1 between them do not move its inputs,
-    # so its early check runs a chunk before it.
-    b = BraidWord(4, (3, 2, -3, 2) + (1, -1) * 16 + (-3,))
-    assert 4 < REPACK_LETTERS < len(b.letters)
-    _check_against_state_sums(b, (1,))
-    # The first letter is already the last on generator 1: its check
-    # filters the first layer.
-    _check_against_state_sums(BraidWord(3, (1, 2, 2)), (1, 2, 3))
+    # so its early test runs a chunk before it.
+    (BraidWord(4, (3, 2, -3, 2) + (1, -1) * 16 + (-3,)), (1,)),
+    # The first letter is already the last on generator 1: its test would
+    # fall before any letter, so the letter closes alone.
+    (BraidWord(3, (1, 2, 2)), (1, 2, 3)),
     # One strand has no generator; an unused generator's prefix sum never
     # moves and closes as it starts.
-    _check_against_state_sums(BraidWord(1, ()), (1, 2, 3))
-    _check_against_state_sums(BraidWord(4, (1, -1, 1, 3, 3)), (1, 2))
+    (BraidWord(1, ()), (1, 2, 3)),
+    (BraidWord(4, (1, -1, 1, 3, 3)), (1, 2)),
+)
+
+
+def test_sweep_pruning_edge_words():
+    # The two long words put an early test a chunk before its last letter.
+    assert 3 <= REPACK_LETTERS <= len(_EDGE_WORDS[1][0].letters) - 2
+    assert 4 < REPACK_LETTERS < len(_EDGE_WORDS[2][0].letters)
+    for b, colors in _EDGE_WORDS:
+        _check_against_state_sums(b, colors)
 
 
 def test_closing_checks():
-    # (last letter on its generator?, early checks by the number of letters
-    # swept before them)
-    assert _closing_checks(()) == ([], [[]])
-    last, early = _closing_checks((1, -2, -2, -1, 3, 2))
+    # (last letter on its generator?, the early test due after each letter)
+    assert _closing_checks(()) == ([], [])
+    last, after = _closing_checks((1, -2, -2, -1, 3, 2))
     assert last == [False, False, False, True, True, True]
-    assert early == [[], [], [], [(3, 1), (1, -1)], [], [(2, 1)], []]
-    last, early = _closing_checks((1, 2, 2))
+    # The tests of the last 3 and the last -1 both fall after the second -2;
+    # the 3, whose last letter comes later, keeps it.
+    assert after == [None, None, (3, 1), None, (2, 1), None]
+    # The test of the first letter, already the last on generator 1, would
+    # fall before any letter: the letter closes alone.
+    last, after = _closing_checks((1, 2, 2))
     assert last == [True, False, True]
-    assert early == [[(1, 1)], [], [(2, 1)], []]
+    assert after == [None, (2, 1), None]
     # The last -3 is checked once its inputs P_1..P_3 are final: after the
     # last 2, since letters on generator 1 do not move them.
-    last, early = _closing_checks((3, 2, -3, 2, 1, -1, -3))
+    last, after = _closing_checks((3, 2, -3, 2, 1, -1, -3))
     assert last == [False, False, False, True, False, True, True]
-    assert early == [[], [], [], [(2, 1)], [(3, -1)], [(1, -1)], [], []]
+    assert after == [None, None, (2, 1), (3, -1), (1, -1), None, None]
+
+
+def _due(letters):
+    # For each generator's last letter, the number of letters swept once its
+    # inputs are final: up to the last earlier letter on g-1, g or g+1.
+    last, _ = _closing_checks(letters)
+    return [
+        max((m + 1 for m in range(i) if abs(abs(letters[m]) - abs(k)) <= 1), default=0)
+        for i, k in enumerate(letters)
+        if last[i]
+    ]
 
 
 def test_both_closing_test_paths_match_the_state_sums():
-    # After a letter, _sweep tests one closing check inline and two or more
-    # through _can_close; both shapes must occur.  Anchors 0 and n give the
-    # check on generator 2 different inputs P_0.
+    # An early test due before the first letter, and a second one due after
+    # the same letter, are not scheduled: the last letter closes alone.  Both
+    # shapes must occur.  Anchors 0 and n give the test on generator 2
+    # different inputs P_0.
     rng = random.Random(41)
     words = [
         BraidWord(4, (1, -2, -2, -1, 3, 2)),
@@ -584,8 +606,11 @@ def test_both_closing_test_paths_match_the_state_sums():
     words += [rand_braid(rng, max_len=6) for _ in range(6)]
     shapes = set()
     for b in words:
-        _, early = _closing_checks(b.letters)
-        shapes.update(min(len(checks), 2) for checks in early[1:])
+        due = Counter(_due(b.letters))
+        if due[0]:
+            shapes.add("before the first letter")
+        if any(count > 1 for m, count in due.items() if m):
+            shapes.add("two after one letter")
         d = build(b)
         for n in (1, 2, 3):
             value = state_sum(d, n, MINUS)
@@ -595,7 +620,35 @@ def test_both_closing_test_paths_match_the_state_sums():
                 assert state_count(b, n, convention) == count
                 for table in (_rmatrix_row, _gl_row):
                     assert _sweep(b, n, table, anchor) == (value, count), (b, n)
-    assert shapes == {0, 1, 2}
+    assert shapes == {"before the first letter", "two after one letter"}
+
+
+def _unscheduled(letters):
+    # The closing schedule with every early test dropped.
+    last, after = _closing_checks(letters)
+    return last, [None] * len(after)
+
+
+def test_last_letter_closes_without_early_tests(monkeypatch):
+    # Early tests only prune: with none scheduled, the last letter on each
+    # generator still closes every state, under every table and anchor.
+    rng = random.Random(53)
+    cases = list(_EDGE_WORDS)
+    cases += [(rand_braid(rng, max_len=6), (1, 2, 3)) for _ in range(20)]
+    for b, colors in cases:
+        d = build(b)
+        for n in colors:
+            value = state_sum(d, n, MINUS)
+            for anchor, convention in ((0, MINUS), (n, PLUS)):
+                count = len(enumerate_states(d, n, convention))
+                for table in (_rmatrix_row, _gl_row, _unit_row):
+                    pruned = _sweep(b, n, table, anchor)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(statesum, "_closing_checks", _unscheduled)
+                        assert _sweep(b, n, table, anchor) == pruned, (b, n, anchor)
+                    assert pruned[1] == count, (b, n, anchor)
+                    if table is not _unit_row:
+                        assert pruned[0] == value, (b, n, anchor)
 
 
 def _tripled(n, sign, a, b):
@@ -754,7 +807,7 @@ def test_layer_key_fields_at_their_width(strands, n, text):
     # reaches strands*n in the top field of both halves.
     width = _width(strands, n)
     assert strands * n in ((1 << width) - 1, 1 << (width - 1))
-    keys = [_decode(key, strands, width) for key in _seed(strands, n, n, ())]
+    keys = [_decode(key, strands, width) for key in _seed(strands, n, n)]
     assert all(start == cur for start, cur in keys)
     rests = product(range(n + 1), repeat=strands - 1)
     assert sorted(start for start, _ in keys) == sorted(
