@@ -46,11 +46,13 @@ class _UnionFind:
         return sum(1 for x in self.parent if self.parent[x] == x)
 
 
-def _check_color(n: int) -> None:
+def _check_args(n: int, **knot: int) -> None:
     # The color checks of statesum.check_work, which the oracles share
-    # without loading the state models.
-    if type(n) is not int:
-        raise TypeError(f"color {n!r} is not an int")
+    # without loading the state models; the knot's parameters must be ints
+    # too (a bool is not).
+    for name, value in (*knot.items(), ("color", n)):
+        if type(value) is not int:
+            raise TypeError(f"{name} {value!r} is not an int")
     if n < 1:
         raise ValueError("color n must be >= 1")
 
@@ -118,9 +120,9 @@ def rosso_jones(p: int, q: int, n: int) -> LaurentQ:
     Refs: M. Rosso and V. Jones, J. Knot Theory Ramif. 2 (1993);
     H. R. Morton, Math. Proc. Camb. Phil. Soc. 117 (1995).
     """
+    _check_args(n, p=p, q=q)
     if p < 1 or gcd(p, q) != 1:
         raise ValueError("the torus knot T(p, q) needs p >= 1 and gcd(p, q) = 1")
-    _check_color(n)
     m = Counter(p * (n - 2 * i) for i in range(n + 1))
     total = ZERO
     for l in range(p * n + 1):
@@ -152,7 +154,7 @@ def habiro_masbaum(p: int, n: int) -> LaurentQ:
     Refs: K. Habiro, RIMS Kokyuroku 1172 (2000); G. Masbaum, Algebr. Geom.
     Topol. 3 (2003) 537-556.
     """
-    _check_color(n)
+    _check_args(n, p=p)
 
     def power(m: int) -> LaurentQ:
         return LaurentQ.t_quarter(4 * m)

@@ -286,23 +286,6 @@ def unpack(lo: int, packed: int, k: int) -> LaurentQ:
     return res
 
 
-def packed_l1(packed: int, k: int) -> int:
-    """The L1 norm of unpack(lo, packed, k), read slot by slot with the
-    same borrow rule, without building the polynomial."""
-    mask = (1 << k) - 1
-    half = 1 << (k - 1)
-    total = 0
-    while packed:
-        c = packed & mask
-        packed >>= k
-        if c >= half:
-            total += mask + 1 - c
-            packed += 1
-        else:
-            total += c
-    return total
-
-
 @lru_cache(maxsize=None)
 def qint(a: int) -> LaurentQ:
     """[a] = {a}/{1} = v**(a-1) + v**(a-3) + ... + v**(1-a)."""

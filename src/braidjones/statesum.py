@@ -49,11 +49,17 @@ partial state's class depends on its start and current colors alone, and
 every closed state has one class: the layer is keyed by those colors, and
 with a table that broke the law the sweep raises ArithmeticError where two
 classes meet.
-K is proved large enough rather than guessed: every coefficient is
-bounded by the layer's summed L1 norm, which one crossing multiplies by
-at most the largest summed L1 norm of its weights, and the layer is
-decoded and K sized afresh every REPACK_LETTERS letters so that K does
-not grow with the word.  Requests whose first layer and vertex table
+K is guessed, and proved where values decode.  Each row step carries a
+bound on its weight's L1 norm (C(A, B) * 2**r for a model weight, 1 for a
+unit one), and each layer entry B, the sum over its partial states of the
+product of their bounds, which bounds its coefficients.  A chunk of at
+most REPACK_LETTERS letters is swept at one K, guessed (_first_k) from its
+first layer's summed B grown by n bits a letter, or by what the last
+chunk grew if more.  A letter's layer is kept only if its largest B fits
+K; if not, the chunk ends and the letter is swept again after a re-pack,
+which decodes each value and resets its B to its L1 norm.  The closed
+layer's summed B must fit K too, or it is re-packed.  So the guess sets
+the cost, never the value.  Requests whose first layer and vertex table
 would exceed WORK_LIMIT are refused before anything is built.
 
 The vertex tables build their rows already packed at the sweep's K.  Each
@@ -64,19 +70,18 @@ two packed symbols of qalgebra, with no polynomial in between.
 Substituting t -> 2**K is a ring homomorphism, so a row built at any K is
 the image of its weights, and a layer's sums and products are the image of
 the layer's value; only the values decoded need to fit their K-bit slots,
-which the bound above proves.
+which the bounds above prove.
 
 Set-up that depends on the color, the table and K alone is cached per
-process and shared by every sweep: packed rows (each table's, and _unit_row,
-keyed on n, sign, entering colors and K; 4096 at most each) and the two
-packed symbols both tables share (4096 at most each), first layers (_seed,
-keyed on strands, n and anchor; 128 at most), jump limits (_jump_limits), and per n and sign each table's growth
-(_growth), read from the slot magnitudes of its weights packed at
-K = 2n + 2 (qalgebra.packed_l1).  K is still the exact proved bound, not
-rounded to share rows.  Within a chunk, where K is fixed, the sweep holds
-the rows it reads in a grid indexed by sign and entering colors, and a
-weight packed as 1 (every jump-0 weight and every unit weight) skips its
-product.
+process and shared by every sweep: packed rows (each table's, and
+_unit_row, keyed on n, sign, entering colors and K; 4096 at most each),
+the two packed symbols both tables share (4096 at most each), first
+layers (_seed, keyed on strands, n and anchor; 128 at most) and jump
+limits (_jump_limits).  Rows are packed only at the K a chunk sweeps at,
+which is not rounded to share them.  Within a chunk, where K is fixed,
+the sweep holds the rows it reads in a grid indexed by sign and entering
+colors, and a weight packed as 1 (every jump-0 weight and every unit
+weight) skips its product and its bound's.
 
 The sweep carries a color vector c by its prefix sums
 P_j = c_0 + ... + c_j.  A crossing on generator g keeps c_{g-1} + c_g,
@@ -163,6 +168,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate, product
+from math import comb
+from operator import itemgetter
 from typing import Callable, Iterable, Literal
 
 from .braid import BraidWord
@@ -171,7 +178,6 @@ from .qalgebra import (
     pack,
     packed_falling,
     packed_gauss,
-    packed_l1,
     unpack,
 )
 
@@ -214,10 +220,10 @@ class ModelMismatchError(AssertionError):
 
 
 # A row of a vertex table: for each jump r = 0.._max_jump a crossing entered
-# by (a, b) allows, the left color b + sign*r it leaves and its weight packed
-# at K as (lo, N) (qalgebra.pack).  A vertex table maps (n, sign, a, b, K)
-# to that row.
-Row = tuple[tuple[int, int, int], ...]
+# by (a, b) allows, the left color b + sign*r it leaves, its weight packed
+# at K as (lo, N) (qalgebra.pack) and a bound on the weight's L1 norm.  A
+# vertex table maps (n, sign, a, b, K) to that row.
+Row = tuple[tuple[int, int, int, int], ...]
 Table = Callable[[int, int, int, int, int], Row]
 # A model weight (s, lo, A, B, m, r): s*t**(lo/4) times the Gaussian binomial
 # [A, B]_t and the falling product (1 - t**m)...(1 - t**(m-r+1)), with s = +-1,
@@ -269,7 +275,8 @@ def _packer(shape: Descriptor) -> Table:
         for r in range(_max_jump(n, sign, a, b) + 1):
             s, lo, top, bottom, m, length = shape(n, sign, a, b, r)
             w = packed_gauss(top, bottom, k) * packed_falling(m, length, k)
-            steps.append((b + sign * r, lo, -w if s < 0 else w))
+            bound = comb(top, bottom) << length
+            steps.append((b + sign * r, lo, -w if s < 0 else w, bound))
         return tuple(steps)
 
     return row
@@ -282,31 +289,16 @@ _gl_row = _packer(_gl_shape)
 @lru_cache(maxsize=4096)
 def _unit_row(n: int, sign: int, a: int, b: int, k: int) -> Row:
     # The support both tables share, with unit weights: for counting.
-    return tuple((b + sign * r, 0, 1) for r in range(_max_jump(n, sign, a, b) + 1))
+    return tuple((b + sign * r, 0, 1, 1) for r in range(_max_jump(n, sign, a, b) + 1))
 
 
 # Each convention's model, by its descriptor: the value sweeps read its
 # packed table and the certificate the descriptor itself.
 _TABLES: dict[int, Descriptor] = {MINUS: _rmatrix_shape, PLUS: _gl_shape}
 
-# Letters swept between two re-packs of the layer (see _sweep).  Never
-# re-packing made T(2,40) at n = 8 1.6-2.2x slower (CHANGES.md).
+# The most letters swept between two re-packs of the layer (see _sweep).
+# Never re-packing made T(2,40) at n = 8 1.6-2.2x slower (CHANGES.md).
 REPACK_LETTERS = 32
-
-
-@lru_cache(maxsize=None)
-def _growth(table: Table, n: int, sign: int) -> int:
-    """The most one crossing can multiply a layer's summed L1 norm by: the
-    largest summed L1 norm of its weights over the entering colors, each
-    read slot by slot (packed_l1) from its row packed at K = 2n + 2.  Every
-    coefficient of a model weight is at most C(A, B) * 2**r <= 2**(2n),
-    with A, r <= n, so it fits those slots."""
-    k = 2 * n + 2
-    return max(
-        sum(packed_l1(w, k) for _, _, w in table(n, sign, a, b, k))
-        for a in range(n + 1)
-        for b in range(n + 1)
-    )
 
 
 def _closing_checks(
@@ -341,10 +333,11 @@ def _closing_checks(
     return last, after
 
 
-# (lo, N, count): a value Kronecker-packed as in qalgebra.pack, and the
-# number of partial states summed into it.  Keyed by (start, cur), which fix
-# lo mod 4 (see the module docstring), as bit fields of one int (_sweep).
-Entry = tuple[int, int, int]
+# (lo, N, count, B): a value Kronecker-packed as in qalgebra.pack, the
+# number of partial states summed into it and a bound on its coefficients
+# (see the module docstring).  Keyed by (start, cur), which fix lo mod 4,
+# as bit fields of one int (_sweep).
+Entry = tuple[int, int, int, int]
 Key = int
 
 
@@ -386,8 +379,37 @@ def _seed(strands: int, n: int, anchor: int) -> dict[Key, Entry]:
         for p in reversed((*accumulate((anchor,) + rest),)):
             half = half << width | p
         quarter = sum(2 * (2 * c - n) for c in rest)
-        layer[half << (strands * width) | half] = (quarter, 1, 1)
+        layer[half << (strands * width) | half] = (quarter, 1, 1, 1)
     return layer
+
+
+# The bound of a layer entry, or the L1 norm of a decoded one.
+_BOUND = itemgetter(3)
+
+# (value, lo, count, L1 norm): a layer entry decoded at a re-pack.
+Decoded = tuple[LaurentQ, int, int, int]
+
+
+def _decoded(layer: dict[Key, Entry], k: int) -> dict[Key, Decoded]:
+    # Every bound must fit k; a value's L1 norm is its bound from here on.
+    out = {}
+    for key, (lo, v, c, _) in layer.items():
+        value = unpack(lo, v, k)
+        out[key] = (value, lo, c, value.l1_norm())
+    return out
+
+
+def _packed(values: dict[Key, Decoded], k: int) -> dict[Key, Entry]:
+    return {
+        key: pack(value, k) + (c, l1) if value else (lo, 0, c, 0)
+        for key, (value, lo, c, l1) in values.items()
+    }
+
+
+def _first_k(bits: int, rate: int, chunk: tuple[int, ...]) -> int:
+    # A chunk's first K: its first layer's summed bound, of this many bits,
+    # grown by rate bits a letter.
+    return bits + 1 + rate * len(chunk)
 
 
 def _sweep(
@@ -397,13 +419,13 @@ def _sweep(
     count them, with position 0 of every color vector anchored at color
     anchor (see the module docstring).
 
-    table(n, sign, a, b, K) gives each crossing's row packed at the sweep's
-    K; every jump it lists counts as a path, whatever its weight.  Returns
-    the summed weight of the closed states and their number.  Raises
-    ArithmeticError when partial states of two exponent classes mod 4 meet
-    in one key, naming the key decoded to its (start, cur) prefix sums, or
-    when the closed states fall in two classes: a table that breaks the
-    exponent-class law.
+    table(n, sign, a, b, K) gives each crossing's row packed at K, with
+    each weight's L1 bound; every jump it lists counts as a path, whatever
+    its weight.  Returns the summed weight of the closed states and their
+    number, whatever K was guessed.  Raises ArithmeticError when partial
+    states of two exponent classes mod 4 meet in one key, naming the key
+    decoded to its (start, cur) prefix sums, or when the closed states fall
+    in two classes: a table that breaks the exponent-class law.
     """
     s = word.strands
     check_work(s, n)
@@ -412,30 +434,25 @@ def _sweep(
     layer = _seed(s, n, anchor)
     width = _width(s, n)
     mask = (1 << width) - 1
-    # The first chunk's L1 norm is the start count: one monomial each, N = 1
-    # at any K, so no re-pack.
-    bound = len(layer)
-    k = bound.bit_length() + 1
-    for at in range(0, len(letters), REPACK_LETTERS):
+    # The chunk's first layer decoded (None for the seed: monomials, N = 1
+    # at any K, of bound 1) and its summed bound; least holds that layer,
+    # or the first letter when it is swept again.
+    values: dict[Key, Decoded] | None = None
+    total, rate, at = len(layer), n, 0
+    least = total.bit_length() + 1
+    while True:
         chunk = letters[at : at + REPACK_LETTERS]
-        if at:
-            values = {
-                key: (unpack(lo, v, k), lo, c) for key, (lo, v, c) in layer.items()
-            }
-            bound = sum(value.l1_norm() for value, _, _ in values.values())
-        for letter in chunk:
-            bound *= _growth(table, n, 1 if letter > 0 else -1)
-        k = bound.bit_length() + 1
-        if at:
-            layer = {
-                key: pack(value, k) + (c,) if value else (lo, 0, c)
-                for key, (value, lo, c) in values.items()
-            }
+        bits = total.bit_length()
+        k = max(_first_k(bits, rate, chunk), least)
+        if values is not None:
+            layer = _packed(values, k)
         # rows[sign][a][b]: the row entered by (a, b), read once per chunk.
         rows: dict[int, list[list[Row | None]]] = {
             sign: [[None] * (n + 1) for _ in range(n + 1)] for sign in (1, -1)
         }
-        for i, letter in enumerate(chunk, at):
+        i = at
+        while i < at + len(chunk):
+            letter = letters[i]
             g = letter if letter > 0 else -letter
             sign = 1 if letter > 0 else -1
             grid = rows[sign]
@@ -452,7 +469,7 @@ def _sweep(
             hxshift, hxmask = (hshift - width, mask) if h > 1 else (0, 0)
             hsshift, moved = hshift + s * width, g - h + 1
             nxt: dict[Key, Entry] = {}
-            for key, (lo, v, c) in layer.items():
+            for key, (lo, v, c, bound) in layer.items():
                 x = key >> xshift & xmask
                 y = key >> shift & mask
                 a, b = y - x, (key >> zshift & mask) - y
@@ -472,7 +489,7 @@ def _sweep(
                         key >> hshift & mask,
                         key >> (hshift + width) & mask,
                     ]
-                for left, wlo, w in steps:
+                for left, wlo, w, wbound in steps:
                     new = base + (left << shift)
                     if h:
                         inputs[moved] = x + left
@@ -483,23 +500,48 @@ def _sweep(
                             continue
                     qlo = lo + wlo
                     # Every jump-0 weight, and every unit-table weight, is 1.
-                    term = v if w == 1 else v * w
+                    if w == 1:
+                        term, tbound = v, bound
+                    else:
+                        term, tbound = v * w, bound * wbound
                     old = nxt.get(new)
                     if old is None:
-                        nxt[new] = (qlo, term, c)
+                        nxt[new] = (qlo, term, c, tbound)
                         continue
-                    olo, acc, oc = old
+                    olo, acc, oc, ob = old
                     if (qlo - olo) & 3:
                         where = _decode(new, s, width)
                         raise ArithmeticError(f"exponent classes mod 4 meet at {where}")
                     if olo <= qlo:
-                        nxt[new] = (olo, acc + (term << (k * (qlo - olo) >> 2)), oc + c)
+                        acc += term << (k * (qlo - olo) >> 2)
                     else:
-                        nxt[new] = (qlo, term + (acc << (k * (olo - qlo) >> 2)), oc + c)
+                        olo, acc = qlo, term + (acc << (k * (olo - qlo) >> 2))
+                    nxt[new] = (olo, acc, oc + c, ob + tbound)
+            peak = max(map(_BOUND, nxt.values()), default=0).bit_length()
+            if peak >= k:
+                break
             layer = nxt
-    base = min((lo for lo, _, _ in layer.values()), default=0)
+            i += 1
+        if i == len(letters):
+            break
+        # Re-pack after the chunk, or before the letter that outgrew K.
+        swept = i - at + (i < at + len(chunk))
+        grown = sum(map(_BOUND, nxt.values())).bit_length() - bits
+        rate = max(n, -(-grown // swept))
+        if i > at:
+            values = _decoded(layer, k)
+            total = sum(map(_BOUND, values.values()))
+            least = total.bit_length() + 1
+        else:
+            least = peak + 1
+        at = i
+    if sum(map(_BOUND, layer.values())).bit_length() >= k:
+        values = _decoded(layer, k)
+        k = sum(map(_BOUND, values.values())).bit_length() + 1
+        layer = _packed(values, k)
+    base = min((lo for lo, _, _, _ in layer.values()), default=0)
     packed = count = 0
-    for lo, v, c in layer.values():
+    for lo, v, c, _ in layer.values():
         if (lo - base) & 3:
             raise ArithmeticError("closed states in two exponent classes mod 4")
         packed += v << (k * (lo - base) >> 2)

@@ -7,8 +7,9 @@ model replaces weights of its descriptor (statesum.Descriptor) with
 replaced().  assert_rows_decode checks the packed model tables against
 these reference weights, and assert_exponent_class_law checks them against
 the law that lets the sweep key its layer on colors alone (statesum module
-docstring).  Both read rows at _growth's K = 2n + 2, which holds every
-coefficient of a model weight.
+docstring).  Both read rows at K = 2n + 2, which holds every coefficient
+of a model weight: each is at most the weight's bound C(A, B) * 2**r, with
+A, r <= n, so below 2**(2n).
 """
 
 from braidjones.qalgebra import pack, unpack
@@ -18,12 +19,14 @@ from braidjones.statesum import _gl_row, _max_jump, _rmatrix_row, _unit_row
 
 def packed(step):
     """The table that reads step(n, sign, a, b), the row's LaurentQ weights
-    by jump, and packs each at K after the left color b + sign*r it leaves.
-    pack raises ArithmeticError on a weight it cannot hold at K."""
+    by jump, and packs each at K after the left color b + sign*r it leaves,
+    with its L1 norm as its bound.  pack raises ArithmeticError on a weight
+    it cannot hold at K."""
 
     def table(n, sign, a, b, k):
         return tuple(
-            (b + sign * r,) + pack(w, k) for r, w in enumerate(step(n, sign, a, b))
+            (b + sign * r,) + pack(w, k) + (w.l1_norm(),)
+            for r, w in enumerate(step(n, sign, a, b))
         )
 
     return table
@@ -72,7 +75,7 @@ def assert_rows_decode(colors):
                         expected = [(b + sign * r, w) for r, w in enumerate(weights)]
                         got = [
                             (left, unpack(lo, w, k))
-                            for left, lo, w in row(n, sign, a, b, k)
+                            for left, lo, w, _ in row(n, sign, a, b, k)
                         ]
                         assert got == expected, (name, n, sign, a, b)
 
@@ -108,7 +111,7 @@ def assert_exponent_class_law(colors):
                     (lo - phi(n, (left, a + b - left)) + phi(n, (a, b))) % 4
                     for a in range(n + 1)
                     for b in range(n + 1)
-                    for left, lo, _ in table(n, sign, a, b, k)
+                    for left, lo, _, _ in table(n, sign, a, b, k)
                 }
                 expected = {kappa(n, sign) % 4}
                 assert classes == expected, (name, n, sign, classes)

@@ -138,10 +138,15 @@ def test_rosso_jones_matches_sweep():
     for args in ((2, 4, 1), (0, 1, 1), (2, 3, 0)):
         with pytest.raises(ValueError):
             rosso_jones(*args)
-    # A color that is not exactly an int is refused as check_work refuses it.
+    # A color that is not exactly an int is refused as check_work refuses it,
+    # and so is such a knot parameter.
     for color in (True, 2.0):
         with pytest.raises(TypeError, match=rf"^color {color!r} is not an int$"):
             rosso_jones(2, 3, color)
+    for p, q, name in ((True, 3, "p"), (2.0, 3, "p"), (2, True, "q"), (2, 3.0, "q")):
+        value = p if name == "p" else q
+        with pytest.raises(TypeError, match=rf"^{name} {value!r} is not an int$"):
+            rosso_jones(p, q, 2)
 
 
 def test_habiro_masbaum_matches_sweep():
@@ -169,6 +174,9 @@ def test_habiro_masbaum_matches_sweep():
     for color in (True, 2.0):
         with pytest.raises(TypeError, match=rf"^color {color!r} is not an int$"):
             habiro_masbaum(1, color)
+    for p in (True, 1.0):
+        with pytest.raises(TypeError, match=rf"^p {p!r} is not an int$"):
+            habiro_masbaum(p, 2)
 
 
 def test_habiro_cyclotomic_integrality():

@@ -13,7 +13,6 @@ from braidjones.qalgebra import (
     pack,
     packed_falling,
     packed_gauss,
-    packed_l1,
     qint,
     unpack,
 )
@@ -295,32 +294,6 @@ def test_packed_symbols():
                 overflowed += 1
             assert (0, got) == expected, (symbol, k)
     assert fitted and overflowed
-
-
-def test_packed_l1_reads_the_decoded_norm():
-    # packed_l1 reads the slots unpack decodes, borrow included.  Negative
-    # slots and borrow chains (a negative slot right above another) must
-    # both occur; the hand-made values also carry a borrow through a zero
-    # slot.
-    negative = chained = 0
-    for k in (2, 3, 8, 40):
-        edge = (1 << (k - 1)) - 1
-        cases = [(0, got) for got, _ in _packed_symbol_cases(k)]
-        cases += [
-            pack(LaurentQ({0: -edge, 4: -1, 8: 0, 12: -edge, 16: edge}), k),
-            pack(LaurentQ({-8: -1, -4: 0, 0: -1}), k),
-            (0, -1),
-            (0, 0),
-        ]
-        for lo, packed in cases:
-            decoded = unpack(lo, packed, k)
-            assert packed_l1(packed, k) == decoded.l1_norm(), (packed, k)
-            terms = decoded.terms()
-            top = terms[-1][0] if terms else lo
-            slots = [decoded.coefficient(q) for q in range(lo, top + 1, 4)]
-            negative += any(c < 0 for c in slots)
-            chained += any(c < 0 and d < 0 for c, d in zip(slots, slots[1:]))
-    assert negative and chained
 
 
 def test_packed_division_is_exact(monkeypatch):

@@ -33,7 +33,6 @@ from braidjones.statesum import (
     _decode,
     _gl_row,
     _gl_shape,
-    _growth,
     _max_jump,
     _rmatrix_row,
     _rmatrix_shape,
@@ -252,18 +251,21 @@ def test_certificate_catches_every_perturbed_field(monkeypatch):
     assert caught > kept > 0
 
 
-def test_growth_is_the_largest_reference_row_norm():
-    # _growth decodes the packed rows at K = 2n + 2; it must read the true
-    # norms, which set every sweep's K.
-    for n in range(1, 11):
+def test_row_bounds_hold_the_reference_norms():
+    # Each step's fourth field bounds its weight's L1 norm, which proves
+    # the sweep's K: no less than the reference weight's norm, and 1 on
+    # the unit table.
+    for n in range(1, 9):
+        k = 2 * n + 2
         for s in (1, -1):
-            for row, step in ((_rmatrix_row, rmatrix_step), (_gl_row, gl_step)):
-                assert _growth(row, n, s) == max(
-                    sum(w.l1_norm() for w in step(n, s, a, b))
-                    for a in range(n + 1)
-                    for b in range(n + 1)
-                )
-            assert _growth(_unit_row, n, s) == n + 1
+            for a in range(n + 1):
+                for b in range(n + 1):
+                    for row, step in ((_rmatrix_row, rmatrix_step), (_gl_row, gl_step)):
+                        bounds = [bound for _, _, _, bound in row(n, s, a, b, k)]
+                        norms = [w.l1_norm() for w in step(n, s, a, b)]
+                        assert len(bounds) == len(norms)
+                        assert all(map(int.__ge__, bounds, norms)), (n, s, a, b)
+                    assert {step[3] for step in _unit_row(n, s, a, b, k)} == {1}
 
 
 def test_both_sweeps_once(monkeypatch):
@@ -651,6 +653,62 @@ def test_last_letter_closes_without_early_tests(monkeypatch):
                         assert pruned[0] == value, (b, n, anchor)
 
 
+def _worst_row_k(table, n):
+    # A first guess that is a proof: the summed bound grows by at most a
+    # row's summed step bounds per letter, the largest of that sign.
+    growth = {
+        sign > 0: max(
+            sum(step[3] for step in table(n, sign, a, b, 2))
+            for a in range(n + 1)
+            for b in range(n + 1)
+        ).bit_length()
+        for sign in (1, -1)
+    }
+    return lambda bits, rate, chunk: bits + 1 + sum(growth[g > 0] for g in chunk)
+
+
+def test_value_does_not_depend_on_the_guess(monkeypatch):
+    # The bounds prove K wherever values decode, so the first guess of K
+    # only decides where the sweep re-packs.  Guessed at 2, each chunk
+    # starts at exactly the K its first layer's bound proves, and most end
+    # after one letter; guessed at the worst-row proof, no chunk ends early.
+    rng = random.Random(61)
+    cases = list(_EDGE_WORDS)
+    cases += [(rand_braid(rng, max_len=6), (1, 2, 3)) for _ in range(20)]
+    guesses = []
+
+    def counted(guess):
+        def guessing(*args):
+            guesses.append(args)
+            return guess(*args)
+
+        return guessing
+
+    early = 0
+    for b, colors in cases:
+        d = build(b)
+        for n in colors:
+            value = state_sum(d, n, MINUS)
+            for anchor, convention in ((0, MINUS), (n, PLUS)):
+                count = len(enumerate_states(d, n, convention))
+                for table in (_rmatrix_row, _gl_row, _unit_row):
+                    for repack in (1, 32):
+                        chunks = max(1, -(-len(b.letters) // repack))
+                        with monkeypatch.context() as patch:
+                            patch.setattr(statesum, "REPACK_LETTERS", repack)
+                            result = _sweep(b, n, table, anchor)
+                            for guess in (lambda *_: 2, _worst_row_k(table, n)):
+                                guesses.clear()
+                                patch.setattr(statesum, "_first_k", counted(guess))
+                                assert _sweep(b, n, table, anchor) == result, (b, n)
+                                early += len(guesses) > chunks
+                            assert len(guesses) == chunks, (b, n, anchor)
+                        assert result[1] == count, (b, n, anchor)
+                        if table is not _unit_row:
+                            assert result[0] == value, (b, n, anchor)
+    assert early
+
+
 def _tripled(n, sign, a, b):
     # Every allowed jump weighs 3, so coefficients grow 3-fold per letter.
     return (LaurentQ.from_int(3),) * (_max_jump(n, sign, a, b) + 1)
@@ -658,8 +716,8 @@ def _tripled(n, sign, a, b):
 
 @pytest.mark.parametrize("extra", (-1, 0, 1))
 def test_first_chunk_boundary(extra, monkeypatch):
-    # The first chunk's K is sized from the start count, with no re-pack;
-    # the second chunk re-packs a layer swept at that K.
+    # The first chunk sweeps from the seed, with no re-pack; the second
+    # chunk re-packs the layer the first one swept.
     b = BraidWord(3, ((1, -1, 2, -2) * REPACK_LETTERS)[: REPACK_LETTERS + extra])
     for repack in (REPACK_LETTERS, 1):
         monkeypatch.setattr(statesum, "REPACK_LETTERS", repack)
@@ -688,36 +746,41 @@ def test_unit_weight_shortcut_skips_only_one(monkeypatch):
                     assert _sweep(b, n, negated, anchor) == (-closure, count)
 
 
-def test_rows_read_once_per_chunk():
+def test_rows_read_once_per_chunk(monkeypatch):
     # The sweep holds each chunk's rows in a grid by entering colors, so a
-    # row (sign, a, b, K) is requested at most once per chunk.  _growth reads
-    # every row at K = 2n + 2 first, outside the count.
-    requests = Counter()
+    # row (sign, a, b, K) is requested at most once per chunk sweep; each
+    # chunk sweep starts with its first guess of K.
+    sweeps = []
+    first_k = statesum._first_k
+
+    def guessing(*args):
+        sweeps.append(Counter())
+        return first_k(*args)
 
     def counting(n, sign, a, b, k):
-        requests[sign, a, b, k] += 1
+        sweeps[-1][sign, a, b, k] += 1
         return _rmatrix_row(n, sign, a, b, k)
 
+    monkeypatch.setattr(statesum, "_first_k", guessing)
     cases = [(BraidWord(3, (-1, 2) * 5), 3), (parse("1 -2 3 1 -2 3"), 2)]
     cases += [(BraidWord(3, (1, -1) * 40 + (-1, 2) * 3), 2)]
     for b, n in cases:
-        for sign in (1, -1):
-            _growth(counting, n, sign)
-        requests.clear()
-        value = _sweep(b, n, counting, 0)
-        assert value == _sweep(b, n, _rmatrix_row, 0)
-        chunks = -(-len(b.letters) // REPACK_LETTERS)
-        assert max(requests.values()) <= chunks, (b, n)
-    assert chunks > 1
+        expected = _sweep(b, n, _rmatrix_row, 0)
+        sweeps.clear()
+        assert _sweep(b, n, counting, 0) == expected
+        assert len(sweeps) >= -(-len(b.letters) // REPACK_LETTERS)
+        assert all(v == 1 for requests in sweeps for v in requests.values()), b
+    assert len(sweeps) > 1
 
 
 def test_packed_rows_keyed_on_k_and_table():
     # The packed rows are cached per process, per table and per K.
-    # sigma_1^2 and sigma_1^41 read the same rows, at K sized from 2 letters
-    # and from a chunk of 32: each sweep must see its rows packed at its own
-    # K.  They are read through two tables, R-matrix first, then one whose
-    # weights differ; sigma_1^2 sizes the same K under both (3 * 7**2 and
-    # 3 * 9**2 have 8 bits), so each table must see its own weights.
+    # sigma_1^2 and sigma_1^41 read the same rows, at a K guessed for 2
+    # letters and for a chunk of 32: each sweep must see its rows packed at
+    # its own K.  They are read through two tables, R-matrix first, then one
+    # whose weights differ; sigma_1^2 first guesses the same K under both
+    # (the guess reads the word and n alone), so each table must see its
+    # own weights.
     _rmatrix_row.cache_clear()
     length = REPACK_LETTERS + 9
     short, long_ = BraidWord(2, (1, 1)), torus_braid(2, length)
