@@ -55,11 +55,11 @@ unit one), and each layer entry B, the sum over its partial states of the
 product of their bounds, which bounds its coefficients.  A chunk of at
 most REPACK_LETTERS letters is swept at one K, guessed (_first_k) from its
 first layer's summed B grown by n bits a letter, or by what the last
-chunk grew if more.  A letter's layer is kept only if its largest B fits
-K; if not, the chunk ends and the letter is swept again after a re-pack,
-which decodes each value and resets its B to its L1 norm.  The closed
-layer's summed B must fit K too, or it is re-packed.  So the guess sets
-the cost, never the value.  Requests whose first layer and vertex table
+chunk grew if more.  A letter's layer is kept only if its summed B fits
+a K-bit slot, which proves that every value decodes and so does the
+closed layer's packed sum; if not, the chunk ends and the letter is swept
+again after a re-pack, which decodes each value and resets its B to its
+L1 norm.  So the guess sets the cost, never the value.  Requests whose first layer and vertex table
 would exceed WORK_LIMIT are refused before anything is built.
 
 The vertex tables build their rows already packed at the sweep's K.  Each
@@ -386,25 +386,6 @@ def _seed(strands: int, n: int, anchor: int) -> dict[Key, Entry]:
 # The bound of a layer entry, or the L1 norm of a decoded one.
 _BOUND = itemgetter(3)
 
-# (value, lo, count, L1 norm): a layer entry decoded at a re-pack.
-Decoded = tuple[LaurentQ, int, int, int]
-
-
-def _decoded(layer: dict[Key, Entry], k: int) -> dict[Key, Decoded]:
-    # Every bound must fit k; a value's L1 norm is its bound from here on.
-    out = {}
-    for key, (lo, v, c, _) in layer.items():
-        value = unpack(lo, v, k)
-        out[key] = (value, lo, c, value.l1_norm())
-    return out
-
-
-def _packed(values: dict[Key, Decoded], k: int) -> dict[Key, Entry]:
-    return {
-        key: pack(value, k) + (c, l1) if value else (lo, 0, c, 0)
-        for key, (value, lo, c, l1) in values.items()
-    }
-
 
 def _first_k(bits: int, rate: int, chunk: tuple[int, ...]) -> int:
     # A chunk's first K: its first layer's summed bound, of this many bits,
@@ -437,7 +418,7 @@ def _sweep(
     # The chunk's first layer decoded (None for the seed: monomials, N = 1
     # at any K, of bound 1) and its summed bound; least holds that layer,
     # or the first letter when it is swept again.
-    values: dict[Key, Decoded] | None = None
+    values: dict[Key, tuple[LaurentQ, int, int, int]] | None = None
     total, rate, at = len(layer), n, 0
     least = total.bit_length() + 1
     while True:
@@ -445,7 +426,10 @@ def _sweep(
         bits = total.bit_length()
         k = max(_first_k(bits, rate, chunk), least)
         if values is not None:
-            layer = _packed(values, k)
+            layer = {
+                key: pack(value, k) + (c, l1) if value else (lo, 0, c, 0)
+                for key, (value, lo, c, l1) in values.items()
+            }
         # rows[sign][a][b]: the row entered by (a, b), read once per chunk.
         rows: dict[int, list[list[Row | None]]] = {
             sign: [[None] * (n + 1) for _ in range(n + 1)] for sign in (1, -1)
@@ -517,7 +501,7 @@ def _sweep(
                     else:
                         olo, acc = qlo, term + (acc << (k * (olo - qlo) >> 2))
                     nxt[new] = (olo, acc, oc + c, ob + tbound)
-            peak = max(map(_BOUND, nxt.values()), default=0).bit_length()
+            peak = sum(map(_BOUND, nxt.values())).bit_length()
             if peak >= k:
                 break
             layer = nxt
@@ -526,19 +510,18 @@ def _sweep(
             break
         # Re-pack after the chunk, or before the letter that outgrew K.
         swept = i - at + (i < at + len(chunk))
-        grown = sum(map(_BOUND, nxt.values())).bit_length() - bits
-        rate = max(n, -(-grown // swept))
+        rate = max(n, -((bits - peak) // swept))
         if i > at:
-            values = _decoded(layer, k)
+            # Each value decodes at K; its L1 norm is its bound from here on.
+            values = {}
+            for key, (lo, v, c, _) in layer.items():
+                value = unpack(lo, v, k)
+                values[key] = (value, lo, c, value.l1_norm())
             total = sum(map(_BOUND, values.values()))
             least = total.bit_length() + 1
         else:
             least = peak + 1
         at = i
-    if sum(map(_BOUND, layer.values())).bit_length() >= k:
-        values = _decoded(layer, k)
-        k = sum(map(_BOUND, values.values())).bit_length() + 1
-        layer = _packed(values, k)
     base = min((lo for lo, _, _, _ in layer.values()), default=0)
     packed = count = 0
     for lo, v, c, _ in layer.values():
