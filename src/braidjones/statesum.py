@@ -75,31 +75,47 @@ which the bounds above prove.
 Set-up that depends on the color, the table and K alone is cached per
 process and shared by every sweep: packed rows (each table's, and
 _unit_row, keyed on n, sign, entering colors and K; 4096 at most each),
-the two packed symbols both tables share (4096 at most each), first
-layers (_seed, keyed on strands, n and anchor; 128 at most) and jump
-limits (_jump_limits).  Rows are packed only at the K a chunk sweeps at,
-which is not rounded to share them.  Within a chunk, where K is fixed,
-the sweep holds the rows it reads in a grid indexed by sign and entering
-colors, and a weight packed as 1 (every jump-0 weight and every unit
-weight) skips its product and its bound's.
+the two packed symbols both tables share (4096 at most each) and first
+layers (_seed, keyed on strands, n and anchor; 128 at most).  Rows are
+packed only at the K a chunk sweeps at, which is not rounded to share
+them.  Within a chunk, where K is fixed, the sweep holds the rows it reads
+in a grid indexed by sign and entering colors, and a weight packed as 1
+(every jump-0 weight and every unit weight) skips its product and its
+bound's.
 
 The sweep carries a color vector c by its prefix sums
 P_j = c_0 + ... + c_j.  A crossing on generator g keeps c_{g-1} + c_g,
-so of these it moves P_{g-1} alone, and a state closes exactly when
-every P_{g-1} is back at its start value after the last letter on g.
-By the flow rule that fixes the last letter's jump at
-sign*(start[g-1] - x - b), with x = P_{g-2} (0 for g = 1) and b the
-right entering color.  The last letter closes: it takes that jump alone,
-and drops the entry when the jump is not in 0.._max_jump.  So every
-entry left after the last letter is closed, and no contributing state
-is lost.  Early tests only prune.  Most partial states can never close
-up, and the same test, run right after the last earlier letter on
-generators g-1, g or g+1 (the only letters that change its inputs
-P_{g-2}, P_{g-1} and P_g), drops them there; at most one test follows a
-letter (_closing_checks).  The sweep keys an entry by its start and
-current prefix sums as bit fields of one int: P_j of cur at bit j*width
-and of start at (s + j)*width for s strands, with
-width = (s*n).bit_length() since no P_j exceeds s*n.
+so of these it moves P_{g-1} alone, to x + l with x = P_{g-2} (0 for
+g = 1) and l the left color it leaves, and a state closes exactly when
+every P_{g-1} is back at its start value after the last letter on g.  By
+the flow rule that fixes the last letter's jump at
+sign*(start[g-1] - x - b), with b the right entering color.  The last
+letter closes: it takes that jump alone, and drops the entry when the
+jump is not in 0.._max_jump.  So every entry left after the last letter
+is closed, and no contributing state is lost.  Early tests only prune.
+Most partial states can never close up, and the same test, run right
+after the last earlier letter on generators g-1, g or g+1 (the only
+letters that change its inputs P_{g-2}, P_{g-1} and P_g), drops them
+there; at most one test follows a letter (_closing_checks).
+
+The test needs no lookup.  For the last letter on h, of sign e, with
+S = start[h-1] and inputs (x2, y2, z2) = (P_{h-2}, P_{h-1}, P_h), entered
+by a2 = y2 - x2 and b2 = z2 - y2, the closing jump r = e*(S - x2 - b2)
+lies in 0.._max_jump exactly when
+
+    e > 0:  z2 >= S,  x2 >= S - n,  y2 >= x2 + z2 - S
+    e < 0:  x2 <= S,  z2 <= S + n,  y2 <= x2 + z2 - S.
+
+For e > 0, r <= a2 is the first, r <= n - b2 the second and r >= 0 the
+third; for e < 0, r <= b2, r <= n - a2 and r >= 0 are the same three on
+(-z2, -y2, -x2, -S).  The letter the test follows moves exactly one input,
+P_{g-1}, to x + l: it is x2, y2 or z2 as h = g+1, g or g-1.  So once per
+entry the sweep drops the entry when an inequality without l fails, and
+otherwise solves the rest for l, which leaves llo <= l <= lhi, one chained
+comparison per jump.  The sweep keys an entry by its start and current
+prefix sums as bit fields of one int: P_j of cur at bit j*width and of
+start at (s + j)*width for s strands, with width = (s*n).bit_length()
+since no P_j exceeds s*n.
 
 R-matrix model, (-) convention.  With i, j the colors entering a
 crossing on the left and right, r its jump, and v = t**(1/2), the
@@ -355,14 +371,6 @@ def _decode(
     return tuple(fields[strands:]), tuple(fields[:strands])
 
 
-# _max_jump(n, sign, a, b) as limits[a][b], for the early tests.  Read after
-# check_work, which bounds n, so the cache stays small.
-@lru_cache(maxsize=None)
-def _jump_limits(n: int, sign: int) -> tuple[tuple[int, ...], ...]:
-    colors = range(n + 1)
-    return tuple(tuple([_max_jump(n, sign, a, b) for b in colors]) for a in colors)
-
-
 # Bounded: perfbench's corpus reads 18 distinct first layers in one process.
 #
 # A sweep's first layer: every start vector, by its prefix sums with position
@@ -446,17 +454,38 @@ def _sweep(
             zshift, sshift = shift + width, shift + s * width
             xshift, xmask = (shift - width, mask) if g > 1 else (0, 0)
             # The early test on h due after this letter, if any (h = 0 if
-            # none); the letter moves its input at index moved of (x2, y2, z2).
+            # none), as bounds on the left color (see the module docstring):
+            # case +-1, +-2 or +-3, signed as the test, when the letter moves
+            # its P_{h-2}, P_{h-1} or P_h (h = g+1, g or g-1).  Besides x, y
+            # and z it reads home = start[h-1] and far = cur[g+1] or cur[g-3]
+            # (0 if g < 3), the input of the three that is not x, y or z.
             h, hsign = after[i] or (0, 0)
-            hlimits = _jump_limits(n, hsign) if h else ()
-            hshift = (h - 1) * width
-            hxshift, hxmask = (hshift - width, mask) if h > 1 else (0, 0)
-            hsshift, moved = hshift + s * width, g - h + 1
+            case, hsshift = hsign * (g - h + 2), (h - 1 + s) * width
+            f = g + 1 if h > g else g - 3
+            fshift, fmask = (f * width, mask) if f >= 0 else (0, 0)
             nxt: dict[Key, Entry] = {}
             for key, (lo, v, c, bound) in layer.items():
                 x = key >> xshift & xmask
                 y = key >> shift & mask
-                a, b = y - x, (key >> zshift & mask) - y
+                z = key >> zshift & mask
+                if h:
+                    home = key >> hsshift & mask
+                    far = key >> fshift & fmask
+                    if case == 1:
+                        keep, llo, lhi = far >= home, home - n - x, home + z - far - x
+                    elif case == 2:
+                        keep, llo, lhi = z >= home and x >= home - n, z - home, n
+                    elif case == 3:
+                        keep, llo, lhi = far >= home - n, home - x, home - far
+                    elif case == -1:
+                        keep, llo, lhi = far <= home + n, home + z - far - x, home - x
+                    elif case == -2:
+                        keep, llo, lhi = x <= home and z <= home + n, 0, z - home
+                    else:
+                        keep, llo, lhi = far <= home, home - far, home + n - x
+                    if not keep:
+                        continue
+                a, b = y - x, z - y
                 steps = grid[a][b]
                 if steps is None:
                     steps = grid[a][b] = table(n, sign, a, b, k)
@@ -466,22 +495,10 @@ def _sweep(
                     steps = (steps[r],) if 0 <= r < len(steps) else ()
                 # The key with cur[g-1] at x; a jump adds its left color.
                 base = key - (a << shift)
-                if h:
-                    hstart = key >> hsshift & mask
-                    inputs = [
-                        key >> hxshift & hxmask,
-                        key >> hshift & mask,
-                        key >> (hshift + width) & mask,
-                    ]
                 for left, wlo, w, wbound in steps:
+                    if h and not llo <= left <= lhi:
+                        continue
                     new = base + (left << shift)
-                    if h:
-                        inputs[moved] = x + left
-                        x2, y2, z2 = inputs
-                        b2 = z2 - y2
-                        jump = hsign * (hstart - x2 - b2)
-                        if not 0 <= jump <= hlimits[y2 - x2][b2]:
-                            continue
                     qlo = lo + wlo
                     # Every jump-0 weight, and every unit-table weight, is 1.
                     if w == 1:

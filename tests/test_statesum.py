@@ -56,7 +56,7 @@ from packing import (
     replaced,
     rmatrix_step,
 )
-from words import rand_braid
+from words import EARLY_TEST_WORDS, rand_braid
 
 
 def test_anchor_values():
@@ -651,6 +651,107 @@ def test_last_letter_closes_without_early_tests(monkeypatch):
                     assert pruned[1] == count, (b, n, anchor)
                     if table is not _unit_row:
                         assert pruned[0] == value, (b, n, anchor)
+
+
+def _closes(n, sign, home, x2, y2, z2):
+    # The prefix-sum form of the closing test on generator h (see the
+    # statesum module docstring): with home = start P_{h-1} and (x2, y2, z2)
+    # = (P_{h-2}, P_{h-1}, P_h), the closing jump is in 0.._max_jump.
+    if sign < 0:
+        return _closes(n, 1, -home, -z2, -y2, -x2)
+    return z2 >= home and x2 >= home - n and y2 >= x2 + z2 - home
+
+
+def test_early_test_inequalities_are_the_flow_rule():
+    # The three inequalities, and the negative sign as the positive one on
+    # the reflected inputs, hold exactly when the closing jump
+    # sign*(home - x2 - b2) is one the flow rule allows, at every pair of
+    # entering colors and every home and x2 in range.
+    for n in range(1, 9):
+        for sign, a2, b2 in product((1, -1), range(n + 1), range(n + 1)):
+            limit = _max_jump(n, sign, a2, b2)
+            for x2 in range(2 * n + 1):
+                y2, z2 = x2 + a2, x2 + a2 + b2
+                for home in range(4 * n + 2):
+                    closes = _closes(n, sign, home, x2, y2, z2)
+                    assert closes == (0 <= sign * (home - x2 - b2) <= limit)
+                    if sign < 0:
+                        explicit = x2 <= home and z2 <= home + n
+                        assert closes == (explicit and y2 <= x2 + z2 - home)
+
+
+def test_every_case_of_the_early_bound(monkeypatch):
+    # Each early test reduces to a bound on the left color, with one case
+    # per input the letter moves and per sign.  The schedule of these words
+    # takes all six, on h = 1 and on h = s - 1 as well as between; each
+    # sweep must match the state sums, the enumerated count and the sweep
+    # with no early test.
+    seen = set()
+    for b in EARLY_TEST_WORDS:
+        _, after = _closing_checks(b.letters)
+        for letter, due in zip(b.letters, after):
+            if due:
+                h, sign = due
+                at = "1" if h == 1 else "s - 1" if h == b.strands - 1 else "between"
+                # 0, 1, 2: the letter moves P_{h-2}, P_{h-1} or P_h.
+                seen.add((abs(letter) - h + 1, sign, at))
+
+    def cases(where, moved):
+        return {(m, sign) for m, sign, at in seen if at in where} == set(
+            product(moved, (1, -1))
+        )
+
+    assert cases(("1", "s - 1", "between"), (0, 1, 2))
+    # No letter moves P_{h-2} of h = 1, nor P_h of h = s - 1.
+    assert cases(("1",), (1, 2))
+    assert cases(("s - 1",), (0, 1))
+    assert cases(("between",), (0, 1, 2))
+    for b in EARLY_TEST_WORDS:
+        d = build(b)
+        for n in (1, 2, 3):
+            for anchor, convention in ((0, MINUS), (n, PLUS)):
+                value = state_sum(d, n, convention)
+                count = len(enumerate_states(d, n, convention))
+                for table in (_rmatrix_row, _gl_row, _unit_row):
+                    pruned = _sweep(b, n, table, anchor)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(statesum, "_closing_checks", _unscheduled)
+                        assert _sweep(b, n, table, anchor) == pruned, (b, n, anchor)
+                    assert pruned[1] == count, (b, n, anchor)
+                    if table is not _unit_row:
+                        assert pruned[0] == value, (b, n, anchor)
+
+
+def test_early_tests_prune_exactly(monkeypatch):
+    # A looser bound would only prune less, so each early test is checked
+    # to be exact: scheduled alone after its letter, it keeps as many
+    # partial states as the closing letter, appended there, closes.
+    rng = random.Random(67)
+    words = list(EARLY_TEST_WORDS)
+    words += [rand_braid(rng, max_strands=5, max_len=7) for _ in range(40)]
+    for b in words:
+        _, after = _closing_checks(b.letters)
+        for i, due in enumerate(after):
+            if due is None:
+                continue
+            h, sign = due
+            early = BraidWord(b.strands, b.letters[: i + 1])
+            closing = BraidWord(b.strands, early.letters + (sign * h,))
+            for n in (1, 2, 3):
+                for anchor in (0, n):
+                    with monkeypatch.context() as patch:
+                        patch.setattr(
+                            statesum,
+                            "_closing_checks",
+                            lambda letters: ([False] * (i + 1), [None] * i + [due]),
+                        )
+                        kept = _sweep(early, n, _unit_row, anchor)[1]
+                        patch.setattr(
+                            statesum,
+                            "_closing_checks",
+                            lambda letters: ([False] * (i + 1) + [True], [None] * (i + 2)),
+                        )
+                        assert kept == _sweep(closing, n, _unit_row, anchor)[1], (b, i, n)
 
 
 def _worst_row_k(table, n):
