@@ -96,7 +96,10 @@ is closed, and no contributing state is lost.  Early tests only prune.
 Most partial states can never close up, and the same test, run right
 after the last earlier letter on generators g-1, g or g+1 (the only
 letters that change its inputs P_{g-2}, P_{g-1} and P_g), drops them
-there; at most one test follows a letter (_closing_checks).
+there; at most one test follows a letter (_closing_checks).  The sweep
+keys an entry by its start and current prefix sums as bit fields of one
+int: P_j of cur at bit j*width and of start at (s + j)*width for s
+strands, with width = (s*n).bit_length() since no P_j exceeds s*n.
 
 The test needs no lookup.  For the last letter on h, of sign e, with
 S = start[h-1] and inputs (x2, y2, z2) = (P_{h-2}, P_{h-1}, P_h), entered
@@ -112,10 +115,7 @@ third; for e < 0, r <= b2, r <= n - a2 and r >= 0 are the same three on
 P_{g-1}, to x + l: it is x2, y2 or z2 as h = g+1, g or g-1.  So once per
 entry the sweep drops the entry when an inequality without l fails, and
 otherwise solves the rest for l, which leaves llo <= l <= lhi, one chained
-comparison per jump.  The sweep keys an entry by its start and current
-prefix sums as bit fields of one int: P_j of cur at bit j*width and of
-start at (s + j)*width for s strands, with width = (s*n).bit_length()
-since no P_j exceeds s*n.
+comparison per jump.
 
 R-matrix model, (-) convention.  With i, j the colors entering a
 crossing on the left and right, r its jump, and v = t**(1/2), the
