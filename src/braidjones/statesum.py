@@ -117,6 +117,20 @@ entry the sweep drops the entry when an inequality without l fails, and
 otherwise solves the rest for l, which leaves llo <= l <= lhi, one chained
 comparison per jump.
 
+The sweep takes the letters in the order _closing_checks gives, not as
+written.  Letters on generators two or more apart cross disjoint strands,
+so swapping two such neighbours maps each state to the one in which every
+crossing is entered by the same colors and takes the same jump: the same
+weights, the same closure colors, so the same anchored arc, and the same
+count and value (any linear extension of the word's heap of pieces will
+do; Cartier and Foata).  A last letter drops every entry that cannot
+close on its generator, so each one moves down past the letters just
+below it on generators two or more apart, the only ones it can pass.  It
+stops at another generator's last letter, so the last letters keep their
+order, and at a letter that an early test of the word as written follows:
+moving past those made some random words sweep more entries (CHANGES.md).
+The early tests are then placed on the order swept.
+
 R-matrix model, (-) convention.  With i, j the colors entering a
 crossing on the left and right, r its jump, and v = t**(1/2), the
 weight is
@@ -319,34 +333,56 @@ REPACK_LETTERS = 32
 
 def _closing_checks(
     letters: tuple[int, ...],
-) -> tuple[list[bool], list[tuple[int, int] | None]]:
-    """Where the sweep closes each generator and where it prunes early
-    (see the module docstring).
+) -> tuple[tuple[int, ...], list[bool], list[tuple[int, int] | None]]:
+    """The order the sweep takes the letters in, where it closes each
+    generator and where it prunes early (see the module docstring).
 
-    Returns (last, after).  last[i] tells whether letter i is the last on
-    its generator g, which must then leave the prefix sum cur[g-1] at
-    start[g-1].  after[i] is the (g, sign) of a last letter whose inputs
-    cur[g-2], cur[g-1] and cur[g] are final once letter i is swept (only
-    letters on generators g-1, g and g+1 change them), or None.  At most
-    one test follows a letter, the one whose last letter comes later, and
-    none precedes the first.
+    Returns (order, last, after).  order is letters with each generator's
+    last letter moved down past the letters just below it on generators
+    two or more apart, which cross disjoint strands; it stops at another
+    generator's last letter and at a letter that an early test of the
+    word as written follows.  order is letters itself when nothing moves,
+    as on three strands or fewer, which have no such pair.  last[i] tells
+    whether letter i of order is the last on its generator g, which must
+    then leave the prefix sum cur[g-1] at start[g-1].  after[i] is the
+    (g, sign) of a last letter whose inputs cur[g-2], cur[g-1] and cur[g]
+    are final once letter i of order is swept (only letters on generators
+    g-1, g and g+1 change them), or None.  At most one test follows a
+    letter, the one whose last letter comes later, and none precedes the
+    first.
     """
-    last = [False] * len(letters)
-    after: list[tuple[int, int] | None] = [None] * len(letters)
-    later: set[int] = set()
-    for i in reversed(range(len(letters))):
-        g = abs(letters[i])
-        if g not in later:
-            later.add(g)
-            last[i] = True
-            # Testing at the last letter only made perfbench's wide jobs 2x
-            # slower (CHANGES.md).
-            m = i
-            while m and abs(abs(letters[m - 1]) - g) > 1:
-                m -= 1
-            if m and after[m - 1] is None:
-                after[m - 1] = (g, 1 if letters[i] > 0 else -1)
-    return last, after
+    order, slide = letters, True
+    while True:
+        last = [False] * len(order)
+        after: list[tuple[int, int] | None] = [None] * len(order)
+        later: set[int] = set()
+        swept: list[int] | None = None
+        for i in reversed(range(len(order))):
+            g = abs(order[i])
+            if g not in later:
+                later.add(g)
+                last[i] = True
+                # Slide the letter down to m.  The first letter below whose
+                # generator is not in later is that generator's last letter.
+                m = i
+                while slide and m and abs(order[m - 1]) in later:
+                    if abs(abs(order[m - 1]) - g) < 2 or after[m - 1]:
+                        break
+                    m -= 1
+                if m < i:
+                    if swept is None:
+                        swept = list(order)
+                    swept[m : i + 1] = (order[i],) + order[m:i]
+                # Testing at the last letter only made perfbench's wide jobs
+                # 2x slower (CHANGES.md).
+                while m and abs(abs(order[m - 1]) - g) > 1:
+                    m -= 1
+                if m and after[m - 1] is None:
+                    after[m - 1] = (g, 1 if order[i] > 0 else -1)
+        if swept is None:
+            return order, last, after
+        # The early tests of the swept order, which nothing moves again.
+        order, slide = tuple(swept), False
 
 
 # (lo, N, count, B): a value Kronecker-packed as in qalgebra.pack, the
@@ -418,8 +454,7 @@ def _sweep(
     """
     s = word.strands
     check_work(s, n)
-    letters = word.letters
-    last, after = _closing_checks(letters)
+    letters, last, after = _closing_checks(word.letters)
     layer = _seed(s, n, anchor)
     width = _width(s, n)
     mask = (1 << width) - 1

@@ -56,7 +56,7 @@ from packing import (
     replaced,
     rmatrix_step,
 )
-from words import EARLY_TEST_WORDS, rand_braid
+from words import EARLY_TEST_WORDS, as_written, rand_braid
 
 
 def test_anchor_values():
@@ -562,32 +562,125 @@ def test_sweep_pruning_edge_words():
 
 
 def test_closing_checks():
-    # (last letter on its generator?, the early test due after each letter)
-    assert _closing_checks(()) == ([], [])
-    last, after = _closing_checks((1, -2, -2, -1, 3, 2))
+    # (the order swept, last letter on its generator?, the early test due
+    # after each letter)
+    assert _closing_checks(()) == ((), [], [])
+    order, last, after = _closing_checks((1, -2, -2, -1, 3, 2))
+    assert order == (1, -2, -2, -1, 3, 2)
     assert last == [False, False, False, True, True, True]
     # The tests of the last 3 and the last -1 both fall after the second -2;
     # the 3, whose last letter comes later, keeps it.
     assert after == [None, None, (3, 1), None, (2, 1), None]
     # The test of the first letter, already the last on generator 1, would
     # fall before any letter: the letter closes alone.
-    last, after = _closing_checks((1, 2, 2))
-    assert last == [True, False, True]
-    assert after == [None, (2, 1), None]
+    assert _closing_checks((1, 2, 2)) == (
+        (1, 2, 2),
+        [True, False, True],
+        [None, (2, 1), None],
+    )
     # The last -3 is checked once its inputs P_1..P_3 are final: after the
-    # last 2, since letters on generator 1 do not move them.
-    last, after = _closing_checks((3, 2, -3, 2, 1, -1, -3))
+    # last 2, since letters on generator 1 do not move them.  Nothing
+    # moves: the last -3 stops at the last -1, and that at the 1 below it.
+    order, last, after = _closing_checks((3, 2, -3, 2, 1, -1, -3))
+    assert order == (3, 2, -3, 2, 1, -1, -3)
     assert last == [False, False, False, True, False, True, True]
     assert after == [None, None, (2, 1), (3, -1), (1, -1), None, None]
 
 
+# (word, the order it is swept in): each generator's last letter moves down
+# past letters on generators two or more apart.
+_SWEPT_ORDERS = (
+    # The last 1 passes one 3 and stops at the 1 below it.
+    ((1, 3, 1, 2, 3), (1, 1, 3, 2, 3)),
+    # ... two 3s.
+    ((1, 3, -3, 1, 2, 3), (1, 1, 3, -3, 2, 3)),
+    # The last 1 passes the 5 and stops at the 4, which the early test of
+    # the last 3 follows; past it, it would reach the first letter.
+    ((4, 5, 1, 3, 4, 5), (4, 1, 5, 3, 4, 5)),
+    # The last -1 passes the -4 and stops at the 3, the last on generator 3.
+    ((3, -4, -1, 4, 4), (3, -1, -4, 4, 4)),
+    # Three strands have no two generators two apart: nothing moves.
+    ((1, -2, 1, 2, -1), (1, -2, 1, 2, -1)),
+    # perfbench's wide word at m = 3: the last 1 passes the last-but-one 3.
+    ((1, -2, 3) * 3, (1, -2, 3, 1, -2, 1, 3, -2, 3)),
+)
+
+
+def _commutation_class(letters):
+    # Two words are equal up to swapping neighbours on generators two or
+    # more apart exactly when, for every pair of generators at most one
+    # apart, they keep the same letters on that pair in the same order
+    # (Cartier-Foata).
+    gens = {abs(k) for k in letters}
+    return {
+        (g, h): [k for k in letters if abs(k) in (g, h)]
+        for g in gens
+        for h in gens
+        if abs(g - h) <= 1
+    }
+
+
+def test_swept_order():
+    for letters, swept in _SWEPT_ORDERS:
+        order, last, after = _closing_checks(letters)
+        assert order == swept, letters
+        # The tests are those of the order swept.
+        assert (last, after) == as_written(order)[1:], letters
+    # A word that keeps its order is returned as it is.
+    letters = _SWEPT_ORDERS[4][0]
+    assert _closing_checks(letters)[0] is letters
+    rng = random.Random(71)
+    for _ in range(300):
+        b = rand_braid(rng, max_strands=7, max_len=14)
+        order, last, after = _closing_checks(b.letters)
+        assert _commutation_class(order) == _commutation_class(b.letters), b
+        assert (last, after) == as_written(order)[1:], b
+        if b.strands <= 3:
+            assert order is b.letters
+
+
+def test_swept_order_keeps_every_sweep(monkeypatch):
+    # Moving letters past letters on generators two or more apart keeps
+    # every state and weight: the swept order's sweep equals the sweep of
+    # the word as written under each table at both anchors, and the state
+    # sums and enumerated counts where they are cheap.
+    rng = random.Random(73)
+    words = [BraidWord(max(4, max(map(abs, w)) + 1), w) for w, _ in _SWEPT_ORDERS]
+    for _ in range(200):
+        s = rng.randint(4, 6)
+        letters = tuple(
+            rng.choice([1, -1]) * rng.randint(1, s - 1)
+            for _ in range(rng.randint(4, 10))
+        )
+        if len(words) < 30 and _closing_checks(letters)[0] != letters:
+            words.append(BraidWord(s, letters))
+    assert len(words) == 30
+    for b in words:
+        d = build(b)
+        for n in (1, 2, 3):
+            cheap = len(b.letters) <= 6 and b.strands <= 5 and n <= 2
+            value = state_sum(d, n, MINUS) if cheap else None
+            for anchor, convention in ((0, MINUS), (n, PLUS)):
+                count = len(enumerate_states(d, n, convention)) if cheap else None
+                for table in (_rmatrix_row, _gl_row, _unit_row):
+                    swept = _sweep(b, n, table, anchor)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(statesum, "_closing_checks", as_written)
+                        assert _sweep(b, n, table, anchor) == swept, (b, n, anchor)
+                    if cheap:
+                        assert swept[1] == count, (b, n, anchor)
+                        if table is not _unit_row:
+                            assert swept[0] == value, (b, n, anchor)
+
+
 def _due(letters):
-    # For each generator's last letter, the number of letters swept once its
-    # inputs are final: up to the last earlier letter on g-1, g or g+1.
-    last, _ = _closing_checks(letters)
+    # For each generator's last letter in the order swept, the number of
+    # letters swept once its inputs are final: up to the last earlier letter
+    # on g-1, g or g+1.
+    order, last, _ = _closing_checks(letters)
     return [
-        max((m + 1 for m in range(i) if abs(abs(letters[m]) - abs(k)) <= 1), default=0)
-        for i, k in enumerate(letters)
+        max((m + 1 for m in range(i) if abs(abs(order[m]) - abs(k)) <= 1), default=0)
+        for i, k in enumerate(order)
         if last[i]
     ]
 
@@ -627,8 +720,8 @@ def test_both_closing_test_paths_match_the_state_sums():
 
 def _unscheduled(letters):
     # The closing schedule with every early test dropped.
-    last, after = _closing_checks(letters)
-    return last, [None] * len(after)
+    order, last, after = _closing_checks(letters)
+    return order, last, [None] * len(after)
 
 
 def test_last_letter_closes_without_early_tests(monkeypatch):
@@ -683,13 +776,13 @@ def test_early_test_inequalities_are_the_flow_rule():
 def test_every_case_of_the_early_bound(monkeypatch):
     # Each early test reduces to a bound on the left color, with one case
     # per input the letter moves and per sign.  The schedule of these words
-    # takes all six, on h = 1 and on h = s - 1 as well as between; each
-    # sweep must match the state sums, the enumerated count and the sweep
-    # with no early test.
+    # takes all six, on h = 1 and on h = s - 1 as well as between, counted
+    # on the order swept; each sweep must match the state sums, the
+    # enumerated count and the sweep with no early test.
     seen = set()
     for b in EARLY_TEST_WORDS:
-        _, after = _closing_checks(b.letters)
-        for letter, due in zip(b.letters, after):
+        order, _, after = _closing_checks(b.letters)
+        for letter, due in zip(order, after):
             if due:
                 h, sign = due
                 at = "1" if h == 1 else "s - 1" if h == b.strands - 1 else "between"
@@ -724,33 +817,28 @@ def test_every_case_of_the_early_bound(monkeypatch):
 
 def test_early_tests_prune_exactly(monkeypatch):
     # A looser bound would only prune less, so each early test is checked
-    # to be exact: scheduled alone after its letter, it keeps as many
-    # partial states as the closing letter, appended there, closes.
+    # to be exact: scheduled alone after its letter in the order swept, it
+    # keeps as many partial states as the closing letter, appended there,
+    # closes.
     rng = random.Random(67)
     words = list(EARLY_TEST_WORDS)
     words += [rand_braid(rng, max_strands=5, max_len=7) for _ in range(40)]
     for b in words:
-        _, after = _closing_checks(b.letters)
+        order, _, after = _closing_checks(b.letters)
         for i, due in enumerate(after):
             if due is None:
                 continue
             h, sign = due
-            early = BraidWord(b.strands, b.letters[: i + 1])
+            early = BraidWord(b.strands, order[: i + 1])
             closing = BraidWord(b.strands, early.letters + (sign * h,))
+            alone = (early.letters, [False] * (i + 1), [None] * i + [due])
+            closed = (closing.letters, [False] * (i + 1) + [True], [None] * (i + 2))
             for n in (1, 2, 3):
                 for anchor in (0, n):
                     with monkeypatch.context() as patch:
-                        patch.setattr(
-                            statesum,
-                            "_closing_checks",
-                            lambda letters: ([False] * (i + 1), [None] * i + [due]),
-                        )
+                        patch.setattr(statesum, "_closing_checks", lambda _: alone)
                         kept = _sweep(early, n, _unit_row, anchor)[1]
-                        patch.setattr(
-                            statesum,
-                            "_closing_checks",
-                            lambda letters: ([False] * (i + 1) + [True], [None] * (i + 2)),
-                        )
+                        patch.setattr(statesum, "_closing_checks", lambda _: closed)
                         assert kept == _sweep(closing, n, _unit_row, anchor)[1], (b, i, n)
 
 

@@ -1,5 +1,5 @@
-"""Braid words for the tests: random ones, and a fixed set for the sweep's
-early tests."""
+"""Braid words for the tests: random ones, a fixed set for the sweep's early
+tests, and the sweep's schedule of a word taken as written."""
 
 import random
 
@@ -39,3 +39,21 @@ EARLY_TEST_WORDS = tuple(
         (2, 1, -3, -2, 3),
     )
 )
+
+
+def as_written(letters: tuple[int, ...]):
+    """The sweep's schedule of the letters in the order written, from the
+    definitions in statesum._closing_checks' docstring: (letters, last,
+    after), with no letter moved."""
+    last = [
+        all(abs(k) != abs(letter) for k in letters[i + 1 :])
+        for i, letter in enumerate(letters)
+    ]
+    after = [None] * len(letters)
+    for i in reversed(range(len(letters))):
+        if last[i]:
+            g = abs(letters[i])
+            below = [m for m in range(i) if abs(abs(letters[m]) - g) <= 1]
+            if below and after[below[-1]] is None:
+                after[below[-1]] = (g, 1 if letters[i] > 0 else -1)
+    return letters, last, after
