@@ -52,15 +52,18 @@ classes meet.
 K is guessed, and proved where values decode.  Each row step carries a
 bound on its weight's L1 norm (C(A, B) * 2**r for a model weight, 1 for a
 unit one), and each layer entry B, the sum over its partial states of the
-product of their bounds, which bounds its coefficients.  A chunk of at
-most REPACK_LETTERS letters is swept at one K, guessed (_first_k) from its
-first layer's summed B grown by n bits a letter, or by what the last
-chunk grew if more.  A letter's layer is kept only if its summed B fits
-a K-bit slot, which proves that every value decodes and so does the
-closed layer's packed sum; if not, the chunk ends and the letter is swept
-again after a re-pack, which decodes each value and resets its B to its
-L1 norm.  So the guess sets the cost, never the value.  Requests whose first layer and vertex table
-would exceed WORK_LIMIT are refused before anything is built.
+product of their bounds, which bounds its coefficients.  The letters are
+swept in spans, each at one K, guessed (_first_k) for the next
+GUESS_LETTERS letters from the span's first layer: its summed B grown by
+n bits a letter, or by what the last span grew a letter if more.  A
+letter's layer is kept only if its summed B fits a K-bit slot, which
+proves that every value decodes and so does the closed layer's packed
+sum.  A span ends only where a letter outgrows K: that letter is swept
+again in a new span, after a re-pack that decodes each value and resets
+its B to its L1 norm, or at a K that fits it when it was the span's
+first.  So the guess sets the cost, never the value.  Requests whose
+first layer and vertex table would exceed WORK_LIMIT are refused before
+anything is built.
 
 The vertex tables build their rows already packed at the sweep's K.  Each
 model has one descriptor (_rmatrix_shape, _gl_shape) giving every weight as
@@ -77,8 +80,8 @@ process and shared by every sweep: packed rows (each table's, and
 _unit_row, keyed on n, sign, entering colors and K; 4096 at most each),
 the two packed symbols both tables share (4096 at most each) and first
 layers (_seed, keyed on strands, n and anchor; 128 at most).  Rows are
-packed only at the K a chunk sweeps at, which is not rounded to share
-them.  Within a chunk, where K is fixed, the sweep holds the rows it reads
+packed only at the K a span sweeps at, which is not rounded to share
+them.  Within a span, where K is fixed, the sweep holds the rows it reads
 in a grid indexed by sign and entering colors, and a weight packed as 1
 (every jump-0 weight and every unit weight) skips its product and its
 bound's.
@@ -326,9 +329,12 @@ def _unit_row(n: int, sign: int, a: int, b: int, k: int) -> Row:
 # packed table and the certificate the descriptor itself.
 _TABLES: dict[int, Descriptor] = {MINUS: _rmatrix_shape, PLUS: _gl_shape}
 
-# The most letters swept between two re-packs of the layer (see _sweep).
-# Never re-packing made T(2,40) at n = 8 1.6-2.2x slower (CHANGES.md).
-REPACK_LETTERS = 32
+# How many letters ahead a span's guess of K covers (_first_k).  It sets no
+# re-pack: a span ends only where a layer outgrows K (see _sweep).  A guess
+# for the whole word, which holds every product at the word's widest K,
+# made T(2,100) at n = 4 1.7-2x and T(2,40) at n = 8 1.2-1.4x slower
+# (CHANGES.md).
+GUESS_LETTERS = 32
 
 
 def _closing_checks(
@@ -431,10 +437,10 @@ def _seed(strands: int, n: int, anchor: int) -> dict[Key, Entry]:
 _BOUND = itemgetter(3)
 
 
-def _first_k(bits: int, rate: int, chunk: tuple[int, ...]) -> int:
-    # A chunk's first K: its first layer's summed bound, of this many bits,
-    # grown by rate bits a letter.
-    return bits + 1 + rate * len(chunk)
+def _first_k(bits: int, rate: int, ahead: tuple[int, ...]) -> int:
+    # A span's K: its first layer's summed bound, of this many bits, grown
+    # by rate bits a letter over the letters ahead that the guess covers.
+    return bits + 1 + rate * len(ahead)
 
 
 def _sweep(
@@ -451,6 +457,9 @@ def _sweep(
     states of two exponent classes mod 4 meet in one key, naming the key
     decoded to its (start, cur) prefix sums, or when the closed states fall
     in two classes: a table that breaks the exponent-class law.
+
+    The letters go in spans at one K each, and a span ends only where a
+    letter's layer outgrows its K (see the module docstring).
     """
     s = word.strands
     check_work(s, n)
@@ -458,27 +467,25 @@ def _sweep(
     layer = _seed(s, n, anchor)
     width = _width(s, n)
     mask = (1 << width) - 1
-    # The chunk's first layer decoded (None for the seed: monomials, N = 1
+    # The span's first layer decoded (None for the seed: monomials, N = 1
     # at any K, of bound 1) and its summed bound; least holds that layer,
     # or the first letter when it is swept again.
     values: dict[Key, tuple[LaurentQ, int, int, int]] | None = None
     total, rate, at = len(layer), n, 0
     least = total.bit_length() + 1
     while True:
-        chunk = letters[at : at + REPACK_LETTERS]
         bits = total.bit_length()
-        k = max(_first_k(bits, rate, chunk), least)
+        k = max(_first_k(bits, rate, letters[at : at + GUESS_LETTERS]), least)
         if values is not None:
             layer = {
                 key: pack(value, k) + (c, l1) if value else (lo, 0, c, 0)
                 for key, (value, lo, c, l1) in values.items()
             }
-        # rows[sign][a][b]: the row entered by (a, b), read once per chunk.
+        # rows[sign][a][b]: the row entered by (a, b), read once per span.
         rows: dict[int, list[list[Row | None]]] = {
             sign: [[None] * (n + 1) for _ in range(n + 1)] for sign in (1, -1)
         }
-        i = at
-        while i < at + len(chunk):
+        for i in range(at, len(letters)):
             letter = letters[i]
             g = letter if letter > 0 else -letter
             sign = 1 if letter > 0 else -1
@@ -557,12 +564,10 @@ def _sweep(
             if peak >= k:
                 break
             layer = nxt
-            i += 1
-        if i == len(letters):
+        else:
             break
-        # Re-pack after the chunk, or before the letter that outgrew K.
-        swept = i - at + (i < at + len(chunk))
-        rate = max(n, -((bits - peak) // swept))
+        # The letter that outgrew K starts the next span.
+        rate = max(n, -((bits - peak) // (i - at + 1)))
         if i > at:
             # Each value decodes at K; its L1 norm is its bound from here on.
             values = {}

@@ -13,7 +13,7 @@ from braidjones import statesum
 from braidjones.braid import BraidWord, parse
 from braidjones.diagram import build
 from braidjones.oracle import kauffman_jones, rosso_jones, torus_braid
-from braidjones.qalgebra import ONE, LaurentQ, qint
+from braidjones.qalgebra import ONE, LaurentQ, qint, unpack
 from braidjones.states import (
     MINUS,
     PLUS,
@@ -27,7 +27,7 @@ from braidjones.states import (
     state_sum,
 )
 from braidjones.statesum import (
-    REPACK_LETTERS,
+    GUESS_LETTERS,
     ModelMismatchError,
     _closing_checks,
     _decode,
@@ -488,19 +488,28 @@ def test_input_validation():
         state_count(parse("1"), 1, 0)
 
 
-def test_packed_sweep_across_repacks():
+def test_packed_sweep_across_repacks(monkeypatch):
     # Both tables against the R-matrix state sum, which is cheap here; the
     # arc-transition one has 47,300 states at n = 2 and is checked at n = 1.
+    # Then again with K guessed at 2, the least each span's first layer
+    # proves, so that spans end and re-pack all along the word: the eight
+    # sweeps take more spans than that.
     b = BraidWord(3, (1, -1) * 40 + (-1, 2) * 3)
-    assert len(b.letters) > 2 * REPACK_LETTERS
+    assert len(b.letters) > 2 * GUESS_LETTERS
     d = build(b)
-    for n in (1, 2):
-        reference = state_sum(d, n, MINUS)
-        assert colored_jones_framed(b, n, "rmatrix") == reference
-        assert colored_jones_framed(b, n, "gl") == reference
-        assert state_count(b, n, MINUS) == len(enumerate_states(d, n, MINUS))
-    assert colored_jones_framed(b, 1, "gl") == state_sum(d, 1, PLUS)
-    assert state_count(b, 1, PLUS) == len(enumerate_states(d, 1, PLUS))
+    references = {n: state_sum(d, n, MINUS) for n in (1, 2)}
+    counts = {n: len(enumerate_states(d, n, MINUS)) for n in (1, 2)}
+    plus = state_sum(d, 1, PLUS), len(enumerate_states(d, 1, PLUS))
+    spans = []
+    for small in (False, True):
+        if small:
+            monkeypatch.setattr(statesum, "_first_k", lambda *_: spans.append(1) or 2)
+        for n in (1, 2):
+            assert colored_jones_framed(b, n, "rmatrix") == references[n]
+            assert colored_jones_framed(b, n, "gl") == references[n]
+            assert state_count(b, n, MINUS) == counts[n]
+        assert (colored_jones_framed(b, 1, "gl"), state_count(b, 1, PLUS)) == plus
+    assert len(spans) > 8
 
 
 def _check_against_state_sums(b: BraidWord, colors) -> None:
@@ -536,12 +545,12 @@ _EDGE_WORDS = (
     # The last 3 reads P_1, P_2 and P_3, which letters on generator 1 do not
     # move: its early test runs after the second -2, before the -1.
     (BraidWord(4, (1, -2, -2, -1, 3, 2)), (1, 2, 3)),
-    # The early test of the last 1 follows the third letter, in the chunk
-    # before the one that holds the last 1 itself.
+    # The early test of the last 1 follows the third letter, 33 letters
+    # before the last 1 itself.
     (BraidWord(4, (1, -2, 1) + (3, -3) * 16 + (1, 2)), (1, 2)),
     # The last -3 reads P_1, which last changes at the 2 on generator 2,
     # four letters in; the letters on 1 between them do not move its inputs,
-    # so its early test runs a chunk before it.
+    # so its early test runs 33 letters before it.
     (BraidWord(4, (3, 2, -3, 2) + (1, -1) * 16 + (-3,)), (1,)),
     # The first letter is already the last on generator 1: its test would
     # fall before any letter, so the letter closes alone.
@@ -553,12 +562,21 @@ _EDGE_WORDS = (
 )
 
 
-def test_sweep_pruning_edge_words():
-    # The two long words put an early test a chunk before its last letter.
-    assert 3 <= REPACK_LETTERS <= len(_EDGE_WORDS[1][0].letters) - 2
-    assert 4 < REPACK_LETTERS < len(_EDGE_WORDS[2][0].letters)
+def test_sweep_pruning_edge_words(monkeypatch):
     for b, colors in _EDGE_WORDS:
         _check_against_state_sums(b, colors)
+    # Guessed at 2, K is the least each span's first layer proves, so spans
+    # end all along the word: in each long word, one starts between the
+    # early test (after letter index 2 or 3) and its last letter (index 35
+    # or 36).  With the guess's horizon past the word's end, each guess
+    # sees the letters left.
+    left = []
+    monkeypatch.setattr(statesum, "GUESS_LETTERS", 10**6)
+    monkeypatch.setattr(statesum, "_first_k", lambda *a: left.append(len(a[2])) or 2)
+    for (b, colors), (test, closing) in zip(_EDGE_WORDS[1:3], ((2, 35), (3, 36))):
+        left.clear()
+        _check_against_state_sums(b, colors)
+        assert any(test < len(b.letters) - rest <= closing for rest in left), b
 
 
 def test_closing_checks():
@@ -853,14 +871,16 @@ def _worst_row_k(table, n):
         ).bit_length()
         for sign in (1, -1)
     }
-    return lambda bits, rate, chunk: bits + 1 + sum(growth[g > 0] for g in chunk)
+    return lambda bits, rate, ahead: bits + 1 + sum(growth[g > 0] for g in ahead)
 
 
 def test_value_does_not_depend_on_the_guess(monkeypatch):
-    # The bounds prove K wherever values decode, so the first guess of K
-    # only decides where the sweep re-packs.  Guessed at 2, each chunk
-    # starts at exactly the K its first layer's bound proves, and most end
-    # after one letter; guessed at the worst-row proof, no chunk ends early.
+    # The bounds prove K wherever values decode, so the guess of K only
+    # decides where the sweep re-packs.  Guessed at 2, each span starts at
+    # exactly the K its first layer's bound proves, and spans end early;
+    # guessed at the worst-row proof over the letters ahead, no span ends
+    # before those letters are swept, so a horizon of h letters takes at
+    # most one span per h letters.
     rng = random.Random(61)
     cases = list(_EDGE_WORDS)
     cases += [(rand_braid(rng, max_len=6), (1, 2, 3)) for _ in range(20)]
@@ -881,17 +901,17 @@ def test_value_does_not_depend_on_the_guess(monkeypatch):
             for anchor, convention in ((0, MINUS), (n, PLUS)):
                 count = len(enumerate_states(d, n, convention))
                 for table in (_rmatrix_row, _gl_row, _unit_row):
-                    for repack in (1, 32):
-                        chunks = max(1, -(-len(b.letters) // repack))
+                    for horizon in (1, 32):
+                        most = max(1, -(-len(b.letters) // horizon))
                         with monkeypatch.context() as patch:
-                            patch.setattr(statesum, "REPACK_LETTERS", repack)
+                            patch.setattr(statesum, "GUESS_LETTERS", horizon)
                             result = _sweep(b, n, table, anchor)
                             for guess in (lambda *_: 2, _worst_row_k(table, n)):
                                 guesses.clear()
                                 patch.setattr(statesum, "_first_k", counted(guess))
                                 assert _sweep(b, n, table, anchor) == result, (b, n)
-                                early += len(guesses) > chunks
-                            assert len(guesses) == chunks, (b, n, anchor)
+                                early += len(guesses) > most
+                            assert len(guesses) <= most, (b, n, anchor)
                         assert result[1] == count, (b, n, anchor)
                         if table is not _unit_row:
                             assert result[0] == value, (b, n, anchor)
@@ -905,11 +925,13 @@ def _tripled(n, sign, a, b):
 
 @pytest.mark.parametrize("extra", (-1, 0, 1))
 def test_first_chunk_boundary(extra, monkeypatch):
-    # The first chunk sweeps from the seed, with no re-pack; the second
-    # chunk re-packs the layer the first one swept.
-    b = BraidWord(3, ((1, -1, 2, -2) * REPACK_LETTERS)[: REPACK_LETTERS + extra])
-    for repack in (REPACK_LETTERS, 1):
-        monkeypatch.setattr(statesum, "REPACK_LETTERS", repack)
+    # Words one letter shorter than the guess's horizon, as long and one
+    # longer.  The first span sweeps from the seed, with no re-pack; with a
+    # horizon of one letter it ends early, and the next span re-packs the
+    # layer the first one swept.
+    b = BraidWord(3, ((1, -1, 2, -2) * GUESS_LETTERS)[: GUESS_LETTERS + extra])
+    for horizon in (GUESS_LETTERS, 1):
+        monkeypatch.setattr(statesum, "GUESS_LETTERS", horizon)
         _check_against_state_sums(b, (1,))
         closure, count = _sweep(b, 1, _unit_row, 0)
         tripled = (3 ** len(b.letters) * closure, count)
@@ -923,12 +945,12 @@ def _negated(n, sign, a, b):
 
 def test_unit_weight_shortcut_skips_only_one(monkeypatch):
     # The sweep skips the product by a weight packed as 1; one packed as -1
-    # must still flip the sign, within a chunk and across re-packs.
+    # must still flip the sign, within a span and across re-packs.
     negated = packed(_negated)
     for b in (parse("1 -2 1 2 2"), BraidWord(3, (1, -1, 2) * 11)):
         assert len(b.letters) % 2
-        for repack in (REPACK_LETTERS, 1):
-            monkeypatch.setattr(statesum, "REPACK_LETTERS", repack)
+        for horizon in (GUESS_LETTERS, 1):
+            monkeypatch.setattr(statesum, "GUESS_LETTERS", horizon)
             for n in (1, 2):
                 for anchor in (0, n):
                     closure, count = _sweep(b, n, _unit_row, anchor)
@@ -936,42 +958,47 @@ def test_unit_weight_shortcut_skips_only_one(monkeypatch):
 
 
 def test_rows_read_once_per_chunk(monkeypatch):
-    # The sweep holds each chunk's rows in a grid by entering colors, so a
-    # row (sign, a, b, K) is requested at most once per chunk sweep; each
-    # chunk sweep starts with its first guess of K.
+    # The sweep holds each span's rows in a grid by entering colors, so a
+    # row (sign, a, b, K) is requested at most once per span; each span
+    # starts with its guess of K.  Guessed at 2 as well, K is the least each
+    # span's first layer proves, so spans end all along the word.
     sweeps = []
-    first_k = statesum._first_k
 
-    def guessing(*args):
-        sweeps.append(Counter())
-        return first_k(*args)
+    def spanning(guess):
+        def guessing(*args):
+            sweeps.append(Counter())
+            return guess(*args)
+
+        return guessing
 
     def counting(n, sign, a, b, k):
         sweeps[-1][sign, a, b, k] += 1
         return _rmatrix_row(n, sign, a, b, k)
 
-    monkeypatch.setattr(statesum, "_first_k", guessing)
     cases = [(BraidWord(3, (-1, 2) * 5), 3), (parse("1 -2 3 1 -2 3"), 2)]
     cases += [(BraidWord(3, (1, -1) * 40 + (-1, 2) * 3), 2)]
-    for b, n in cases:
-        expected = _sweep(b, n, _rmatrix_row, 0)
-        sweeps.clear()
-        assert _sweep(b, n, counting, 0) == expected
-        assert len(sweeps) >= -(-len(b.letters) // REPACK_LETTERS)
-        assert all(v == 1 for requests in sweeps for v in requests.values()), b
-    assert len(sweeps) > 1
+    spans = []
+    for guess in (statesum._first_k, lambda *_: 2):
+        monkeypatch.setattr(statesum, "_first_k", spanning(guess))
+        for b, n in cases:
+            expected = _sweep(b, n, _rmatrix_row, 0)
+            sweeps.clear()
+            assert _sweep(b, n, counting, 0) == expected
+            assert all(v == 1 for requests in sweeps for v in requests.values()), b
+            spans.append(len(sweeps))
+    assert max(spans) > 1
 
 
 def test_packed_rows_keyed_on_k_and_table():
     # The packed rows are cached per process, per table and per K.
     # sigma_1^2 and sigma_1^41 read the same rows, at a K guessed for 2
-    # letters and for a chunk of 32: each sweep must see its rows packed at
-    # its own K.  They are read through two tables, R-matrix first, then one
+    # letters and for the 32 letters ahead: each sweep must see its rows
+    # packed at its own K.  They are read through two tables, R-matrix first, then one
     # whose weights differ; sigma_1^2 first guesses the same K under both
     # (the guess reads the word and n alone), so each table must see its
     # own weights.
     _rmatrix_row.cache_clear()
-    length = REPACK_LETTERS + 9
+    length = GUESS_LETTERS + 9
     short, long_ = BraidWord(2, (1, 1)), torus_braid(2, length)
     assert _sweep(short, 2, _rmatrix_row, 0)[0] == state_sum(build(short), 2, MINUS)
     assert _sweep(long_, 2, _rmatrix_row, 0)[0] == rosso_jones(2, length, 2)
@@ -1098,14 +1125,41 @@ def _cancelling_table(n, sign, a, b):
 
 def test_repack_keeps_count_of_cancelled_entry(monkeypatch):
     # On 1 2 1 1 at n = 1 with anchor 1, partial states of weights +1 and -1
-    # merge into one key.  Re-packed after every letter, that entry's value
-    # is 0, and it must still carry its two states to the closed count.
+    # merge into one key.  Re-packed after it, that entry's value is 0, and
+    # it must still carry its two states to the closed count.  With K
+    # guessed at 2 and every step bound raised 2**64-fold (still a bound;
+    # steps of weight 1 skip theirs), the layers outgrow K letter by
+    # letter, so the sweep re-packs between letters and decodes that 0.
     b, cancelling = BraidWord(3, (1, 2, 1, 1)), packed(_cancelling_table)
     value, count = _sweep(b, 1, cancelling, 1)
     assert (value, count) == (LaurentQ({-4: -1, 0: -2, 4: 1}), 6)
-    monkeypatch.setattr(statesum, "REPACK_LETTERS", 1)
-    assert _sweep(b, 1, cancelling, 1) == (value, count)
+
+    def inflated(*entry):
+        return tuple(step[:3] + (step[3] << 64,) for step in cancelling(*entry))
+
+    decoded = []
+    monkeypatch.setattr(statesum, "_first_k", lambda *_: 2)
+    monkeypatch.setattr(statesum, "unpack", lambda *a: decoded.append(a) or unpack(*a))
+    assert _sweep(b, 1, inflated, 1) == (value, count)
+    assert any(not unpack(*a) for a in decoded)
     assert _sweep(b, 1, _unit_row, 1)[1] == count
+
+
+def test_span_ends_only_where_k_is_outgrown(monkeypatch):
+    # A K that holds the whole word leaves nothing to re-pack: sigma_1^101
+    # at n = 2 sweeps in one span and decodes once, at the end.  Guessed
+    # as the sweep guesses, T(2,301) at n = 1 outgrows K several times, so
+    # its value crosses re-packs, against the torus-knot formula.
+    spans, decoded = [], []
+    first_k = statesum._first_k
+    monkeypatch.setattr(statesum, "_first_k", lambda *a: spans.append(a) or 1000)
+    monkeypatch.setattr(statesum, "unpack", lambda *a: decoded.append(a) or unpack(*a))
+    assert _sweep(torus_braid(2, 101), 2, _rmatrix_row, 0)[0] == rosso_jones(2, 101, 2)
+    assert (len(spans), len(decoded)) == (1, 1)
+    spans.clear()
+    monkeypatch.setattr(statesum, "_first_k", lambda *a: spans.append(a) or first_k(*a))
+    assert colored_jones_framed(torus_braid(2, 301), 1) == rosso_jones(2, 301, 1)
+    assert len(spans) > 1
 
 
 def test_reversal_keeps_value_and_count_at_every_anchor():
