@@ -171,56 +171,42 @@ def build(b: BraidWord) -> Diagram:
             if a == start:
                 return steps, arcs
 
-    all_steps: list[list[tuple[int, str]]] = []
-    all_arcs: list[list[int]] = []
-    base_vertices: list[int | None] = []
-    start_arcs: list[int] = []
-    for l, cyc in enumerate(components):
-        steps, arcs = walk(min(cyc))
-        unders = [c for c, role in steps if role == UNDER]
-        if l > 0 and unders:
-            base = min(unders)
-            at = steps.index((base, UNDER))
-            steps = steps[at + 1 :] + steps[: at + 1]
-            arcs = arcs[at + 1 :] + arcs[: at + 1]
-            base_vertices.append(base)
-            start_arcs.append(arcs[0])
-        else:
-            base_vertices.append(min(unders) if unders else None)
-            start_arcs.append(min(cyc))
-        all_steps.append(steps)
-        all_arcs.append(arcs)
-
     n_cross = len(crossings)
     sigma: list[int] = [-1] * n_cross
     tau: list[int | None] = [None] * n_cross
     order: list[list[int]] = [[] for _ in range(n_cross)]
     under_component = [-1] * n_cross
     over_component = [-1] * n_cross
-    for l, steps in enumerate(all_steps):
-        under_at = [i for i, (_, role) in enumerate(steps) if role == UNDER]
-        for i, (c, role) in enumerate(steps):
-            if role == UNDER:
-                under_component[c] = l
-            else:
+    all_steps: list[list[tuple[int, str]]] = []
+    all_arcs: list[list[int]] = []
+    base_vertices: list[int | None] = []
+    start_arcs: list[int] = []
+    for l, cyc in enumerate(components):
+        steps, arcs = walk(min(cyc))
+        base = min((c for c, role in steps if role == UNDER), default=None)
+        # The traversal read from just after the base's underpass, so that
+        # it ends there; every component but the first starts there.
+        at = 0 if base is None else steps.index((base, UNDER)) + 1
+        loop = steps[at:] + steps[:at]
+        if l > 0:
+            steps, arcs = loop, arcs[at:] + arcs[:at]
+        all_steps.append(steps)
+        all_arcs.append(arcs)
+        base_vertices.append(base)
+        start_arcs.append(arcs[0] if arcs else min(cyc))
+        # Each underpass closes the overpasses since the one before it.
+        prev, span = base, []
+        for c, role in loop:
+            if role == OVER:
                 over_component[c] = l
-        if not under_at:
-            continue
-        m = len(steps)
-        for k, i in enumerate(under_at):
-            j = under_at[(k + 1) % len(under_at)]
-            sigma[steps[i][0]] = steps[j][0]
-        for k, i in enumerate(under_at):
-            target = steps[i][0]
-            prev = under_at[k - 1]
-            span: list[int] = []
-            j = (prev + 1) % m
-            while j != i:
-                span.append(steps[j][0])
-                j = (j + 1) % m
-            order[target] = span
-            for c in span:
-                tau[c] = target
+                span.append(c)
+                continue
+            under_component[c] = l
+            sigma[prev] = c
+            order[c] = span
+            for o in span:
+                tau[o] = c
+            prev, span = c, []
 
     return Diagram(
         braid=b,

@@ -93,14 +93,11 @@ def derive_colors(d: Diagram, p: Potential) -> StateColors:
     for l, steps in enumerate(d.steps):
         color = p.bases[l]
         arc_colors[d.start_arcs[l]] = color
-        for c, role in steps:
+        for (c, role), arc in zip(steps, d.arcs[l]):
+            arc_colors[arc] = color
             color += _step_sign(role, p.convention) * p.jumps[c]
         if steps and color != p.bases[l]:
             raise ValueError(f"cycle relation violated on component {l}")
-        color = p.bases[l]
-        for (c, role), arc in zip(d.steps[l], d.arcs[l]):
-            arc_colors[arc] = color
-            color += _step_sign(role, p.convention) * p.jumps[c]
     i = tuple(arc_colors[cr.under_out] for cr in d.crossings)
     tilde = tuple(arc_colors[cr.over_in] for cr in d.crossings)
     # The arc closing the braid at position p has the canonical id p.

@@ -58,10 +58,11 @@ GUESS_LETTERS letters from the span's first layer: its summed B grown by
 n bits a letter, or by what the last span grew a letter if more.  A
 letter's layer is kept only if its summed B fits a K-bit slot, which
 proves that every value decodes and so does the closed layer's packed
-sum.  A span ends only where a letter outgrows K: that letter is swept
-again in a new span, after a re-pack that decodes each value and resets
-its B to its L1 norm, or at a K that fits it when it was the span's
-first.  So the guess sets the cost, never the value.  Requests whose
+sum.  A span ends only where a letter outgrows K, and always the same
+way: a re-pack decodes each value of the layer before that letter and
+resets its B to its L1 norm, and a new span sweeps the letter again, at a
+K that also fits the letter's layer when it was the last span's first.
+So the guess sets the cost, never the value.  Requests whose
 first layer and vertex table would exceed WORK_LIMIT are refused before
 anything is built.
 
@@ -458,8 +459,10 @@ def _sweep(
     decoded to its (start, cur) prefix sums, or when the closed states fall
     in two classes: a table that breaks the exponent-class law.
 
-    The letters go in spans at one K each, and a span ends only where a
-    letter's layer outgrows its K (see the module docstring).
+    The letters go in spans at one K each.  A span ends only where a
+    letter's layer outgrows its K, by decoding the layer before that
+    letter, which the next span re-packs and sweeps the letter from (see
+    the module docstring).
     """
     s = word.strands
     check_work(s, n)
@@ -468,14 +471,13 @@ def _sweep(
     width = _width(s, n)
     mask = (1 << width) - 1
     # The span's first layer decoded (None for the seed: monomials, N = 1
-    # at any K, of bound 1) and its summed bound; least holds that layer,
-    # or the first letter when it is swept again.
+    # at any K, of bound 1) and its summed bound, which K must hold; least
+    # holds the span's first letter when it outgrew the last K (else 0).
     values: dict[Key, tuple[LaurentQ, int, int, int]] | None = None
-    total, rate, at = len(layer), n, 0
-    least = total.bit_length() + 1
+    total, rate, at, least = len(layer), n, 0, 0
     while True:
         bits = total.bit_length()
-        k = max(_first_k(bits, rate, letters[at : at + GUESS_LETTERS]), least)
+        k = max(_first_k(bits, rate, letters[at : at + GUESS_LETTERS]), bits + 1, least)
         if values is not None:
             layer = {
                 key: pack(value, k) + (c, l1) if value else (lo, 0, c, 0)
@@ -566,18 +568,16 @@ def _sweep(
             layer = nxt
         else:
             break
-        # The letter that outgrew K starts the next span.
+        # The letter that outgrew K starts the next span, from the layer
+        # before it: each value decodes at K, and its L1 norm is its bound
+        # from here on.
         rate = max(n, -((bits - peak) // (i - at + 1)))
-        if i > at:
-            # Each value decodes at K; its L1 norm is its bound from here on.
-            values = {}
-            for key, (lo, v, c, _) in layer.items():
-                value = unpack(lo, v, k)
-                values[key] = (value, lo, c, value.l1_norm())
-            total = sum(map(_BOUND, values.values()))
-            least = total.bit_length() + 1
-        else:
-            least = peak + 1
+        least = peak + 1 if i == at else 0
+        values = {}
+        for key, (lo, v, c, _) in layer.items():
+            value = unpack(lo, v, k)
+            values[key] = (value, lo, c, value.l1_norm())
+        total = sum(map(_BOUND, values.values()))
         at = i
     base = min((lo for lo, _, _, _ in layer.values()), default=0)
     packed = count = 0

@@ -127,26 +127,30 @@ def test_chord_graph_three_circles():
 
 
 def test_chord_graph_round_trip():
-    # sigma, tau, and the jump orders are recoverable from the circles
+    # sigma, tau, and the jump orders are recoverable from the circles: step
+    # from each crossing's underpass or overpass to the next underpass along
+    # its circle, and from each underpass back to the one before it
     rng = random.Random(10)
-    for _ in range(40):
-        d = build(rand_braid(rng, max_len=8))
+    for _ in range(200):
+        s = rng.randint(1, 6)
+        count = rng.randint(0, 14) if s > 1 else 0
+        d = build(BraidWord(s, tuple(
+            rng.choice([1, -1]) * rng.randint(1, s - 1) for _ in range(count)
+        )))
         for steps in d.steps:
-            under_at = [i for i, (_, role) in enumerate(steps) if role == UNDER]
             m = len(steps)
-            for k, i in enumerate(under_at):
-                j = under_at[(k + 1) % len(under_at)]
-                assert d.sigma[steps[i][0]] == steps[j][0]
-                target = steps[i][0]
-                prev = under_at[k - 1]
-                span = []
-                p = (prev + 1) % m
-                while p != i:
-                    span.append(steps[p][0])
-                    p = (p + 1) % m
-                assert d.tau_preimage_order[target] == span
-                for c in span:
-                    assert d.tau[c] == target
+            for i, (c, role) in enumerate(steps):
+                ahead = [steps[(i + k) % m] for k in range(1, m + 1)]
+                target = next((v for v, r in ahead if r == UNDER), None)
+                assert (d.sigma if role == UNDER else d.tau)[c] == target
+                if role == UNDER:
+                    span = []
+                    for k in range(1, m):
+                        v, r = steps[(i - k) % m]
+                        if r == UNDER:
+                            break
+                        span.insert(0, v)
+                    assert d.tau_preimage_order[c] == span
 
 
 def _rank(rels: list[dict[int, int]], ncols: int) -> int:

@@ -120,6 +120,13 @@ def test_rendering():
     assert str(LaurentQ.one() - LaurentQ.t_quarter(4)) == "1 - t"
     assert str(LaurentQ.t_quarter(-4) + LaurentQ.t_quarter(4)) == "t^(-1) + t"
     assert str(LaurentQ.monomial(-3, 1) + 2) == "2 - 3*t^(1/4)"
+    for p in (
+        LaurentQ.zero(),
+        LaurentQ.one(),
+        LaurentQ.monomial(-3, 1) + 2,
+        LaurentQ({-6: 5, 0: -1, 7: 2**70}),
+    ):
+        assert eval(repr(p), {"LaurentQ": LaurentQ}) == p
 
 
 def test_terms_ascending_and_accessors():
