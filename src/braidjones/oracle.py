@@ -24,28 +24,6 @@ from .qalgebra import ONE, ZERO, LaurentQ, qint
 _LOOP = LaurentQ({2: -1, -2: -1})
 
 
-class _UnionFind:
-    def __init__(self) -> None:
-        self.parent: dict[int, int] = {}
-
-    def add(self, x: int) -> None:
-        self.parent.setdefault(x, x)
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x: int, y: int) -> None:
-        self.parent[self.find(x)] = self.find(y)
-
-    def classes(self) -> int:
-        return sum(1 for x in self.parent if self.parent[x] == x)
-
-
 def _check_args(n: int, **knot: int) -> None:
     # The color checks of statesum.check_work, which the oracles share
     # without loading the state models; the knot's parameters must be ints
@@ -67,11 +45,20 @@ def kauffman_jones(b: BraidWord) -> LaurentQ:
     if c > 20:
         raise ValueError("bracket oracle is limited to 20 crossings")
     s = b.strands
+    # Union-find over the arcs: the s strand positions, then one node per
+    # cup-cap smoothing.
+    parent = list(range(s + c))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            # Path halving: point x at its grandparent and step there.
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
     bracket = LaurentQ.zero()
     for mask in range(1 << c):
-        uf = _UnionFind()
-        for p in range(s):
-            uf.add(p)
+        parent[:] = range(s + c)
         cur = list(range(s))
         nxt = s
         a_minus_b = 0
@@ -83,13 +70,12 @@ def kauffman_jones(b: BraidWord) -> LaurentQ:
             # parallel; for a negative crossing the roles swap.
             cupcap = (k > 0) == bool(pick_b)
             if cupcap:
-                uf.union(cur[g - 1], cur[g])
-                uf.add(nxt)
+                parent[find(cur[g - 1])] = find(cur[g])
                 cur[g - 1] = cur[g] = nxt
                 nxt += 1
         for p in range(s):
-            uf.union(cur[p], p)
-        loops = uf.classes()
+            parent[find(cur[p])] = find(p)
+        loops = sum(parent[x] == x for x in range(nxt))
         bracket = bracket + LaurentQ.t_quarter(a_minus_b) * _LOOP ** (loops - 1)
     w = b.writhe
     sign = -1 if w % 2 else 1

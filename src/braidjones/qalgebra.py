@@ -109,8 +109,7 @@ class LaurentQ:
         return iter(self.terms())
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = LaurentQ.from_int(other)
+        other = _lift(other)
         if not isinstance(other, LaurentQ):
             return NotImplemented
         return self._terms == other._terms
@@ -122,37 +121,28 @@ class LaurentQ:
         return hash(frozenset(self._terms.items()))
 
     def __add__(self, other: "LaurentQ | int") -> "LaurentQ":
-        if isinstance(other, int):
-            other = LaurentQ.from_int(other)
         out = dict(self._terms)
-        for q, c in other._terms.items():
+        for q, c in _lift(other)._terms.items():
             s = out.get(q, 0) + c
             if s:
                 out[q] = s
             else:
                 out.pop(q, None)
-        res = LaurentQ.__new__(LaurentQ)
-        res._terms = out
-        return res
+        return _wrap(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentQ":
-        res = LaurentQ.__new__(LaurentQ)
-        res._terms = {q: -c for q, c in self._terms.items()}
-        return res
+        return _wrap({q: -c for q, c in self._terms.items()})
 
     def __sub__(self, other: "LaurentQ | int") -> "LaurentQ":
-        if isinstance(other, int):
-            other = LaurentQ.from_int(other)
-        return self + (-other)
+        return self + (-_lift(other))
 
     def __rsub__(self, other: "LaurentQ | int") -> "LaurentQ":
         return (-self) + other
 
     def __mul__(self, other: "LaurentQ | int") -> "LaurentQ":
-        if isinstance(other, int):
-            other = LaurentQ.from_int(other)
+        other = _lift(other)
         out: dict[int, int] = {}
         for q1, c1 in self._terms.items():
             for q2, c2 in other._terms.items():
@@ -162,9 +152,7 @@ class LaurentQ:
                     out[q] = s
                 else:
                     out.pop(q, None)
-        res = LaurentQ.__new__(LaurentQ)
-        res._terms = out
-        return res
+        return _wrap(out)
 
     __rmul__ = __mul__
 
@@ -182,9 +170,7 @@ class LaurentQ:
 
     def substitute_inverse(self) -> "LaurentQ":
         """The image under t -> t**(-1)."""
-        res = LaurentQ.__new__(LaurentQ)
-        res._terms = {-q: c for q, c in self._terms.items()}
-        return res
+        return _wrap({-q: c for q, c in self._terms.items()})
 
     def exact_div(self, divisor: "LaurentQ") -> "LaurentQ":
         """Exact quotient self / divisor; raises ExactDivisionError otherwise."""
@@ -214,9 +200,7 @@ class LaurentQ:
                     rem[qq] = s
                 else:
                     rem.pop(qq, None)
-        res = LaurentQ.__new__(LaurentQ)
-        res._terms = {q: c for q, c in out.items() if c != 0}
-        return res
+        return LaurentQ(out)
 
     def __str__(self) -> str:
         if not self._terms:
@@ -237,6 +221,18 @@ class LaurentQ:
 
     def __repr__(self) -> str:
         return f"LaurentQ({self._terms!r})"
+
+
+def _wrap(terms: dict[int, int]) -> LaurentQ:
+    """The LaurentQ of a dict with no zero coefficient, taken without a copy."""
+    res = LaurentQ.__new__(LaurentQ)
+    res._terms = terms
+    return res
+
+
+def _lift(x: LaurentQ | int) -> LaurentQ:
+    """An int operand as a constant LaurentQ; anything else as it is."""
+    return LaurentQ.from_int(x) if isinstance(x, int) else x
 
 
 ZERO = LaurentQ.zero()
@@ -281,9 +277,7 @@ def unpack(lo: int, packed: int, k: int) -> LaurentQ:
         if c:
             terms[q] = c
         q += 4
-    res = LaurentQ.__new__(LaurentQ)
-    res._terms = terms
-    return res
+    return _wrap(terms)
 
 
 @lru_cache(maxsize=None)

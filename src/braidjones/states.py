@@ -38,9 +38,9 @@ from functools import lru_cache
 
 from .diagram import Diagram, UNDER
 from .qalgebra import ONE, ZERO, LaurentQ
-# The sign conventions and the work limit live on the value path; they are
-# re-exported here for the enumeration's callers.
-from .statesum import MINUS, PLUS, WORK_LIMIT, check_work  # noqa: F401
+# The sign conventions, the work limit and their checks live on the value
+# path; the constants are re-exported here for the enumeration's callers.
+from .statesum import MINUS, PLUS, WORK_LIMIT, _check_sign, check_work  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,7 @@ class Potential:
     convention: int
 
     def __post_init__(self) -> None:
-        if self.convention not in (PLUS, MINUS):
-            raise ValueError("convention must be +1 or -1")
+        _check_sign(self.convention)
 
 
 @dataclass(frozen=True)
@@ -127,8 +126,9 @@ def enumerate_states(
     sorts it.
     """
     check_work(d.strands, n)
-    if convention not in (PLUS, MINUS):
-        raise ValueError("convention must be +1 or -1")
+    _check_sign(convention)
+    if type(anchor) is not int:
+        raise TypeError(f"anchor {anchor!r} is not an int")
     if not 0 <= anchor <= n:
         return []
     bases = [0] * d.component_count
@@ -210,11 +210,12 @@ def pochhammer(a: int, b: int) -> LaurentQ:
     return out
 
 
-@lru_cache(maxsize=None)
+# typed, here and in qbinom_signed, so that a bool or float eps is checked
+# and not answered from the int's cache entry.
+@lru_cache(maxsize=None, typed=True)
 def pochhammer_signed(a: int, b: int, eps: int) -> LaurentQ:
     """{a}_{b,t^eps} = prod_{s=0}^{b-1} (1 - t**(eps*(a-s)))."""
-    if eps not in (1, -1):
-        raise ValueError("eps must be +1 or -1")
+    _check_sign(eps, "eps")
     if b < 0:
         return ZERO
     out = ONE
@@ -233,11 +234,10 @@ def qbinom(a: int, b: int) -> LaurentQ:
     return pochhammer(a, b).exact_div(pochhammer(b, b))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def qbinom_signed(a: int, b: int, eps: int) -> LaurentQ:
     """(a choose b)_{t^eps} = prod (t**(eps*(a-s)) - 1) / prod (t**(eps*s) - 1)."""
-    if eps not in (1, -1):
-        raise ValueError("eps must be +1 or -1")
+    _check_sign(eps, "eps")
     if b < 0:
         return ZERO
     num = ONE

@@ -249,6 +249,12 @@ def check_work(strands: int, n: int) -> None:
             )
 
 
+def _check_sign(value: int, name: str = "convention") -> None:
+    """Raise ValueError unless value is the int +1 or -1 (a bool is not)."""
+    if type(value) is not int or value not in (PLUS, MINUS):
+        raise ValueError(f"{name} must be +1 or -1")
+
+
 class ModelMismatchError(AssertionError):
     """The two state models disagreed; always an implementation bug."""
 
@@ -595,8 +601,7 @@ def state_count(b: BraidWord, n: int, convention: int) -> int:
     (see _sweep) with weight 1 on every jump _max_jump allows, so that no
     weight is built.  Both tables read that one support, and the (+)
     convention's color 0 is the sweep's n."""
-    if convention not in _TABLES:
-        raise ValueError("convention must be +1 or -1")
+    _check_sign(convention)
     return _sweep(b, n, _unit_row, 0 if convention == MINUS else n)[1]
 
 

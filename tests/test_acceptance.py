@@ -40,6 +40,7 @@ from identities import (
     verify_prop_61,
     verify_prop_62,
 )
+from words import random_letters
 
 
 def _preset_braids() -> list[BraidWord]:
@@ -55,10 +56,7 @@ def _corpus() -> list[BraidWord]:
     seen = {(b.strands, b.letters) for b in braids}
     while len(braids) < 52:
         s = rng.randint(2, 4)
-        letters = tuple(
-            rng.choice([1, -1]) * rng.randint(1, s - 1)
-            for _ in range(rng.randint(1, 8))
-        )
+        letters = random_letters(rng, s, rng.randint(1, 8))
         key = (s, letters)
         if key not in seen:
             seen.add(key)

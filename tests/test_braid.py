@@ -8,6 +8,7 @@ import pytest
 
 from braidjones import colored_jones_framed
 from braidjones.braid import BraidWord, parse
+from words import random_letters
 
 
 def test_parse_inference():
@@ -86,10 +87,7 @@ def test_skein_component_parity():
     rng = random.Random(42)
     for _ in range(50):
         s = rng.randint(2, 4)
-        letters = tuple(
-            rng.choice([1, -1]) * rng.randint(1, s - 1)
-            for _ in range(rng.randint(1, 7))
-        )
+        letters = random_letters(rng, s, rng.randint(1, 7))
         b = BraidWord(s, letters)
         pos = rng.randrange(len(letters))
         plus, minus, zero = b.skein_triple(pos)
@@ -103,10 +101,7 @@ def test_reflect():
     rng = random.Random(43)
     for _ in range(30):
         s = rng.randint(2, 4)
-        letters = tuple(
-            rng.choice([1, -1]) * rng.randint(1, s - 1)
-            for _ in range(rng.randint(0, 7))
-        )
+        letters = random_letters(rng, s, rng.randint(0, 7))
         b = BraidWord(s, letters)
         r = b.reflect()
         assert r.reflect() == b

@@ -10,7 +10,7 @@ import pytest
 from braidjones.braid import BraidWord, parse
 from braidjones.diagram import OVER, UNDER, build
 from identities import cycle_relations, cyclic_labels, eliminated_jumps, solve_jumps
-from words import rand_braid
+from words import rand_braid, random_letters
 
 
 def weaving(m: int) -> BraidWord:
@@ -134,9 +134,7 @@ def test_chord_graph_round_trip():
     for _ in range(200):
         s = rng.randint(1, 6)
         count = rng.randint(0, 14) if s > 1 else 0
-        d = build(BraidWord(s, tuple(
-            rng.choice([1, -1]) * rng.randint(1, s - 1) for _ in range(count)
-        )))
+        d = build(BraidWord(s, random_letters(rng, s, count)))
         for steps in d.steps:
             m = len(steps)
             for i, (c, role) in enumerate(steps):

@@ -78,6 +78,25 @@ def test_hash_agrees_with_int_equality():
     assert LaurentQ.one() != "x" and not LaurentQ.one() == "x"
 
 
+def test_every_result_is_zero_free():
+    # The operators and unpack store their result dict as built, with no
+    # filter, so each must leave out every zero coefficient: equality, hash,
+    # len and is_zero read that dict.
+    rng = random.Random(105)
+    for _ in range(200):
+        a, b = rand_poly(rng), rand_poly(rng)
+        aligned = LaurentQ({4 * q: c for q, c in (a * b).terms()})
+        results = [a + b, a - b, -a, a * b, b * a, a * 0, 0 * a, a + 0, 1 - a, a - a]
+        results += [a.substitute_inverse(), a**2, unpack(*pack(aligned, 16), 16)]
+        if not b.is_zero():
+            results.append((a * b).exact_div(b))
+        for r in results:
+            rebuilt = LaurentQ(dict(r.terms()))
+            assert r == rebuilt, (a, b)
+            assert (len(r), hash(r)) == (len(rebuilt), hash(rebuilt)), (a, b)
+        assert (a - a).is_zero()
+
+
 def test_substitute_inverse():
     rng = random.Random(103)
     for _ in range(50):
@@ -218,6 +237,12 @@ def test_symbol_validation():
     assert pochhammer_signed(2, -1, 1) == pochhammer_signed(2, -1, -1) == 0
     with pytest.raises(ValueError):
         qbinom_signed(2, 1, 2)
+    # eps is exactly the int +1 or -1, also once the int's value is cached.
+    for eps in (True, 1.0, -1.0):
+        for symbol in (pochhammer_signed, qbinom_signed):
+            symbol(2, 1, int(eps))
+            with pytest.raises(ValueError, match="eps must be"):
+                symbol(2, 1, eps)
 
 
 def test_pack_round_trip():

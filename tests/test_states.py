@@ -60,11 +60,14 @@ def test_derive_colors_validation():
         derive_colors(d, Potential((0,), (0, 0), PLUS))
     with pytest.raises(ValueError):
         derive_colors(d, Potential((0, 0), (0,), PLUS))
-    for convention in (0, 2):
+    # Exactly the int +1 or -1: a bool or a float is refused too.
+    for convention in (0, 2, True, 1.0, -1.0):
         with pytest.raises(ValueError, match="convention must be"):
             Potential((0, 0), (0, 0), convention)
         with pytest.raises(ValueError, match="convention must be"):
             enumerate_states(d, 1, convention)
+    with pytest.raises(TypeError, match="anchor 1.5 is not an int"):
+        enumerate_states(d, 2, PLUS, anchor=1.5)
 
 
 def test_anchor_counts():

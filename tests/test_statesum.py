@@ -56,7 +56,15 @@ from packing import (
     replaced,
     rmatrix_step,
 )
-from words import EARLY_TEST_WORDS, as_written, rand_braid
+from words import (
+    EARLY_TEST_WORDS,
+    as_written,
+    assert_patch_keeps_sweeps,
+    rand_braid,
+    random_letters,
+    sweep_cases,
+    unscheduled,
+)
 
 
 def test_anchor_values():
@@ -484,8 +492,12 @@ def test_input_validation():
                     enumerate_states(build(word), n, convention)
     with pytest.raises(ValueError):
         colored_jones_framed(parse("1"), 1, "quantum")
-    with pytest.raises(ValueError, match="convention must be"):
-        state_count(parse("1"), 1, 0)
+    # Exactly the int +1 or -1: unrefused, True counted as +1 and -1.0 as -1.
+    for convention in (0, True, 1.0, -1.0):
+        with pytest.raises(ValueError, match="convention must be"):
+            state_count(parse("1"), 1, convention)
+        with pytest.raises(ValueError, match="convention must be"):
+            state_sum(build(parse("1")), 1, convention)
 
 
 def test_packed_sweep_across_repacks(monkeypatch):
@@ -527,11 +539,7 @@ def test_sweep_pruning_on_random_braids():
     rng = random.Random(5)
     for _ in range(120):
         s = rng.randint(3, 5)
-        letters = tuple(
-            rng.choice([1, -1]) * rng.randint(1, s - 1)
-            for _ in range(rng.randint(4, 8))
-        )
-        b = BraidWord(s, letters)
+        b = BraidWord(s, random_letters(rng, s, rng.randint(4, 8)))
         d = build(b)
         for n in (1, 2):
             for convention, model in ((MINUS, "rmatrix"), (PLUS, "gl")):
@@ -657,7 +665,26 @@ def test_swept_order():
             assert order is b.letters
 
 
-def test_swept_order_keeps_every_sweep(monkeypatch):
+def _assert_state_sums(pairs) -> None:
+    # Each (case, sweep) pair sweeps its anchor's convention, (-) at 0 and
+    # (+) at n: its count is the number of states enumerated there, and a
+    # weighted sweep's value is that convention's state sum.
+    references = {}
+    for (b, n, table, anchor), (value, count) in pairs:
+        convention = MINUS if anchor == 0 else PLUS
+        if (b, n, convention) not in references:
+            d = build(b)
+            references[b, n, convention] = (
+                state_sum(d, n, convention),
+                len(enumerate_states(d, n, convention)),
+            )
+        reference = references[b, n, convention]
+        assert count == reference[1], (b, n, anchor)
+        if table is not _unit_row:
+            assert value == reference[0], (b, n, anchor)
+
+
+def test_swept_order_keeps_every_sweep():
     # Moving letters past letters on generators two or more apart keeps
     # every state and weight: the swept order's sweep equals the sweep of
     # the word as written under each table at both anchors, and the state
@@ -666,29 +693,18 @@ def test_swept_order_keeps_every_sweep(monkeypatch):
     words = [BraidWord(max(4, max(map(abs, w)) + 1), w) for w, _ in _SWEPT_ORDERS]
     for _ in range(200):
         s = rng.randint(4, 6)
-        letters = tuple(
-            rng.choice([1, -1]) * rng.randint(1, s - 1)
-            for _ in range(rng.randint(4, 10))
-        )
+        letters = random_letters(rng, s, rng.randint(4, 10))
         if len(words) < 30 and _closing_checks(letters)[0] != letters:
             words.append(BraidWord(s, letters))
     assert len(words) == 30
-    for b in words:
-        d = build(b)
-        for n in (1, 2, 3):
-            cheap = len(b.letters) <= 6 and b.strands <= 5 and n <= 2
-            value = state_sum(d, n, MINUS) if cheap else None
-            for anchor, convention in ((0, MINUS), (n, PLUS)):
-                count = len(enumerate_states(d, n, convention)) if cheap else None
-                for table in (_rmatrix_row, _gl_row, _unit_row):
-                    swept = _sweep(b, n, table, anchor)
-                    with monkeypatch.context() as patch:
-                        patch.setattr(statesum, "_closing_checks", as_written)
-                        assert _sweep(b, n, table, anchor) == swept, (b, n, anchor)
-                    if cheap:
-                        assert swept[1] == count, (b, n, anchor)
-                        if table is not _unit_row:
-                            assert swept[0] == value, (b, n, anchor)
+    cases = sweep_cases((b, (1, 2, 3)) for b in words)
+    swept = assert_patch_keeps_sweeps(cases, "_closing_checks", as_written)
+    cheap = [
+        ((b, n, table, anchor), result)
+        for (b, n, table, anchor), result in zip(cases, swept)
+        if len(b.letters) <= 6 and b.strands <= 5 and n <= 2
+    ]
+    _assert_state_sums(cheap)
 
 
 def _due(letters):
@@ -736,32 +752,15 @@ def test_both_closing_test_paths_match_the_state_sums():
     assert shapes == {"before the first letter", "two after one letter"}
 
 
-def _unscheduled(letters):
-    # The closing schedule with every early test dropped.
-    order, last, after = _closing_checks(letters)
-    return order, last, [None] * len(after)
-
-
-def test_last_letter_closes_without_early_tests(monkeypatch):
+def test_last_letter_closes_without_early_tests():
     # Early tests only prune: with none scheduled, the last letter on each
     # generator still closes every state, under every table and anchor.
     rng = random.Random(53)
-    cases = list(_EDGE_WORDS)
-    cases += [(rand_braid(rng, max_len=6), (1, 2, 3)) for _ in range(20)]
-    for b, colors in cases:
-        d = build(b)
-        for n in colors:
-            value = state_sum(d, n, MINUS)
-            for anchor, convention in ((0, MINUS), (n, PLUS)):
-                count = len(enumerate_states(d, n, convention))
-                for table in (_rmatrix_row, _gl_row, _unit_row):
-                    pruned = _sweep(b, n, table, anchor)
-                    with monkeypatch.context() as patch:
-                        patch.setattr(statesum, "_closing_checks", _unscheduled)
-                        assert _sweep(b, n, table, anchor) == pruned, (b, n, anchor)
-                    assert pruned[1] == count, (b, n, anchor)
-                    if table is not _unit_row:
-                        assert pruned[0] == value, (b, n, anchor)
+    words = list(_EDGE_WORDS)
+    words += [(rand_braid(rng, max_len=6), (1, 2, 3)) for _ in range(20)]
+    cases = sweep_cases(words)
+    swept = assert_patch_keeps_sweeps(cases, "_closing_checks", unscheduled)
+    _assert_state_sums(zip(cases, swept))
 
 
 def _closes(n, sign, home, x2, y2, z2):
@@ -791,7 +790,7 @@ def test_early_test_inequalities_are_the_flow_rule():
                         assert closes == (explicit and y2 <= x2 + z2 - home)
 
 
-def test_every_case_of_the_early_bound(monkeypatch):
+def test_every_case_of_the_early_bound():
     # Each early test reduces to a bound on the left color, with one case
     # per input the letter moves and per sign.  The schedule of these words
     # takes all six, on h = 1 and on h = s - 1 as well as between, counted
@@ -817,20 +816,9 @@ def test_every_case_of_the_early_bound(monkeypatch):
     assert cases(("1",), (1, 2))
     assert cases(("s - 1",), (0, 1))
     assert cases(("between",), (0, 1, 2))
-    for b in EARLY_TEST_WORDS:
-        d = build(b)
-        for n in (1, 2, 3):
-            for anchor, convention in ((0, MINUS), (n, PLUS)):
-                value = state_sum(d, n, convention)
-                count = len(enumerate_states(d, n, convention))
-                for table in (_rmatrix_row, _gl_row, _unit_row):
-                    pruned = _sweep(b, n, table, anchor)
-                    with monkeypatch.context() as patch:
-                        patch.setattr(statesum, "_closing_checks", _unscheduled)
-                        assert _sweep(b, n, table, anchor) == pruned, (b, n, anchor)
-                    assert pruned[1] == count, (b, n, anchor)
-                    if table is not _unit_row:
-                        assert pruned[0] == value, (b, n, anchor)
+    sweeps = sweep_cases((b, (1, 2, 3)) for b in EARLY_TEST_WORDS)
+    pruned = assert_patch_keeps_sweeps(sweeps, "_closing_checks", unscheduled)
+    _assert_state_sums(zip(sweeps, pruned))
 
 
 def test_early_tests_prune_exactly(monkeypatch):
@@ -1034,11 +1022,7 @@ def test_sweep_value_does_not_depend_on_anchor():
     rng = random.Random(8)
     for _ in range(100):
         s = rng.randint(2, 5)
-        letters = tuple(
-            rng.choice([1, -1]) * rng.randint(1, s - 1)
-            for _ in range(rng.randint(0, 8))
-        )
-        b = BraidWord(s, letters)
+        b = BraidWord(s, random_letters(rng, s, rng.randint(0, 8)))
         # at most 81 start vectors per anchor keeps the test under a second
         for n in (n for n in (1, 2, 3) if (n + 1) ** s <= 81):
             for table in (_rmatrix_row, _gl_row):
@@ -1169,10 +1153,7 @@ def test_reversal_keeps_value_and_count_at_every_anchor():
     rng = random.Random(34)
     for _ in range(40):
         s = rng.randint(2, 4)
-        letters = tuple(
-            rng.choice([1, -1]) * rng.randint(1, s - 1)
-            for _ in range(rng.randint(0, 8))
-        )
+        letters = random_letters(rng, s, rng.randint(0, 8))
         b, reversed_ = BraidWord(s, letters), BraidWord(s, letters[::-1])
         # at most 81 start vectors per anchor keeps the test under a second
         for n in (n for n in (1, 2, 3) if (n + 1) ** s <= 81):
